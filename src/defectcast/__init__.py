@@ -80,10 +80,8 @@ from .sampling import (
     IncreaseResult,
     analytic_mean_increase,
     empirical_quantile,
-    expert_mixture_sample,
     increase_distribution,
     quantiles,
-    sample_triangle,
     triangle_inverse_cdf,
     triangle_variance,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -77,25 +77,9 @@ class ContextBundle:
         """Copy of the bundle with the given releases marked excluded."""
         ids = set(ids)
         releases = tuple(
-            ReleaseRecord(
-                id=r.id,
-                size=r.size,
-                defects_found=r.defects_found,
-                defects_slipped=r.defects_slipped,
-                levels=r.levels,
-                excluded=r.excluded or r.id in ids,
-                note=r.note,
-            )
-            for r in self.releases
+            replace(r, excluded=r.excluded or r.id in ids) for r in self.releases
         )
-        return ContextBundle(
-            factors=self.factors,
-            quantifications=self.quantifications,
-            rankings=self.rankings,
-            releases=releases,
-            active_factors=self.active_factors,
-            warnings=self.warnings,
-        )
+        return replace(self, releases=releases)
 
 
 def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue]]:

@@ -90,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--quantiles",
+        type=_parse_probs,
         default=",".join(str(q) for q in DEFAULT_QUANTILES),
-        help="comma-separated quantile probabilities",
+        help="comma-separated quantile probabilities in [0, 1]",
     )
 
     p = sub.add_parser("crossval", help="leave-one-out model comparison")
@@ -112,6 +113,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=4)
 
     return parser
+
+
+def _parse_probs(text: str) -> list[float]:
+    probs = []
+    for item in text.split(","):
+        try:
+            p = float(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+        if not 0 <= p <= 1:
+            raise argparse.ArgumentTypeError(f"probability {item!r} outside [0, 1]")
+        probs.append(p)
+    return probs
+
+
+def _load_spec(path: str) -> NewReleaseSpec:
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    try:
+        return NewReleaseSpec(size=float(raw["size"]), levels=raw["levels"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"spec file {path}: need an object with a numeric 'size' and a "
+            f"'levels' object"
+        ) from exc
 
 
 def _parse_levels(text: str) -> dict[str, int]:
@@ -179,15 +205,12 @@ def _run(args) -> int:
 
     if args.command == "predict":
         if args.spec:
-            with open(args.spec, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            spec = NewReleaseSpec(size=float(raw["size"]), levels=raw["levels"])
+            spec = _load_spec(args.spec)
         elif args.size is not None and args.levels is not None:
             spec = NewReleaseSpec(size=args.size, levels=_parse_levels(args.levels))
         else:
             print("predict needs --spec or both --size and --levels", file=sys.stderr)
             return 2
-        probs = [float(q) for q in args.quantiles.split(",")]
         dc_active = bundle.resolve_active(Target.DEFECT_CONTENT, active_ids)
         eff_active = bundle.resolve_active(Target.EFFECTIVENESS, active_ids)
         ctx = calibrate(
@@ -195,7 +218,7 @@ def _run(args) -> int:
             bundle.quantifications, options,
         )
         dc_pred = predict_defect_content(
-            ctx, spec, dc_active, bundle.quantifications, options, probs
+            ctx, spec, dc_active, bundle.quantifications, options, args.quantiles
         )
         payload = {
             "report": "predictions",
@@ -206,7 +229,7 @@ def _run(args) -> int:
             f.id in spec.levels for f in eff_active
         ):
             eff_pred = predict_effectiveness(
-                ctx, spec, eff_active, bundle.quantifications, options, probs
+                ctx, spec, eff_active, bundle.quantifications, options, args.quantiles
             )
             payload["effectiveness"] = render_json_fragment(eff_pred)
             payload["expected_defects_found"] = predict_defects_found(dc_pred, eff_pred)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bundle import ContextBundle
 from .calibration import calibrate
@@ -216,6 +215,17 @@ def _exact_count_le(doubled_ranks: np.ndarray, doubled_w: int) -> int:
     return int(counts[: min(doubled_w, total) + 1].sum())
 
 
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, ordered.size])
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    return ranks
+
+
 def wilcoxon_one_sided(
     pairs: Sequence[tuple[float, float]], exact_limit: int = 20
 ) -> WilcoxonResult:
@@ -234,7 +244,7 @@ def wilcoxon_one_sided(
     if n == 0:
         raise AllZeroDifferencesError("every paired difference is zero")
     magnitudes = np.round(np.abs(d), _RANK_DECIMALS)
-    ranks = rankdata(magnitudes)
+    ranks = _mid_ranks(magnitudes)
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     if n <= exact_limit:

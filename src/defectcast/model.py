@@ -13,12 +13,18 @@ context best case; each factor is rated on a four-level ordinal scale.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import MissingFactorError, UndefinedEffectivenessError
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not levels or ranks.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Target(str, Enum):
@@ -72,6 +78,12 @@ class ExpertTriangle:
 
     def __post_init__(self):
         object.__setattr__(self, "target", Target(self.target))
+        values = (self.minimum, self.most_likely, self.maximum)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(
+                f"triangle for factor {self.factor_id!r} by {self.expert!r} "
+                f"must have finite values, got {values}"
+            )
         if not 0 <= self.minimum <= self.most_likely <= self.maximum:
             raise ValueError(
                 f"triangle for factor {self.factor_id!r} by {self.expert!r} "
@@ -99,6 +111,12 @@ class FactorRanking:
     def __post_init__(self):
         object.__setattr__(self, "target", Target(self.target))
         object.__setattr__(self, "ranks", dict(self.ranks))
+        for fid, rank in self.ranks.items():
+            if not (_is_int(rank) and rank >= 1):
+                raise ValueError(
+                    f"ranking by {self.expert!r}: rank for {fid!r} must be a "
+                    f"positive integer, got {rank!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -119,12 +137,17 @@ class ReleaseRecord:
     note: str = ""
 
     def __post_init__(self):
+        measures = (self.size, self.defects_found, self.defects_slipped)
+        if not all(math.isfinite(v) for v in measures):
+            raise ValueError(
+                f"release {self.id!r}: size and defect counts must be finite"
+            )
         if self.size <= 0:
             raise ValueError(f"release {self.id!r}: size must be positive")
         if self.defects_found < 0 or self.defects_slipped < 0:
             raise ValueError(f"release {self.id!r}: defect counts must be >= 0")
         for fid, lvl in self.levels.items():
-            if not (isinstance(lvl, int) and 0 <= lvl <= 3):
+            if not (_is_int(lvl) and 0 <= lvl <= 3):
                 raise ValueError(
                     f"release {self.id!r}: level for factor {fid!r} must be "
                     f"an integer in [0, 3], got {lvl!r}"
@@ -186,7 +209,7 @@ def aggregate_rankings(
     k = len(factor_ids)
     for r in relevant:
         for fid, rank in r.ranks.items():
-            if not (isinstance(rank, int) and 1 <= rank <= k):
+            if not (_is_int(rank) and 1 <= rank <= k):
                 raise ValueError(
                     f"ranking by {r.expert!r}: rank for {fid!r} must be an "
                     f"integer in [1, {k}], got {rank!r}"

@@ -8,6 +8,7 @@ optional history bootstrap is switched on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -34,8 +35,8 @@ class NewReleaseSpec:
     levels: Mapping[str, int]
 
     def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("size must be positive")
+        if not (math.isfinite(self.size) and self.size > 0):
+            raise ValueError(f"size must be positive and finite, got {self.size!r}")
         object.__setattr__(self, "levels", dict(self.levels))
 
 

@@ -90,24 +90,9 @@ def triangle_inverse_cdf(tri: ExpertTriangle, u):
     return out if u.ndim else float(out)
 
 
-def sample_triangle(tri: ExpertTriangle, u: float) -> float:
-    """One inverse-CDF draw from an expert triangle, u in [0, 1)."""
-    return triangle_inverse_cdf(tri, u)
-
-
 def triangle_variance(tri: ExpertTriangle) -> float:
     a, m, b = tri.minimum, tri.most_likely, tri.maximum
     return (a * a + m * m + b * b - a * m - a * b - m * b) / 18.0
-
-
-def expert_mixture_sample(
-    triangles: Sequence[ExpertTriangle], rng: np.random.Generator
-) -> float:
-    """Draw one value from the equal-weight mixture of expert triangles."""
-    if not triangles:
-        raise MissingQuantificationError("no triangles to sample from")
-    tri = triangles[int(rng.integers(0, len(triangles)))]
-    return sample_triangle(tri, float(rng.random()))
 
 
 def _factor_rng(seed: int, target: Target, factor_id: str) -> np.random.Generator:

@@ -81,6 +81,37 @@ class TestLoadBundle:
         with pytest.raises(BundleValidationError):
             load_bundle(write_json(tmp_path, bad))
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("releases", "size", float("nan")),
+        ("releases", "size", float("inf")),
+        ("releases", "defects_found", float("inf")),
+        ("releases", "defects_slipped", float("nan")),
+        ("quantifications", "min", float("nan")),
+        ("quantifications", "max", float("inf")),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, section, key, value):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad[section][0][key] = value  # json writes NaN / Infinity literals
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, bad))
+        assert any("finite" in i.message for i in exc.value.errors)
+
+    def test_boolean_level_rejected(self, tmp_path):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["releases"][0]["levels"] = {"D1": True}
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, bad))
+        assert any("True" in i.message for i in exc.value.errors)
+
+    def test_boolean_rank_rejected(self, tmp_path):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["rankings"] = [
+            {"expert": "X1", "target": "defect_content", "ranks": {"D1": True}}
+        ]
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, bad))
+        assert any("True" in i.message for i in exc.value.errors)
+
     def test_unquantified_factor_rejected(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
         bad["quantifications"] = []

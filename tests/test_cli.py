@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import defectcast
 
 from defectcast.cli import main
 
@@ -67,6 +73,35 @@ class TestPredict:
         code, out, _ = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
                            "--spec", spec)
         assert code == 0
+
+    @pytest.mark.parametrize("spec", [
+        {"levels": {"D1": 1}},
+        {"size": 130},
+        {"size": None, "levels": {}},
+        [130],
+    ], ids=["no-size", "no-levels", "null-size", "not-an-object"])
+    def test_malformed_spec_file_exits_one(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                             "--spec", path)
+        assert code == 1
+        assert "'size'" in err and "'levels'" in err
+
+    @pytest.mark.parametrize("size", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_size_exits_one(self, capsys, size):
+        code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                           "--size", size, "--levels", self.LEVELS)
+        assert code == 1
+        assert "size must be positive and finite" in err
+
+    @pytest.mark.parametrize("quantiles", ["1.5,-2", "0.5,abc", "nan", "0.5,"])
+    def test_bad_quantiles_are_usage_errors(self, capsys, quantiles):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--bundle", str(EXAMPLE_BUNDLE), "--size", "130",
+                  "--levels", self.LEVELS, "--quantiles", quantiles])
+        assert exc.value.code == 2
+        assert "--quantiles" in capsys.readouterr().err
 
     def test_missing_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE)
@@ -166,3 +201,15 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestColdStart:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy.stats costs about a second of import; the CLI must not pay it.
+        src = Path(defectcast.__file__).resolve().parent.parent
+        probe = "import sys, defectcast.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"

@@ -13,10 +13,9 @@ from defectcast import (
     Target,
     analytic_mean_increase,
     empirical_quantile,
-    expert_mixture_sample,
     increase_distribution,
     quantiles,
-    sample_triangle,
+    triangle_inverse_cdf,
     triangle_variance,
 )
 
@@ -35,16 +34,17 @@ class TestTriangleSampling:
     def test_degenerate_point_mass(self):
         tri = make_triangle(a=0, m=0, b=0)
         for u in (0.0, 0.3, 0.999):
-            assert sample_triangle(tri, u) == 0
+            assert triangle_inverse_cdf(tri, u) == 0
+        assert np.all(triangle_inverse_cdf(tri, np.array([0.0, 0.3, 0.999])) == 0)
 
     def test_symmetric_triangle_median_is_mode(self):
         tri = make_triangle(a=0, m=0.5, b=1)
-        assert sample_triangle(tri, 0.5) == pytest.approx(0.5)
+        assert triangle_inverse_cdf(tri, 0.5) == pytest.approx(0.5)
 
     def test_inverse_cdf_value_against_direct_cdf(self):
         # u = 0.25 on (0.10, 0.15, 0.25): x = 0.10 + sqrt(0.25*0.15*0.05)
         tri = make_triangle(a=0.10, m=0.15, b=0.25)
-        x = sample_triangle(tri, 0.25)
+        x = triangle_inverse_cdf(tri, 0.25)
         assert x == pytest.approx(0.10 + math.sqrt(0.25 * 0.15 * 0.05))
         assert x == pytest.approx(0.14330, abs=5e-6)
         assert triangle_cdf(0.10, 0.15, 0.25, x) == pytest.approx(0.25, rel=1e-12)
@@ -52,7 +52,7 @@ class TestTriangleSampling:
     @given(tri=ordered_triple(), u=st.floats(0, 1, exclude_max=True))
     def test_sample_within_triangle_support(self, tri, u):
         a, m, b = tri
-        x = sample_triangle(make_triangle(a=a, m=m, b=b), u)
+        x = triangle_inverse_cdf(make_triangle(a=a, m=m, b=b), u)
         assert a - 1e-12 <= x <= b + 1e-12
 
     @given(tri=ordered_triple(), u=st.floats(0, 1, exclude_max=True))
@@ -60,7 +60,7 @@ class TestTriangleSampling:
         a, m, b = tri
         if b - a < 1e-6:
             return
-        x = sample_triangle(make_triangle(a=a, m=m, b=b), u)
+        x = triangle_inverse_cdf(make_triangle(a=a, m=m, b=b), u)
         assert triangle_cdf(a, m, b, x) == pytest.approx(u, abs=1e-9)
 
     def test_sampler_mean_matches_analytic(self):
@@ -68,20 +68,31 @@ class TestTriangleSampling:
         tri = make_triangle(a=a, m=m, b=b)
         rng = np.random.default_rng(7)
         n = 100_000
-        draws = np.array([sample_triangle(tri, u) for u in rng.random(n)])
+        draws = triangle_inverse_cdf(tri, rng.random(n))
         sigma = math.sqrt(triangle_variance(tri))
         assert abs(draws.mean() - (a + m + b) / 3) < 3 * sigma / math.sqrt(n)
 
 
+def mixture_draws(triangles, n, seed=0):
+    """Expert-mixture draws of one factor through the engine: at level 3
+    the factor's weight is exactly 1, so the samples are the mixture."""
+    res = increase_distribution(
+        [make_factor("D1")], triangles, {"D1": 3}, Target.DEFECT_CONTENT,
+        EngineOptions(n_samples=n, seed=seed),
+    )
+    return res.distribution.samples
+
+
 class TestExpertMixture:
     def test_degenerate_single_triangle(self):
-        rng = np.random.default_rng(0)
         tri = make_triangle(a=0, m=0, b=0)
-        assert all(expert_mixture_sample([tri], rng) == 0 for _ in range(100))
+        assert np.all(mixture_draws([tri], 100) == 0)
 
     def test_empty_list_rejected(self):
+        # triangles exist, but none for this factor and target
+        other_target = make_triangle(target=Target.EFFECTIVENESS)
         with pytest.raises(MissingQuantificationError):
-            expert_mixture_sample([], np.random.default_rng(0))
+            mixture_draws([other_target], 100)
 
     def test_mixture_mean_is_average_of_triangle_means(self):
         tris = [
@@ -89,9 +100,8 @@ class TestExpertMixture:
             make_triangle(a=0.0, m=0.10, b=0.20, expert="X2"),
         ]
         expected = ((0.10 + 0.15 + 0.25) / 3 + (0.0 + 0.10 + 0.20) / 3) / 2
-        rng = np.random.default_rng(3)
         n = 200_000
-        draws = np.array([expert_mixture_sample(tris, rng) for _ in range(n)])
+        draws = mixture_draws(tris, n, seed=3)
         # mixture variance upper bound: E[X^2] spread is tiny, use sample std
         assert abs(draws.mean() - expected) < 3 * draws.std() / math.sqrt(n)
         assert expected == pytest.approx(0.13333, abs=5e-6)

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from defectcast import AllZeroDifferencesError, wilcoxon_one_sided
+from defectcast.evaluation import _mid_ranks
 
 from test_evaluation import MRE_DD, MRE_EFF, MRE_IF, MRE_IF_EFF
 
@@ -26,6 +29,25 @@ def brute_force_p(pairs):
         if w_minus <= observed + 1e-9:
             count += 1
     return count / 2 ** len(d)
+
+
+# Few distinct values, so most drawn arrays carry ties.
+TIED_FLOATS = st.lists(
+    st.sampled_from([0.0, 1e-12, 0.1, 0.1 + 1e-15, 0.25, 0.3, 7.0, -0.2]),
+    min_size=1, max_size=40,
+)
+
+
+class TestMidRanks:
+    @given(values=TIED_FLOATS | st.lists(st.floats(-1e9, 1e9), min_size=1,
+                                          max_size=40))
+    @example(values=[0.5])
+    @example(values=[0.3] * 17)
+    def test_equals_scipy_average_ranks(self, values):
+        values = np.array(values)
+        ours = _mid_ranks(values)
+        assert ours.dtype == np.float64
+        assert np.array_equal(ours, rankdata(values))
 
 
 class TestExamples:
