@@ -11,6 +11,7 @@ values are the medians over the included releases.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -107,9 +108,9 @@ def calibrate(
             eff_base=eff_base,
         )
     ordered = sorted(per_release.values(), key=lambda c: c.release_id)
-    dd_median = float(np.median([c.dd_base for c in ordered]))
+    dd_median = float(statistics.median([c.dd_base for c in ordered]))
     eff_values = [c.eff_base for c in ordered if c.eff_base is not None]
-    eff_median = float(np.median(eff_values)) if eff_values else None
+    eff_median = float(statistics.median(eff_values)) if eff_values else None
     return CalibratedContext(
         per_release=per_release,
         dd_base_median=dd_median,

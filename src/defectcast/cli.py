@@ -56,7 +56,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--exclude", default="", help="comma-separated release ids to exclude"
     )
     parser.add_argument(
-        "--factors", default=None, help="comma-separated active-factor override"
+        "--factors",
+        default=None,
+        help="comma-separated active-factor override; a target none of the "
+        "listed factors belongs to keeps its default active factors",
     )
     parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
@@ -146,8 +149,27 @@ def _parse_levels(text: str) -> dict[str, int]:
         key, _, value = item.partition("=")
         if not key or not value:
             raise ValueError(f"bad --levels entry {item!r}")
-        levels[key.strip()] = int(value)
+        try:
+            levels[key.strip()] = int(value)
+        except ValueError:
+            raise ValueError(f"bad --levels entry {item!r}") from None
     return levels
+
+
+def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
+    """Per-target active-factor overrides from the --factors ids."""
+    if not text:
+        return {target: None for target in Target}
+    ids = [fid.strip() for fid in text.split(",")]
+    known = {f.id for f in bundle.factors}
+    unknown = [fid for fid in ids if fid not in known]
+    if unknown:
+        raise ValueError(f"--factors: unknown factor ids {unknown}")
+    split = {}
+    for target in Target:
+        of_target = {f.id for f in bundle.factors_for(target)}
+        split[target] = [fid for fid in ids if fid in of_target] or None
+    return split
 
 
 def _emit(report, args) -> None:
@@ -164,7 +186,11 @@ def _run(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if args.exclude:
         bundle = bundle.with_excluded(args.exclude.split(","))
-    active_ids = args.factors.split(",") if args.factors else None
+    overrides = _split_factors(bundle, args.factors)
+
+    def active(target):
+        return bundle.resolve_active(target, overrides[target])
+
     print(f"seed: {options.seed}")
 
     if args.command == "check":
@@ -195,8 +221,8 @@ def _run(args) -> int:
     if args.command == "calibrate":
         ctx = calibrate(
             bundle.included_releases(),
-            bundle.resolve_active(Target.DEFECT_CONTENT, active_ids),
-            bundle.resolve_active(Target.EFFECTIVENESS, active_ids),
+            active(Target.DEFECT_CONTENT),
+            active(Target.EFFECTIVENESS),
             bundle.quantifications,
             options,
         )
@@ -211,8 +237,8 @@ def _run(args) -> int:
         else:
             print("predict needs --spec or both --size and --levels", file=sys.stderr)
             return 2
-        dc_active = bundle.resolve_active(Target.DEFECT_CONTENT, active_ids)
-        eff_active = bundle.resolve_active(Target.EFFECTIVENESS, active_ids)
+        dc_active = active(Target.DEFECT_CONTENT)
+        eff_active = active(Target.EFFECTIVENESS)
         ctx = calibrate(
             bundle.included_releases(), dc_active, eff_active,
             bundle.quantifications, options,
@@ -238,10 +264,12 @@ def _run(args) -> int:
 
     if args.command == "crossval":
         model = _MODELS[args.model]
-        report = loocv(bundle, model, target, options, active_ids)
+        report = loocv(bundle, model, target, options, overrides[target])
         payload = {"report": "crossval", "model": render_json_fragment(report)}
         if args.baseline:
-            base_report = loocv(bundle, _MODELS[args.baseline], target, options, active_ids)
+            base_report = loocv(
+                bundle, _MODELS[args.baseline], target, options, overrides[target]
+            )
             payload["baseline"] = render_json_fragment(base_report)
             if args.test == "wilcoxon":
                 model_mres = report.mres()
@@ -272,7 +300,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "historysim":
-        steps = history_simulation(bundle, args.start, target, options, active_ids)
+        steps = history_simulation(
+            bundle, args.start, target, options, overrides[target]
+        )
         _emit(
             {
                 "report": "history_simulation",

@@ -6,6 +6,7 @@ ablation, and the growing-history simulation.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -130,16 +131,17 @@ def baseline_predict(
     if not history:
         raise NoUsableHistoryError("empty history")
     if kind == MODEL_DC_MEDIAN:
-        return float(np.median([defect_content(r) for r in history]))
+        return float(statistics.median([defect_content(r) for r in history]))
     if kind == MODEL_DD_MEDIAN:
         if new_size is None or new_size <= 0:
             raise ValueError("dd_median needs a positive new_size")
-        return float(np.median([defect_density(r) for r in history])) * new_size
+        median_dd = statistics.median([defect_density(r) for r in history])
+        return float(median_dd) * new_size
     if kind == MODEL_EFF_MEDIAN:
         values = [effectiveness(r) for r in history if defect_content(r) > 0]
         if not values:
             raise NoUsableHistoryError("no release with defined effectiveness")
-        return float(np.median(values))
+        return float(statistics.median(values))
     raise ValueError(f"unknown baseline {kind!r}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
-from .model import ExpertTriangle, InfluenceFactor, Target
+from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
 from .sampling import (
     EngineOptions,
     POINT_ANALYTIC_MEAN,
@@ -38,6 +38,12 @@ class NewReleaseSpec:
         if not (math.isfinite(self.size) and self.size > 0):
             raise ValueError(f"size must be positive and finite, got {self.size!r}")
         object.__setattr__(self, "levels", dict(self.levels))
+        for fid, lvl in self.levels.items():
+            if not (_is_int(lvl) and 0 <= lvl <= 3):
+                raise ValueError(
+                    f"level for factor {fid!r} must be an integer in [0, 3], "
+                    f"got {lvl!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,8 @@ def predict_defect_content(
     else:
         base_samples = base
     point = spec.size * base * (1.0 + increase_point)
-    samples = np.sort(spec.size * base_samples * (1.0 + increase_samples))
+    samples = spec.size * base_samples * (1.0 + increase_samples)
+    samples.sort()
     return Prediction(
         target=Target.DEFECT_CONTENT,
         point=point,
@@ -141,9 +148,8 @@ def predict_effectiveness(
     else:
         base_samples = base
     point = min(base * (1.0 + increase_point), 1.0)
-    samples = np.sort(
-        np.minimum(base_samples * (1.0 + increase_samples), 1.0)
-    )
+    samples = np.minimum(base_samples * (1.0 + increase_samples), 1.0)
+    samples.sort()
     return Prediction(
         target=Target.EFFECTIVENESS,
         point=point,

@@ -8,6 +8,7 @@ import pytest
 
 import defectcast
 
+from defectcast import Target, calibrate, render_report
 from defectcast.cli import main
 
 from conftest import EXAMPLE_BUNDLE
@@ -103,6 +104,22 @@ class TestPredict:
         assert exc.value.code == 2
         assert "--quantiles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", [True, 9, -1, 1.5])
+    def test_bad_spec_level_exits_one(self, capsys, tmp_path, level):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"size": 130, "levels": {"D1": level}}))
+        code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                           "--spec", path)
+        assert code == 1
+        assert "level for factor 'D1'" in err
+
+    @pytest.mark.parametrize("level", ["true", "9", "-1", "1.5"])
+    def test_bad_inline_level_exits_one(self, capsys, level):
+        code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                           "--size", "130", "--levels", f"D1={level}")
+        assert code == 1
+        assert "D1" in err.split("\nerror: ", 1)[1]
+
     def test_missing_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE)
         assert code == 2
@@ -134,6 +151,44 @@ class TestPredict:
         payload = json.loads(out.split("seed: 0\n", 1)[1])
         assert payload["defect_content"]["point"] == pytest.approx(50, rel=1e-9)
         assert payload["effectiveness"]["point"] == pytest.approx(0.8, rel=1e-9)
+
+
+class TestFactorsOverride:
+    def test_calibrate_splits_ids_by_target(self, capsys, example_bundle):
+        code, out, _ = run(capsys, "calibrate", "--bundle", EXAMPLE_BUNDLE,
+                           "--factors", "D1,E1")
+        assert code == 0
+        ctx = calibrate(
+            example_bundle.included_releases(),
+            example_bundle.resolve_active(Target.DEFECT_CONTENT, ["D1"]),
+            example_bundle.resolve_active(Target.EFFECTIVENESS, ["E1"]),
+            example_bundle.quantifications,
+        )
+        assert out.split("seed: 0\n", 1)[1] == render_report(ctx, "json")
+
+    def test_predict_target_without_listed_ids_keeps_default(
+        self, capsys, example_bundle
+    ):
+        default_eff = [f.id for f in
+                       example_bundle.resolve_active(Target.EFFECTIVENESS)]
+        argv = ("predict", "--bundle", EXAMPLE_BUNDLE, "--size", "130",
+                "--levels", TestPredict.LEVELS, "--factors")
+        code, only_dc, _ = run(capsys, *argv, "D1")
+        assert code == 0
+        assert "effectiveness" in json.loads(only_dc.split("seed: 0\n", 1)[1])
+        code, both, _ = run(capsys, *argv, ",".join(["D1", *default_eff]))
+        assert code == 0
+        assert only_dc == both
+
+    @pytest.mark.parametrize("command", [
+        ("calibrate",),
+        ("predict", "--size", "130", "--levels", TestPredict.LEVELS),
+    ], ids=lambda c: c[0])
+    def test_unknown_id_exits_one(self, capsys, command):
+        code, _, err = run(capsys, command[0], "--bundle", EXAMPLE_BUNDLE,
+                           *command[1:], "--factors", "D1,X9")
+        assert code == 1
+        assert "unknown factor ids ['X9']" in err
 
 
 class TestCrossval:
@@ -213,3 +268,18 @@ class TestColdStart:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"
+
+    def test_calibrate_does_not_load_numpy_ma(self):
+        # np.median imports numpy.ma lazily, about 18 ms per CLI process.
+        src = Path(defectcast.__file__).resolve().parent.parent
+        probe = (
+            "import io, sys, contextlib, defectcast.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = defectcast.cli.main(['calibrate', '--bundle', {str(EXAMPLE_BUNDLE)!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "0 False"

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectcast import (
@@ -19,7 +20,10 @@ from defectcast import (
     triangle_variance,
 )
 
-from conftest import make_factor, make_triangle, triangle_cdf
+from defectcast import load_bundle
+from defectcast.sampling import _BLOCK, _add_mixture
+
+from conftest import EXAMPLE_BUNDLE, make_factor, make_triangle, triangle_cdf
 
 
 def ordered_triple(draw_min=0.0, draw_max=1.0):
@@ -196,6 +200,87 @@ class TestIncreaseDistribution:
         )
         ordered = np.sort(res.distribution.samples)
         assert res.point == empirical_quantile(ordered, 0.5)
+
+
+def reference_inverse_cdf(tri, u):
+    """The per-triangle inverse CDF the gather kernel replaced."""
+    a, m, b = tri.minimum, tri.most_likely, tri.maximum
+    if b == a:
+        return np.full_like(u, a)
+    c = (m - a) / (b - a)
+    left = a + np.sqrt(np.clip(u, 0, None) * (b - a) * (m - a))
+    right = b - np.sqrt(np.clip(1 - u, 0, None) * (b - a) * (b - m))
+    return np.where(u < c, left, right)
+
+
+def reference_mixture(triangles, n, rng):
+    """Mask-based mixture draw: compress u per expert, scatter back."""
+    idx = rng.integers(0, len(triangles), size=n)
+    u = rng.random(n)
+    out = np.empty(n)
+    for j, tri in enumerate(triangles):
+        mask = idx == j
+        if mask.any():
+            out[mask] = reference_inverse_cdf(tri, u[mask])
+    return out
+
+
+def triangles_with_ties():
+    # Draw from a small grid too, so a == b, a == m and m == b all occur.
+    value = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1.0]), st.floats(0, 1))
+    return st.lists(
+        st.tuples(value, value, value).map(sorted), min_size=1, max_size=5
+    ).map(lambda triples: [
+        make_triangle(a=a, m=m, b=b, expert=f"X{i}")
+        for i, (a, m, b) in enumerate(triples)
+    ])
+
+
+class TestMixtureKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        triangles=triangles_with_ties(),
+        n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]),
+        weight=st.sampled_from([1 / 3, 2 / 3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a == m == b == 0: the zero triangle must leave the accumulator's bits
+    @example(triangles=[make_triangle(a=0, m=0, b=0)], n=_BLOCK + 1,
+             weight=1.0, seed=0)
+    def test_bit_identical_to_mask_reference(self, triangles, n, weight, seed):
+        start = np.random.default_rng(seed).random(n)
+        expected = start.copy()
+        expected += weight * reference_mixture(
+            triangles, n, np.random.default_rng(seed)
+        )
+        got = start.copy()
+        _add_mixture(got, triangles, weight, np.random.default_rng(seed))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    # sha256 of the samples at n = 10**5, mc-median, recorded with the
+    # mask-based sampler; the kernel must keep every bit.
+    PINNED = {
+        (Target.DEFECT_CONTENT, 0):
+            "1a5fbe9ddba4dd46301af5a39d8a0ebe8604ed264f3c4963dfe2cd8072c9168a",
+        (Target.DEFECT_CONTENT, 7):
+            "2343a9014ebb23795c8cf9f4027ce6546df12df73fe6617dccf9cf55f1471fe2",
+        (Target.EFFECTIVENESS, 0):
+            "db8779ea82b76309e07c04abc603c52e143832941c5c1160635330b793a2d5db",
+        (Target.EFFECTIVENESS, 7):
+            "f1a64ecb8206a248f4c45e5446a252fd192e58dadfa6c252b9df0b8428d28a16",
+    }
+
+    @pytest.mark.parametrize("target,seed", sorted(PINNED))
+    def test_example_bundle_samples_pinned(self, target, seed):
+        bundle = load_bundle(EXAMPLE_BUNDLE)
+        levels = {"D1": 1, "D2": 1, "D3": 3, "D4": 1, "D5": 0,
+                  "E1": 2, "E2": 2, "E3": 3, "E4": 2, "E5": 2}
+        res = increase_distribution(
+            bundle.factors_for(target), bundle.quantifications, levels, target,
+            EngineOptions(n_samples=100_000, seed=seed, point="mc-median"),
+        )
+        digest = hashlib.sha256(res.distribution.samples.tobytes()).hexdigest()
+        assert digest == self.PINNED[(target, seed)]
 
 
 class TestQuantiles:
