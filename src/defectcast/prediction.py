@@ -95,7 +95,10 @@ def predict_defect_content(
     else:
         base_samples = base
     point = spec.size * base * (1.0 + increase_point)
-    samples = spec.size * base_samples * (1.0 + increase_samples)
+    # In place, without temporaries: the same IEEE products as
+    # spec.size * base_samples * (1.0 + increase_samples).
+    samples = 1.0 + increase_samples
+    samples *= spec.size * base_samples
     samples.sort()
     return Prediction(
         target=Target.DEFECT_CONTENT,
@@ -148,7 +151,9 @@ def predict_effectiveness(
     else:
         base_samples = base
     point = min(base * (1.0 + increase_point), 1.0)
-    samples = np.minimum(base_samples * (1.0 + increase_samples), 1.0)
+    samples = 1.0 + increase_samples
+    samples *= base_samples
+    np.minimum(samples, 1.0, out=samples)
     samples.sort()
     return Prediction(
         target=Target.EFFECTIVENESS,

@@ -15,23 +15,37 @@ from (seed, target, factor id), so results do not depend on factor
 declaration order and factors can be sampled in parallel.
 
 A factor's mixture draw is one gather-and-block kernel, ``_add_mixture``.
-It draws every expert index, then every uniform, at full length (the
-stream order the reports depend on).  Each expert's triangle is split
-into two pieces, left and right of its mode, with one entry per piece
-in a few small parameter arrays.  The kernel walks the draws in blocks
-of ``_BLOCK`` samples, small enough to stay in cache.  In each block it
-picks every sample's piece from its expert index and uniform, gathers
-that piece's parameters, evaluates the piece's inverse CDF, scales it
-by the level weight and adds it into the running sum in place.
-Gathering, instead of masking the draws expert by expert, avoids the
-mispredicted branches of boolean compress and scatter, and no
-full-length temporary is made beyond the index and uniform arrays.
+It draws every expert index at full length first.  Each expert's
+triangle is split into two pieces, left and right of its mode, with one
+entry per piece in a few small parameter arrays.  The kernel walks the
+samples in blocks of ``_BLOCK``, small enough to stay in cache.  In each
+block it draws the block's uniforms, picks every sample's piece from its
+expert index and uniform, gathers that piece's parameters, evaluates the
+piece's inverse CDF, scales it by the level weight and adds it into the
+running sum in place.  Gathering, instead of masking the draws expert by
+expert, avoids the mispredicted branches of boolean compress and
+scatter, and no full-length temporary is made beyond the index array.
+
+The blocks of one factor are cut into one contiguous range per CPU
+(never more ranges than blocks), and the ranges run on threads: numpy
+releases the interpreter lock in the random fills and the ufuncs.  The
+uniforms stay the ones a single full-length ``random(n)`` call after the
+indices would give.  ``Generator.random`` turns exactly one 64-bit PCG64
+output into one double and buffers nothing, so uniform ``i`` is output
+``i`` after the index draw, whichever call produces it.  The first range
+draws from the factor's own generator; every other range copies that
+generator's state right after the index draw and calls
+``PCG64.advance(start)``, where ``start`` is the range's first sample.
+(The index draw itself cannot be split: its rejection sampling consumes
+a variable number of outputs.)  Each element is still summed over the
+factors in the same order, so every sample keeps its bits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -42,7 +56,7 @@ from .errors import (
     MissingLevelError,
     MissingQuantificationError,
 )
-from .model import ExpertTriangle, InfluenceFactor, Target
+from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
 
 POINT_ANALYTIC_MEAN = "analytic-mean"
 POINT_MC_MEDIAN = "mc-median"
@@ -57,6 +71,10 @@ class EngineOptions:
     point: str = POINT_ANALYTIC_MEAN
 
     def __post_init__(self):
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.point not in (POINT_ANALYTIC_MEAN, POINT_MC_MEDIAN):
@@ -147,10 +165,47 @@ def triangle_variance(tri: ExpertTriangle) -> float:
 
 def _factor_rng(seed: int, target: Target, factor_id: str) -> np.random.Generator:
     # Stable across runs and processes: the stream depends only on
-    # (seed, target, factor_id), never on iteration order.
+    # (seed, target, factor_id), never on iteration order.  PCG64 is
+    # named, not left to default_rng, because _add_mixture advances it.
     digest = hashlib.sha256(f"{target.value}:{factor_id}".encode()).digest()
     key = int.from_bytes(digest[:16], "big")
-    return np.random.default_rng(np.random.SeedSequence([seed, key]))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: the most ranges one draw is cut into."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_POOL = None  # threads for all but the first range, made on first need
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool but none of its threads.
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool():
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="defectcast-draw")
+    return _POOL
+
+
+def _advanced(rng: np.random.Generator, outputs: int) -> np.random.Generator:
+    """A new generator ``outputs`` 64-bit outputs ahead of ``rng``."""
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits.advance(outputs))
 
 
 def _add_mixture(
@@ -159,14 +214,35 @@ def _add_mixture(
     weight: float,
     rng: np.random.Generator,
 ) -> None:
-    """samples += weight * (one equal-weight expert-mixture draw each)."""
+    """samples += weight * (one equal-weight expert-mixture draw each).
+
+    ``rng`` must be PCG64-backed.  The draws are those of
+    ``rng.integers(0, k, n)`` followed by ``rng.random(n)``.
+    """
     n = samples.size
     idx = rng.integers(0, len(triangles), size=n)
-    u = rng.random(n)
     table = _piece_table(triangles)
-    for start in range(0, n, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        samples[block] += weight * _inverse_cdf(table, idx[block], u[block])
+    blocks = -(-n // _BLOCK)
+    ranges = min(_cpus(), blocks)
+    starts = [blocks * r // ranges * _BLOCK for r in range(ranges)]
+    # Every range's generator is set up before the first range draws.
+    gens = [rng] + [_advanced(rng, start) for start in starts[1:]]
+
+    def run(gen, lo, hi):
+        for start in range(lo, hi, _BLOCK):
+            block = slice(start, min(start + _BLOCK, hi))
+            u = gen.random(block.stop - start)
+            samples[block] += weight * _inverse_cdf(table, idx[block], u)
+
+    jobs = list(zip(gens, starts, starts[1:] + [n]))
+    futures = [_pool().submit(run, *job) for job in jobs[1:]]
+    try:
+        run(*jobs[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits: no range may write after return
+    for future in futures:
+        future.result()
 
 
 def _triangles_by_factor(
@@ -238,7 +314,9 @@ def increase_distribution(
     if options.point == POINT_ANALYTIC_MEAN:
         point = mean
     else:
-        point = empirical_quantile(np.sort(samples), 0.5)
+        # The nearest-rank median of empirical_quantile, by selection.
+        k = math.ceil(0.5 * n) - 1
+        point = float(np.partition(samples, k)[k])
     return IncreaseResult(
         target=target, distribution=dist, analytic_mean=mean, point=point
     )

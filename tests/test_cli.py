@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -257,6 +258,46 @@ class TestDeterminism:
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_negative_seed_exits_one(self, capsys, command):
+        code, out, err = run(
+            capsys, command[0], "--bundle", EXAMPLE_BUNDLE, *command[1:],
+            "--seed", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert "seed must be >= 0" in err
+
+
+class TestGoldenReports:
+    """sha256 of stdout at seed 0 on the example bundle, recorded before
+    the mixture draw was split across threads; the first six are the
+    benchmark's cli_oneshot commands."""
+
+    GOLDEN = {
+        ("check",):
+            "7f699aacf12355582cefe9fa7729e602a53a26abed740b2aaa12a150f9031c1e",
+        ("calibrate",):
+            "3059634f0f757159ad4ff661b7582e136c90ace71f3e6ae553f0a8fbadef73ae",
+        ("predict", "--size", "130", "--levels", TestPredict.LEVELS):
+            "550683fbcd381ccf7724155823d28e6df388a771e92ba9286398c0f10222a89e",
+        ("crossval", "--baseline", "dd-median", "--test", "wilcoxon"):
+            "544f1143d721fd8d1866239a9633e4fc6a9fb053d46dcddb021ad0cca9a90202",
+        ("ablate",):
+            "e867a8b43e1ca5a913fb161b23bb55efdb669cdf0f3d8da4f79f56e7a434d336",
+        ("historysim",):
+            "bb43a704d2c5a1c00d88f10a6ee5c4b98d295b53b81e1b7ad7a125c935198bf3",
+        # 10**5 samples: several kernel blocks, so several ranges
+        ("predict", "--size", "130", "--levels", TestPredict.LEVELS,
+         "--point", "mc-median", "--samples", "100000"):
+            "140c8f8050b8821899b8965e6c90dabf091f2018b204223b971ede4254282d69",
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN), ids=lambda c: c[0])
+    def test_stdout_digest(self, capsys, command):
+        code, out, _ = run(capsys, *command, "--bundle", EXAMPLE_BUNDLE)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command]
+
 
 class TestColdStart:
     def test_cli_import_does_not_load_scipy(self):
@@ -283,3 +324,21 @@ class TestColdStart:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "0 False"
+
+    def test_default_predict_starts_no_thread(self):
+        # 10**4 samples fit one kernel block: one range, on the main thread.
+        src = Path(defectcast.__file__).resolve().parent.parent
+        argv = ["predict", "--bundle", str(EXAMPLE_BUNDLE), "--size", "130",
+                "--levels", TestPredict.LEVELS]
+        probe = (
+            "import io, sys, contextlib, threading, defectcast.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = defectcast.cli.main({argv!r})\n"
+            "print(code, 'concurrent.futures' in sys.modules,"
+            " threading.active_count())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "0 False 1"

@@ -1,5 +1,11 @@
+import contextlib
 import hashlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +26,7 @@ from defectcast import (
     triangle_variance,
 )
 
-from defectcast import load_bundle
+from defectcast import load_bundle, sampling
 from defectcast.sampling import _BLOCK, _add_mixture
 
 from conftest import EXAMPLE_BUNDLE, make_factor, make_triangle, triangle_cdf
@@ -109,6 +115,13 @@ class TestExpertMixture:
         # mixture variance upper bound: E[X^2] spread is tiny, use sample std
         assert abs(draws.mean() - expected) < 3 * draws.std() / math.sqrt(n)
         assert expected == pytest.approx(0.13333, abs=5e-6)
+
+
+class TestEngineOptions:
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "0"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            EngineOptions(seed=seed)
 
 
 FACTOR = make_factor("D1")
@@ -236,11 +249,36 @@ def triangles_with_ties():
     ])
 
 
+@contextlib.contextmanager
+def cut_into(workers):
+    """Cut each draw into up to ``workers`` ranges, on a pool of its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_cpus", lambda: workers)
+        mp.setattr(sampling, "_POOL", None)
+        try:
+            yield
+        finally:
+            if sampling._POOL is not None:
+                sampling._POOL.shutdown()
+
+
+def draw_two_ranges():
+    _add_mixture(np.zeros(2 * _BLOCK), [make_triangle()], 1.0,
+                 np.random.default_rng(0))
+
+
+# Range counts each kernel test checks: one range, and splits of 2, 3
+# and 5 that leave ranges of unequal block counts.  They run on any
+# machine, one CPU included.
+WORKERS = [1, 2, 3, 5]
+
+
 class TestMixtureKernel:
     @settings(max_examples=60, deadline=None)
     @given(
         triangles=triangles_with_ties(),
-        n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]),
+        n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
+                           5 * _BLOCK + 3]),
         weight=st.sampled_from([1 / 3, 2 / 3, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -253,9 +291,70 @@ class TestMixtureKernel:
         expected += weight * reference_mixture(
             triangles, n, np.random.default_rng(seed)
         )
-        got = start.copy()
-        _add_mixture(got, triangles, weight, np.random.default_rng(seed))
+        for workers in WORKERS:
+            got = start.copy()
+            with cut_into(workers):
+                _add_mixture(got, triangles, weight, np.random.default_rng(seed))
+            assert np.array_equal(
+                got.view(np.int64), expected.view(np.int64)
+            ), f"{workers} ranges"
+
+    def test_more_ranges_than_cores_under_fast_switching(self):
+        triangles = [make_triangle(a=0.1, m=0.2, b=0.4),
+                     make_triangle(a=0.0, m=0.3, b=0.3, expert="X2")]
+        n = 9 * _BLOCK + 5
+        expected = np.zeros(n)
+        with cut_into(1):
+            _add_mixture(expected, triangles, 2 / 3, np.random.default_rng(5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = np.zeros(n)
+            with cut_into(8):
+                _add_mixture(got, triangles, 2 / 3, np.random.default_rng(5))
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("failing", ["main", "worker"])
+    def test_error_propagates_once_every_range_ends(self, monkeypatch, failing):
+        # 4 blocks in 3 ranges: the main thread takes block 0, workers
+        # take blocks 1 and 2-3.  The ranges that do not fail are slow.
+        real = sampling._inverse_cdf
+        lock = threading.Lock()
+        finished = []
+
+        def inverse_cdf(*args):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (failing == "main"):
+                raise RuntimeError("range failed")
+            time.sleep(0.02)
+            with lock:
+                finished.append(on_main)
+            return real(*args)
+
+        monkeypatch.setattr(sampling, "_inverse_cdf", inverse_cdf)
+        with cut_into(3):
+            with pytest.raises(RuntimeError, match="range failed"):
+                _add_mixture(np.zeros(4 * _BLOCK), [make_triangle()], 1.0,
+                             np.random.default_rng(0))
+            # Nothing may still run once the error is raised.
+            assert len(finished) == (3 if failing == "main" else 1)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_draws_on_threads_of_its_own(self):
+        # The child inherits the parent's pool object but not its threads.
+        with cut_into(2):
+            draw_two_ranges()
+            child = multiprocessing.get_context("fork").Process(
+                target=draw_two_ranges
+            )
+            child.start()
+            child.join(timeout=30)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+        assert not hung and child.exitcode == 0
 
     # sha256 of the samples at n = 10**5, mc-median, recorded with the
     # mask-based sampler; the kernel must keep every bit.
@@ -275,12 +374,16 @@ class TestMixtureKernel:
         bundle = load_bundle(EXAMPLE_BUNDLE)
         levels = {"D1": 1, "D2": 1, "D3": 3, "D4": 1, "D5": 0,
                   "E1": 2, "E2": 2, "E3": 3, "E4": 2, "E5": 2}
-        res = increase_distribution(
-            bundle.factors_for(target), bundle.quantifications, levels, target,
-            EngineOptions(n_samples=100_000, seed=seed, point="mc-median"),
-        )
-        digest = hashlib.sha256(res.distribution.samples.tobytes()).hexdigest()
-        assert digest == self.PINNED[(target, seed)]
+        for workers in WORKERS:
+            with cut_into(workers):
+                res = increase_distribution(
+                    bundle.factors_for(target), bundle.quantifications, levels,
+                    target,
+                    EngineOptions(n_samples=100_000, seed=seed, point="mc-median"),
+                )
+            samples = res.distribution.samples
+            digest = hashlib.sha256(samples.tobytes()).hexdigest()
+            assert digest == self.PINNED[(target, seed)], f"{workers} ranges"
 
 
 class TestQuantiles:
