@@ -82,10 +82,48 @@ class ContextBundle:
         return replace(self, releases=releases)
 
 
-def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue]]:
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def _objects(raw: dict, section: str, entity: str, errors: list[ValidationIssue]):
+    """(index, item) of each object in a list section; the rest are issues."""
+    items = raw.get(section, [])
+    if not isinstance(items, list):
+        errors.append(
+            ValidationIssue(
+                "document", section, f"expected an array, got {_kind(items)}"
+            )
+        )
+        items = []
+    for i, item in enumerate(items):
+        if isinstance(item, dict):
+            yield i, item
+        else:
+            errors.append(
+                ValidationIssue(
+                    f"{entity}:#{i}", "type", f"expected an object, got {_kind(item)}"
+                )
+            )
+
+
+def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
+    if not isinstance(raw, dict):
+        return None, [
+            ValidationIssue(
+                "document", "json",
+                f"expected an object at the top level, got {_kind(raw)}",
+            )
+        ]
     errors: list[ValidationIssue] = []
     factors: list[InfluenceFactor] = []
-    for i, f in enumerate(raw.get("factors", [])):
+    for i, f in _objects(raw, "factors", "factor", errors):
         entity = f"factor:{f.get('id', f'#{i}')}"
         try:
             factors.append(
@@ -114,7 +152,7 @@ def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue
     }
 
     triangles: list[ExpertTriangle] = []
-    for i, q in enumerate(raw.get("quantifications", [])):
+    for i, q in _objects(raw, "quantifications", "quantification", errors):
         entity = f"quantification:{q.get('expert', '?')}/{q.get('factor_id', f'#{i}')}"
         try:
             tri = ExpertTriangle(
@@ -125,7 +163,7 @@ def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue
                 most_likely=float(q["most_likely"]),
                 maximum=float(q["max"]),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             errors.append(ValidationIssue(entity, "min/most_likely/max", str(exc)))
             continue
         if tri.factor_id not in ids_by_target[tri.target]:
@@ -138,7 +176,7 @@ def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue
         triangles.append(tri)
 
     rankings: list[FactorRanking] = []
-    for i, r in enumerate(raw.get("rankings", [])):
+    for i, r in _objects(raw, "rankings", "ranking", errors):
         entity = f"ranking:{r.get('expert', f'#{i}')}"
         try:
             ranking = FactorRanking(
@@ -158,7 +196,7 @@ def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue
 
     releases: list[ReleaseRecord] = []
     release_ids: set[str] = set()
-    for i, r in enumerate(raw.get("releases", [])):
+    for i, r in _objects(raw, "releases", "release", errors):
         entity = f"release:{r.get('id', f'#{i}')}"
         try:
             rec = ReleaseRecord(
@@ -170,7 +208,9 @@ def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue
                 excluded=bool(r.get("excluded", False)),
                 note=str(r.get("note", "")),
             )
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (
+            KeyError, ValueError, TypeError, AttributeError, OverflowError
+        ) as exc:
             errors.append(ValidationIssue(entity, "measures/levels", str(exc)))
             continue
         if rec.id in release_ids:
@@ -200,7 +240,14 @@ def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue
 
     active_raw = raw.get("active_factors")
     active = None
-    if active_raw is not None:
+    if active_raw is not None and not isinstance(active_raw, dict):
+        errors.append(
+            ValidationIssue(
+                "document", "active_factors",
+                f"expected an object, got {_kind(active_raw)}",
+            )
+        )
+    elif active_raw is not None:
         active = {}
         for tname, fids in active_raw.items():
             try:
@@ -210,8 +257,16 @@ def _build_bundle(raw: dict) -> tuple[ContextBundle | None, list[ValidationIssue
                     ValidationIssue("active_factors", tname, "unknown target")
                 )
                 continue
+            if not isinstance(fids, list):
+                errors.append(
+                    ValidationIssue(
+                        "active_factors", tname,
+                        f"expected an array of factor ids, got {_kind(fids)}",
+                    )
+                )
+                continue
             for fid in fids:
-                if fid not in ids_by_target[t]:
+                if not isinstance(fid, str) or fid not in ids_by_target[t]:
                     errors.append(
                         ValidationIssue(
                             "active_factors", tname, f"unknown factor {fid!r}"
@@ -257,7 +312,8 @@ def load_bundle(path: str | Path) -> ContextBundle:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError also covers bad UTF-8 and over-long integers.
+        except (ValueError, RecursionError) as exc:
             raise BundleValidationError(
                 [ValidationIssue("document", "json", str(exc))]
             ) from exc

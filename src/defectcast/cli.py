@@ -108,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="accuracy with top-k ranked factors")
     _add_common(p)
     p.add_argument("--target", choices=list(_TARGETS), default="defect-content")
-    p.add_argument("--ks", default="0,1,3,5", help="comma-separated factor counts")
+    p.add_argument(
+        "--ks", type=_parse_ks, default="0,1,3,5", help="comma-separated factor counts"
+    )
 
     p = sub.add_parser("historysim", help="growing-history prediction simulation")
     _add_common(p)
@@ -129,6 +131,13 @@ def _parse_probs(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(f"probability {item!r} outside [0, 1]")
         probs.append(p)
     return probs
+
+
+def _parse_ks(text: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
 def _load_spec(path: str) -> NewReleaseSpec:
@@ -185,7 +194,12 @@ def _run(args) -> int:
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.exclude:
-        bundle = bundle.with_excluded(args.exclude.split(","))
+        ids = [rid.strip() for rid in args.exclude.split(",")]
+        known = {r.id for r in bundle.releases}
+        unknown = [rid for rid in ids if rid not in known]
+        if unknown:
+            raise ValueError(f"--exclude: unknown release ids {unknown}")
+        bundle = bundle.with_excluded(ids)
     overrides = _split_factors(bundle, args.factors)
 
     def active(target):
@@ -286,8 +300,7 @@ def _run(args) -> int:
     if args.command == "ablate":
         ranked = aggregate_rankings(list(bundle.rankings), target)
         order = [rf.factor_id for rf in ranked]
-        ks = [int(k) for k in args.ks.split(",")]
-        curve = ablation_curve(bundle, target, order, ks, options)
+        curve = ablation_curve(bundle, target, order, args.ks, options)
         _emit(
             {
                 "report": "ablation",

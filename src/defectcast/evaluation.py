@@ -21,17 +21,14 @@ from .errors import (
     ZeroActualError,
 )
 from .model import (
+    InfluenceFactor,
     ReleaseRecord,
     Target,
     defect_content,
     defect_density,
     effectiveness,
 )
-from .prediction import (
-    NewReleaseSpec,
-    predict_defect_content,
-    predict_effectiveness,
-)
+from .prediction import _model_equation
 from .sampling import EngineOptions
 
 MODEL_INFLUENCE_FACTOR = "influence_factor"
@@ -40,6 +37,13 @@ MODEL_DD_MEDIAN = "dd_median"
 MODEL_EFF_MEDIAN = "eff_median"
 
 DEFAULT_PRED_THRESHOLDS = (0.25,)
+
+# The target each data-only baseline predicts.
+_BASELINE_TARGETS = {
+    MODEL_DC_MEDIAN: Target.DEFECT_CONTENT,
+    MODEL_DD_MEDIAN: Target.DEFECT_CONTENT,
+    MODEL_EFF_MEDIAN: Target.EFFECTIVENESS,
+}
 
 # Mid-rank grouping of |differences| rounds to this many decimals so that
 # values equal up to float noise (e.g. 0.30 - 0.20 vs 0.10) tie properly.
@@ -151,6 +155,30 @@ def _actual(release: ReleaseRecord, target: Target) -> float:
     return effectiveness(release)
 
 
+def _fitted(
+    bundle: ContextBundle,
+    releases: list[ReleaseRecord],
+    target: Target,
+    active: list[InfluenceFactor],
+    options: EngineOptions,
+) -> tuple[list[float], list[float]]:
+    """Each release's increase point and base value, in release order.
+
+    A release's point depends only on the active factors, its own levels
+    and the options, never on the fold, so one calibration serves every
+    fold: the held-out release's point, the other releases' base values.
+    """
+    dc = target == Target.DEFECT_CONTENT
+    ctx = calibrate(
+        releases, active if dc else [], [] if dc else active,
+        bundle.quantifications, options,
+    )
+    fits = [ctx.per_release[r.id] for r in releases]
+    if dc:
+        return [c.ddif_point for c in fits], [c.dd_base for c in fits]
+    return [c.eif_point for c in fits], [c.eff_base for c in fits]
+
+
 def loocv(
     bundle: ContextBundle,
     model: str,
@@ -166,29 +194,25 @@ def loocv(
     The expert triangles are fold-independent (elicitation does not
     depend on the measurement history).  For the effectiveness target,
     defect-free releases are skipped (their actual value is undefined).
+    A data-only baseline must predict ``target``.
     """
+    if _BASELINE_TARGETS.get(model, target) != target:
+        raise ValueError(f"baseline {model!r} does not predict {target.value}")
     releases = bundle.included_releases()
     if target == Target.EFFECTIVENESS:
         releases = [r for r in releases if defect_content(r) > 0]
     if len(releases) < 2:
         raise InsufficientHistoryError("leave-one-out needs >= 2 usable releases")
     active = bundle.resolve_active(target, active_ids)
+    if model == MODEL_INFLUENCE_FACTOR:
+        points, bases = _fitted(bundle, releases, target, active, options)
     cases, ids = [], []
-    for release in releases:
-        rest = [r for r in releases if r.id != release.id]
+    for i, release in enumerate(releases):
         if model == MODEL_INFLUENCE_FACTOR:
-            spec = NewReleaseSpec(size=release.size, levels=release.levels)
-            if target == Target.DEFECT_CONTENT:
-                ctx = calibrate(rest, active, [], bundle.quantifications, options)
-                predicted = predict_defect_content(
-                    ctx, spec, active, bundle.quantifications, options
-                ).point
-            else:
-                ctx = calibrate(rest, [], active, bundle.quantifications, options)
-                predicted = predict_effectiveness(
-                    ctx, spec, active, bundle.quantifications, options
-                ).point
+            base = statistics.median(bases[:i] + bases[i + 1:])
+            predicted = _model_equation(target, release.size, base, points[i])
         else:
+            rest = [r for r in releases if r.id != release.id]
             predicted = baseline_predict(rest, model, new_size=release.size)
         cases.append((predicted, _actual(release, target)))
         ids.append(release.id)
@@ -331,21 +355,12 @@ def history_simulation(
             f"history simulation needs more than {start_m} usable releases"
         )
     active = bundle.resolve_active(target, active_ids)
+    points, bases = _fitted(bundle, releases, target, active, options)
     steps = []
     for m in range(start_m, len(releases)):
-        history = releases[:m]
         nxt = releases[m]
-        spec = NewReleaseSpec(size=nxt.size, levels=nxt.levels)
-        if target == Target.DEFECT_CONTENT:
-            ctx = calibrate(history, active, [], bundle.quantifications, options)
-            predicted = predict_defect_content(
-                ctx, spec, active, bundle.quantifications, options
-            ).point
-        else:
-            ctx = calibrate(history, [], active, bundle.quantifications, options)
-            predicted = predict_effectiveness(
-                ctx, spec, active, bundle.quantifications, options
-            ).point
+        base = statistics.median(bases[:m])
+        predicted = _model_equation(target, nxt.size, base, points[m])
         actual = _actual(nxt, target)
         if actual == 0:
             raise ZeroActualError(f"release {nxt.id!r} has actual value 0")

@@ -2,8 +2,7 @@
 
 Applies the calibrated context medians together with the new release's
 factor characterization.  Uncertainty quantiles reflect the expert
-estimate sampling only; the base-value medians are held fixed unless the
-optional history bootstrap is switched on.
+estimate sampling only; the base-value medians are held fixed.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ import numpy as np
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
 from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
-from .sampling import (
-    EngineOptions,
-    POINT_ANALYTIC_MEAN,
-    empirical_quantile,
-    increase_distribution,
-)
+from .sampling import EngineOptions, empirical_quantile, increase_distribution
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -58,11 +52,52 @@ class Prediction:
         object.__setattr__(self, "quantiles", dict(self.quantiles))
 
 
-def _bootstrap_offsets(
-    base_values: np.ndarray, n: int, seed: int
-) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x626F6F74]))
-    return base_values[rng.integers(0, base_values.size, size=n)]
+def _model_equation(target: Target, size: float, base: float, increase):
+    """The model equation for one target.
+
+    Defect content is (size * DD_base) * (1 + DDIF); effectiveness is
+    Eff_base * (1 + EIF), clipped to at most 1.  ``increase`` is a float,
+    which gives a float, or a sample array, which gives a new array
+    transformed in place without further temporaries.
+    """
+    scale = size * base if target == Target.DEFECT_CONTENT else base
+    value = 1.0 + increase
+    value *= scale
+    if target == Target.EFFECTIVENESS:
+        if isinstance(value, np.ndarray):
+            np.minimum(value, 1.0, out=value)
+        else:
+            value = min(value, 1.0)
+    return value
+
+
+def _predict(
+    target: Target,
+    base: float,
+    spec: NewReleaseSpec,
+    factors: Sequence[InfluenceFactor],
+    triangles: Sequence[ExpertTriangle],
+    options: EngineOptions,
+    probs: Sequence[float],
+) -> Prediction:
+    if factors:
+        result = increase_distribution(
+            factors, triangles, spec.levels, target, options
+        )
+        increase_point = result.point
+        increase_samples = result.distribution.samples
+    else:
+        increase_point = 0.0
+        increase_samples = np.zeros(options.n_samples)
+    samples = _model_equation(target, spec.size, base, increase_samples)
+    samples.sort()
+    return Prediction(
+        target=target,
+        point=_model_equation(target, spec.size, base, increase_point),
+        quantiles={p: empirical_quantile(samples, p) for p in probs},
+        n_samples=options.n_samples,
+        seed=options.seed,
+    )
 
 
 def predict_defect_content(
@@ -72,40 +107,13 @@ def predict_defect_content(
     triangles: Sequence[ExpertTriangle],
     options: EngineOptions = EngineOptions(),
     probs: Sequence[float] = DEFAULT_QUANTILES,
-    bootstrap_history: bool = False,
 ) -> Prediction:
     """DC = size * median(DD_base) * (1 + DDIF)."""
     if not ctx.included_ids:
         raise NoUsableHistoryError("calibrated context is empty")
-    if dc_factors:
-        result = increase_distribution(
-            dc_factors, triangles, spec.levels, Target.DEFECT_CONTENT, options
-        )
-        increase_point = result.point
-        increase_samples = result.distribution.samples
-    else:
-        increase_point = 0.0
-        increase_samples = np.zeros(options.n_samples)
-    base = ctx.dd_base_median
-    if bootstrap_history:
-        bases = np.array(
-            [ctx.per_release[rid].dd_base for rid in ctx.included_ids]
-        )
-        base_samples = _bootstrap_offsets(bases, len(increase_samples), options.seed)
-    else:
-        base_samples = base
-    point = spec.size * base * (1.0 + increase_point)
-    # In place, without temporaries: the same IEEE products as
-    # spec.size * base_samples * (1.0 + increase_samples).
-    samples = 1.0 + increase_samples
-    samples *= spec.size * base_samples
-    samples.sort()
-    return Prediction(
-        target=Target.DEFECT_CONTENT,
-        point=point,
-        quantiles={p: empirical_quantile(samples, p) for p in probs},
-        n_samples=options.n_samples,
-        seed=options.seed,
+    return _predict(
+        Target.DEFECT_CONTENT, ctx.dd_base_median, spec, dc_factors,
+        triangles, options, probs,
     )
 
 
@@ -116,7 +124,6 @@ def predict_effectiveness(
     triangles: Sequence[ExpertTriangle],
     options: EngineOptions = EngineOptions(),
     probs: Sequence[float] = DEFAULT_QUANTILES,
-    bootstrap_history: bool = False,
 ) -> Prediction:
     """Eff = median(Eff_base) * (1 + EIF), clipped to at most 1.
 
@@ -129,38 +136,9 @@ def predict_effectiveness(
         raise NoEffectivenessHistoryError(
             "no included release has a defined effectiveness"
         )
-    if eff_factors:
-        result = increase_distribution(
-            eff_factors, triangles, spec.levels, Target.EFFECTIVENESS, options
-        )
-        increase_point = result.point
-        increase_samples = result.distribution.samples
-    else:
-        increase_point = 0.0
-        increase_samples = np.zeros(options.n_samples)
-    base = ctx.eff_base_median
-    if bootstrap_history:
-        bases = np.array(
-            [
-                ctx.per_release[rid].eff_base
-                for rid in ctx.included_ids
-                if ctx.per_release[rid].eff_base is not None
-            ]
-        )
-        base_samples = _bootstrap_offsets(bases, len(increase_samples), options.seed)
-    else:
-        base_samples = base
-    point = min(base * (1.0 + increase_point), 1.0)
-    samples = 1.0 + increase_samples
-    samples *= base_samples
-    np.minimum(samples, 1.0, out=samples)
-    samples.sort()
-    return Prediction(
-        target=Target.EFFECTIVENESS,
-        point=point,
-        quantiles={p: empirical_quantile(samples, p) for p in probs},
-        n_samples=options.n_samples,
-        seed=options.seed,
+    return _predict(
+        Target.EFFECTIVENESS, ctx.eff_base_median, spec, eff_factors,
+        triangles, options, probs,
     )
 
 

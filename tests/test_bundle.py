@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectcast import (
     BundleValidationError,
@@ -134,6 +136,38 @@ class TestLoadBundle:
         with pytest.raises(BundleValidationError):
             load_bundle(path)
 
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "too-deep"])
+    def test_undecodable_document_rejected(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(path)
+        assert exc.value.errors[0].entity == "document"
+
+    @pytest.mark.parametrize("doc,entity,field", [
+        ([1, 2], "document", "json"),
+        ("x", "document", "json"),
+        (None, "document", "json"),
+        ({"factors": 5}, "document", "factors"),
+        ({"factors": [1]}, "factor:#0", "type"),
+        ({"releases": [1]}, "release:#0", "type"),
+        ({"quantifications": [None]}, "quantification:#0", "type"),
+        ({"rankings": ["a"]}, "ranking:#0", "type"),
+        ({"active_factors": [1]}, "document", "active_factors"),
+        ({"active_factors": {"defect_content": 3}},
+         "active_factors", "defect_content"),
+        ({"active_factors": {"defect_content": [[1]]}},
+         "active_factors", "defect_content"),
+        ({"releases": [{"id": "A", "size": 10**400, "defects_found": 1,
+                        "defects_slipped": 1}]}, "release:A", "measures/levels"),
+    ])
+    def test_malformed_shape_rejected(self, tmp_path, doc, entity, field):
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert (entity, field) in [(i.entity, i.field) for i in exc.value.errors]
+
     def test_both_target_name_warns(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["factors"].append(
@@ -223,3 +257,67 @@ class TestWriteReport:
         report = summarize_mres([1 / 3], ids=["A"])
         payload = json.loads(render_report(report, "json"))
         assert payload["mmre"] == 0.333333
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def full_document():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["factors"].append({"id": "E1", "name": "Reviews", "target": "effectiveness",
+                           "levels": ["a", "b", "c", "d"]})
+    doc["quantifications"].append({"expert": "X1", "factor_id": "E1",
+                                   "target": "effectiveness", "min": 0.0,
+                                   "most_likely": 0.1, "max": 0.2})
+    doc["rankings"] = [{"expert": "X1", "target": "defect_content",
+                        "ranks": {"D1": 1}}]
+    doc["releases"][0]["levels"]["E1"] = 1
+    doc["releases"].append(dict(doc["releases"][0], id="B", excluded=True))
+    doc["active_factors"] = {"defect_content": ["D1"], "effectiveness": ["E1"]}
+    return doc
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A valid bundle with one to three subtrees replaced by any JSON."""
+    doc = full_document()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(JSON_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(deadline=None)
+    @given(doc=JSON_VALUES | near_valid_documents())
+    def test_any_document_loads_or_is_rejected(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_bundle.json"
+        path.write_text(json.dumps(doc))
+        try:
+            bundle = load_bundle(path)
+        except BundleValidationError as exc:
+            assert exc.errors
+        else:
+            assert isinstance(bundle.releases, tuple)

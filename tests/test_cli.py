@@ -215,6 +215,23 @@ class TestCrossval:
         releases = [c["release"] for c in payload["model"]["cases"]]
         assert "A" not in releases and "B" not in releases
 
+    def test_unknown_exclude_id_exits_one(self, capsys):
+        code, out, err = run(capsys, "crossval", "--bundle", EXAMPLE_BUNDLE,
+                             "--exclude", "A,NOPE")
+        assert (code, out) == (1, "")
+        assert "--exclude: unknown release ids ['NOPE']" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--baseline", "eff-median"),
+        ("--target", "effectiveness", "--model", "dd-median"),
+        ("--target", "effectiveness", "--model", "dc-median"),
+        ("--target", "effectiveness", "--baseline", "dd-median"),
+    ], ids=["dc-baseline-eff", "eff-model-dd", "eff-model-dc", "eff-baseline-dd"])
+    def test_baseline_of_other_target_exits_one(self, capsys, argv):
+        code, _, err = run(capsys, "crossval", "--bundle", EXAMPLE_BUNDLE, *argv)
+        assert code == 1
+        assert "does not predict" in err
+
 
 class TestAblateAndHistory:
     def test_ablate(self, capsys):
@@ -223,6 +240,13 @@ class TestAblateAndHistory:
         assert code == 0
         payload = json.loads(out.split("seed: 0\n", 1)[1])
         assert set(payload["mmre_by_k"]) == {"0", "1", "5"}
+
+    @pytest.mark.parametrize("ks", ["a", "", "0,x"])
+    def test_bad_ks_are_usage_errors(self, capsys, ks):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--bundle", str(EXAMPLE_BUNDLE), "--ks", ks])
+        assert exc.value.code == 2
+        assert "--ks" in capsys.readouterr().err
 
     def test_historysim(self, capsys):
         code, out, _ = run(capsys, "historysim", "--bundle", EXAMPLE_BUNDLE,
@@ -292,11 +316,33 @@ class TestGoldenReports:
             "140c8f8050b8821899b8965e6c90dabf091f2018b204223b971ede4254282d69",
     }
 
+    # The csv and text writers, on the same example bundle.
+    FORMAT_GOLDEN = {
+        ("calibrate", "--format", "csv"):
+            "9c072d635b062d804ceff62448f3b2d1945115ed1e8d52b2148c6dfda7e40290",
+        ("calibrate", "--format", "text"):
+            "5d32d61f9c03d4ce30c8c1e68ef7deac9f5cbbdc3d3f1050c16f54186c8cfdf9",
+        ("crossval", "--baseline", "dd-median", "--test", "wilcoxon",
+         "--format", "csv"):
+            "d20832bc9d13de2cd47280d6c0dfd9c126c11d01826efab0d3232fafb4d0c115",
+        ("crossval", "--baseline", "dd-median", "--test", "wilcoxon",
+         "--format", "text"):
+            "12c4ce8899fc36b655c0e5b71882a3144bdeea56eb7f59e291e357c723ca2362",
+    }
+
     @pytest.mark.parametrize("command", sorted(GOLDEN), ids=lambda c: c[0])
     def test_stdout_digest(self, capsys, command):
         code, out, _ = run(capsys, *command, "--bundle", EXAMPLE_BUNDLE)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command]
+
+    @pytest.mark.parametrize(
+        "command", sorted(FORMAT_GOLDEN), ids=lambda c: f"{c[0]}-{c[-1]}"
+    )
+    def test_format_digest(self, capsys, command):
+        code, out, _ = run(capsys, *command, "--bundle", EXAMPLE_BUNDLE)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FORMAT_GOLDEN[command]
 
 
 class TestColdStart:

@@ -1,0 +1,224 @@
+"""The validation loops against their per-fold reference and pinned digests.
+
+``loocv``, ``ablation_curve`` and ``history_simulation`` calibrate once
+and reuse each release's increase point in every fold.  The reference
+below is the per-fold path they replaced: recalibrate on the fold's
+history, then predict the held-out release in full.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defectcast import (
+    MODEL_INFLUENCE_FACTOR,
+    EngineOptions,
+    InsufficientHistoryError,
+    NewReleaseSpec,
+    Target,
+    ZeroActualError,
+    ablation_curve,
+    accuracy_metrics,
+    aggregate_rankings,
+    calibrate,
+    defect_content,
+    effectiveness,
+    history_simulation,
+    loocv,
+    make_synthetic_bundle,
+    predict_defect_content,
+    predict_effectiveness,
+    render_report,
+)
+from defectcast import sampling
+from defectcast.evaluation import HistoryStep
+
+
+def _actual(release, target):
+    if target == Target.DEFECT_CONTENT:
+        return defect_content(release)
+    return effectiveness(release)
+
+
+def _usable(bundle, target):
+    releases = bundle.included_releases()
+    if target == Target.EFFECTIVENESS:
+        releases = [r for r in releases if defect_content(r) > 0]
+    return releases
+
+
+def reference_point(bundle, history, release, target, active, options):
+    spec = NewReleaseSpec(size=release.size, levels=release.levels)
+    if target == Target.DEFECT_CONTENT:
+        ctx = calibrate(history, active, [], bundle.quantifications, options)
+        return predict_defect_content(
+            ctx, spec, active, bundle.quantifications, options
+        ).point
+    ctx = calibrate(history, [], active, bundle.quantifications, options)
+    return predict_effectiveness(
+        ctx, spec, active, bundle.quantifications, options
+    ).point
+
+
+def reference_loocv(bundle, target, options, active_ids):
+    releases = _usable(bundle, target)
+    if len(releases) < 2:
+        raise InsufficientHistoryError("leave-one-out needs >= 2 usable releases")
+    active = bundle.resolve_active(target, active_ids)
+    cases, ids = [], []
+    for release in releases:
+        rest = [r for r in releases if r.id != release.id]
+        predicted = reference_point(bundle, rest, release, target, active, options)
+        cases.append((predicted, _actual(release, target)))
+        ids.append(release.id)
+    return accuracy_metrics(cases, ids=ids, model_name=MODEL_INFLUENCE_FACTOR)
+
+
+def reference_history(bundle, start_m, target, options, active_ids):
+    releases = _usable(bundle, target)
+    if len(releases) <= start_m:
+        raise InsufficientHistoryError("too short")
+    active = bundle.resolve_active(target, active_ids)
+    steps = []
+    for m in range(start_m, len(releases)):
+        nxt = releases[m]
+        predicted = reference_point(
+            bundle, releases[:m], nxt, target, active, options
+        )
+        actual = _actual(nxt, target)
+        if actual == 0:
+            raise ZeroActualError(f"release {nxt.id!r} has actual value 0")
+        steps.append(
+            HistoryStep(m, nxt.id, predicted, actual, abs(predicted - actual) / actual)
+        )
+    return steps
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type only
+        return type(exc)
+
+
+@st.composite
+def variants(draw):
+    n = draw(st.integers(2, 8))
+    bundle = make_synthetic_bundle(
+        seed=draw(st.integers(0, 2**16)), n_releases=n,
+        constant=draw(st.booleans()),
+    )
+    ids = [r.id for r in bundle.releases]
+    defect_free = draw(st.sets(st.sampled_from(ids), max_size=2))
+    bundle = dataclasses.replace(bundle, releases=tuple(
+        dataclasses.replace(r, defects_found=0.0, defects_slipped=0.0)
+        if r.id in defect_free else r
+        for r in bundle.releases
+    ))
+    bundle = bundle.with_excluded(draw(st.sets(st.sampled_from(ids), max_size=2)))
+    target = draw(st.sampled_from(list(Target)))
+    factor_ids = [f.id for f in bundle.factors_for(target)]
+    active_ids = draw(
+        st.none() | st.lists(st.sampled_from(factor_ids), unique=True)
+    )
+    options = draw(
+        st.builds(EngineOptions, point=st.just("analytic-mean"))
+        | st.builds(
+            EngineOptions, n_samples=st.integers(1, 64),
+            seed=st.integers(0, 2**16), point=st.just("mc-median"),
+        )
+    )
+    return bundle, target, options, active_ids
+
+
+class TestAgainstPerFoldReference:
+    @settings(max_examples=120, deadline=None)
+    @given(case=variants())
+    def test_loocv(self, case):
+        bundle, target, options, active_ids = case
+        fast = outcome(
+            loocv, bundle, MODEL_INFLUENCE_FACTOR, target, options, active_ids
+        )
+        assert fast == outcome(reference_loocv, bundle, target, options, active_ids)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=variants(), start_m=st.integers(2, 6))
+    def test_history_simulation(self, case, start_m):
+        bundle, target, options, active_ids = case
+        fast = outcome(
+            history_simulation, bundle, start_m, target, options, active_ids
+        )
+        ref = outcome(reference_history, bundle, start_m, target, options, active_ids)
+        assert fast == ref
+
+
+class TestAnalyticMeanDrawsNothing:
+    def test_validation_loops(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("analytic-mean validation drew samples")
+
+        monkeypatch.setattr(sampling, "_add_mixture", no_draw)
+        bundle = make_synthetic_bundle(seed=1, n_releases=12)
+        for target in Target:
+            loocv(bundle, MODEL_INFLUENCE_FACTOR, target)
+            history_simulation(bundle, 4, target)
+        ablation_curve(bundle, Target.DEFECT_CONTENT, ["D1", "D2", "D3"], [0, 1, 3])
+
+
+def synthetic_200():
+    return make_synthetic_bundle(seed=0, n_releases=200).with_excluded(["R07", "R123"])
+
+
+def rendered(kind, target, options):
+    bundle = synthetic_200()
+    if kind == "loocv":
+        return render_report(loocv(bundle, MODEL_INFLUENCE_FACTOR, target, options))
+    if kind == "ablation":
+        ranked = aggregate_rankings(list(bundle.rankings), target)
+        order = [rf.factor_id for rf in ranked]
+        curve = ablation_curve(bundle, target, order, [0, 1, 2, 3], options)
+        return "".join(render_report(curve[k]) for k in sorted(curve))
+    steps = history_simulation(bundle, 4, target, options)
+    return render_report({"steps": [dataclasses.asdict(s) for s in steps]})
+
+
+class TestSyntheticGoldens:
+    """sha256 of the rendered reports on 200 synthetic releases (two of
+    them excluded), recorded with the per-fold path that recalibrated
+    and re-predicted every fold."""
+
+    DC, EFF = Target.DEFECT_CONTENT, Target.EFFECTIVENESS
+    GOLDEN = {
+        ("loocv", DC, "analytic-mean"):
+            "25d7fc592fdaeb680ee6735227628ef362dc960fa34f41bdc23c3d05ff573752",
+        ("loocv", EFF, "analytic-mean"):
+            "3950190c5fa5998c0ff113842d16327a402185fb5e1903692c348e1a8bac828b",
+        ("ablation", DC, "analytic-mean"):
+            "21c16e14bddd26365a1e5f79645783b9f38ee5ccaff070cfe77500a2c6c932c4",
+        ("history", DC, "analytic-mean"):
+            "0f59eb94ec4afbf18ce4232a6cb456540a7497046f48a2f35cea3ff2f0d3f463",
+        ("history", EFF, "analytic-mean"):
+            "44b03d92bf48f09799fea2e58cf8e1d178af76a20b549f722e0b2978bb91a595",
+        ("loocv", DC, "mc-median"):
+            "ca9c3cff56e7a889df1dce789007972d116bf6dc955e172ceac82e5d502ebcd3",
+        ("loocv", EFF, "mc-median"):
+            "ece0d98778fb2982f26096d4152f281cc7639e4962699a316b0ca515d170a820",
+        ("ablation", DC, "mc-median"):
+            "8f0be98633ee1a0fed7f35cae3b2e03e6dbd48c97174126b6f96ff9d8614c8d3",
+        ("history", DC, "mc-median"):
+            "b3f2213263d1c17e4f73e4477001ceced898885ba03ff1a895937ae5713d5c92",
+        ("history", EFF, "mc-median"):
+            "563c5e60dc6d334e351035aebe286e7684e5bbf321b8f89ad73dd88bb6d3f437",
+    }
+
+    @pytest.mark.parametrize(
+        "case", list(GOLDEN), ids=lambda c: f"{c[0]}-{c[1].value}-{c[2]}"
+    )
+    def test_digest(self, case):
+        kind, target, point = case
+        text = rendered(kind, target, EngineOptions(point=point))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]

@@ -159,20 +159,3 @@ class TestPredictDefectsFound:
         dc = predict_defect_content(ctx, spec, [DC_F], TRIS)
         eff = predict_effectiveness(ctx, spec, [EFF_F], TRIS)
         assert predict_defects_found(dc, eff) == dc.point * eff.point
-
-
-class TestBootstrapOption:
-    def test_bootstrap_widens_quantiles(self):
-        releases = [
-            make_release("A", size=100, found=20, slipped=5, levels={"D1": 0, "E1": 0}),
-            make_release("B", size=100, found=60, slipped=10, levels={"D1": 0, "E1": 0}),
-            make_release("C", size=100, found=40, slipped=9, levels={"D1": 0, "E1": 0}),
-        ]
-        ctx = calibrate(releases, [DC_F], [EFF_F], TRIS)
-        spec = NewReleaseSpec(size=100, levels={"D1": 1})
-        plain = predict_defect_content(ctx, spec, [DC_F], TRIS)
-        boot = predict_defect_content(ctx, spec, [DC_F], TRIS,
-                                      bootstrap_history=True)
-        spread = lambda p: p.quantiles[0.95] - p.quantiles[0.05]
-        assert spread(boot) > spread(plain)
-        assert boot.point == plain.point  # point estimate unaffected
