@@ -15,8 +15,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import NoUsableHistoryError, UndefinedEffectivenessError
 from .model import (
     ExpertTriangle,
@@ -84,6 +82,11 @@ def calibrate(
     if not included:
         raise NoUsableHistoryError("all releases are excluded")
 
+    # A draw depends only on the target and the active factors' levels,
+    # so releases sharing a level vector share one draw.  A missing level
+    # keys as None and still raises from the draw.
+    drawn: dict[tuple, float] = {}
+
     def increase_point(factors, levels, target):
         if not factors:
             return 0.0
@@ -91,7 +94,12 @@ def calibrate(
         # is identical to increase_distribution(...).point.
         if options.point == POINT_ANALYTIC_MEAN:
             return analytic_mean_increase(factors, triangles, levels, target)
-        return increase_distribution(factors, triangles, levels, target, options).point
+        key = (target, tuple(levels.get(f.id) for f in factors))
+        if key not in drawn:
+            drawn[key] = increase_distribution(
+                factors, triangles, levels, target, options
+            ).point
+        return drawn[key]
 
     per_release: dict[str, ReleaseCalibration] = {}
     for release in included:
@@ -131,7 +139,7 @@ class DescriptiveStats:
 def _iqr_flags(values: dict[str, float], measure: str):
     if len(values) < 2:
         return
-    ordered = np.sort(np.array(list(values.values())))
+    ordered = sorted(values.values())
     q1 = empirical_quantile(ordered, 0.25)
     q3 = empirical_quantile(ordered, 0.75)
     iqr = q3 - q1

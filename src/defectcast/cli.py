@@ -182,10 +182,12 @@ def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
 
 
 def _emit(report, args) -> None:
+    # stdout gets the seed line and the report together, last, so a
+    # command that fails writes nothing to it.
     text = render_report(report, args.format)
-    sys.stdout.write(text)
     if args.out:
         write_report(report, args.format, args.out)
+    sys.stdout.write(f"seed: {args.seed}\n{text}")
 
 
 def _run(args) -> int:
@@ -204,8 +206,6 @@ def _run(args) -> int:
 
     def active(target):
         return bundle.resolve_active(target, overrides[target])
-
-    print(f"seed: {options.seed}")
 
     if args.command == "check":
         _emit(descriptive_stats(bundle.releases), args)

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .bundle import ContextBundle
 from .calibration import calibrate
@@ -45,9 +44,9 @@ _BASELINE_TARGETS = {
     MODEL_EFF_MEDIAN: Target.EFFECTIVENESS,
 }
 
-# Mid-rank grouping of |differences| rounds to this many decimals so that
-# values equal up to float noise (e.g. 0.30 - 0.20 vs 0.10) tie properly.
-_RANK_DECIMALS = 12
+# Mid-rank grouping of |differences| rounds to 12 decimals so that values
+# equal up to float noise (e.g. 0.30 - 0.20 vs 0.10) tie properly.
+_RANK_SCALE = 1e12
 
 
 @dataclass(frozen=True)
@@ -100,17 +99,45 @@ def accuracy_metrics(
                 re=re, mre=abs(re),
             )
         )
-    mres = np.array([c.mre for c in out])
+    mres = [c.mre for c in out]
     pred = {
-        q: float(np.count_nonzero(mres <= q * (1 + 1e-9) + 1e-12) / len(out))
+        q: sum(m <= q * (1 + 1e-9) + 1e-12 for m in mres) / len(out)
         for q in thresholds
     }
     return AccuracyReport(
         model_name=model_name,
         cases=tuple(out),
-        mmre=float(mres.mean()),
+        mmre=_pairwise_sum(mres) / len(mres),
         pred=pred,
     )
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum in numpy's float64 ``add.reduce`` order, so means keep their bits.
+
+    Below 8 values a plain loop; up to 128, eight interleaved accumulators
+    combined as a tree, then the tail; above that, split at an even
+    multiple of 8 and recurse.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r = list(values[:8])
+        body = n - n % 8
+        for i in range(8, body, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in values[body:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def summarize_mres(
@@ -228,27 +255,31 @@ class WilcoxonResult:
     method: str  # exact_enumeration | normal_approximation
 
 
-def _exact_count_le(doubled_ranks: np.ndarray, doubled_w: int) -> int:
+def _exact_count_le(doubled_ranks: Sequence[int], doubled_w: int) -> int:
     # Subset-sum distribution of the negative-rank sum over all 2^n
     # equally likely sign assignments, on the doubled-rank integer grid.
-    total = int(doubled_ranks.sum())
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
+    total = sum(doubled_ranks)
+    counts = [1] + [0] * total
     for r in doubled_ranks:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: total + 1 - r]
-        counts = counts + shifted
-    return int(counts[: min(doubled_w, total) + 1].sum())
+        for s in range(total, r - 1, -1):
+            counts[s] += counts[s - r]
+    return sum(counts[: min(doubled_w, total) + 1])
 
 
-def _mid_ranks(values: np.ndarray) -> np.ndarray:
+def _mid_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks of ``values``; tied values share their mean rank."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    sizes = np.diff(np.r_[starts, ordered.size])
-    ranks = np.empty(ordered.size)
-    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    ranks = [0.0] * n
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and values[order[stop]] == values[order[start]]:
+            stop += 1
+        rank = start + (stop - start + 1) / 2.0
+        for i in order[start:stop]:
+            ranks[i] = rank
+        start = stop
     return ranks
 
 
@@ -264,25 +295,29 @@ def wilcoxon_one_sided(
     Exact enumeration of all 2^n sign assignments up to n = exact_limit,
     normal approximation with continuity and tie correction beyond.
     """
-    d = np.array([b - a for a, b in pairs], dtype=float)
-    d = d[d != 0.0]
-    n = d.size
+    d = [float(b - a) for a, b in pairs]
+    d = [x for x in d if x != 0.0]
+    n = len(d)
     if n == 0:
         raise AllZeroDifferencesError("every paired difference is zero")
-    magnitudes = np.round(np.abs(d), _RANK_DECIMALS)
+    if not all(math.isfinite(x) for x in d):
+        raise ValueError("a paired difference is not finite")
+    # Rounded as np.round(|d|, 12) is: multiply, round half to even, divide.
+    magnitudes = [round(abs(x) * _RANK_SCALE, 0) / _RANK_SCALE for x in d]
     ranks = _mid_ranks(magnitudes)
-    w_plus = float(ranks[d > 0].sum())
-    w_minus = float(ranks[d < 0].sum())
+    # Ranks are multiples of 1/2, so these sums are exact in any order.
+    w_plus = float(sum(r for r, x in zip(ranks, d) if x > 0))
+    w_minus = float(sum(r for r, x in zip(ranks, d) if x < 0))
     if n <= exact_limit:
-        doubled = np.rint(2 * ranks).astype(np.int64)
-        count = _exact_count_le(doubled, int(round(2 * w_minus)))
+        doubled = [round(2 * r) for r in ranks]
+        count = _exact_count_le(doubled, round(2 * w_minus))
         p = count / 2.0**n
         method = "exact_enumeration"
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(magnitudes, return_counts=True)
-        var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
+        # Each (t^3 - t)/48 is a multiple of 1/8: the sum is exact too.
+        var -= float(sum((t**3 - t) / 48.0 for t in Counter(magnitudes).values()))
         z = (w_minus - mu + 0.5) / math.sqrt(var)
         p = 0.5 * math.erfc(-z / math.sqrt(2.0))
         method = "normal_approximation"

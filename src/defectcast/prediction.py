@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
 from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
@@ -64,10 +62,12 @@ def _model_equation(target: Target, size: float, base: float, increase):
     value = 1.0 + increase
     value *= scale
     if target == Target.EFFECTIVENESS:
-        if isinstance(value, np.ndarray):
-            np.minimum(value, 1.0, out=value)
-        else:
+        if isinstance(value, float):
             value = min(value, 1.0)
+        else:
+            import numpy as np
+
+            np.minimum(value, 1.0, out=value)
     return value
 
 
@@ -80,6 +80,8 @@ def _predict(
     options: EngineOptions,
     probs: Sequence[float],
 ) -> Prediction:
+    import numpy as np
+
     if factors:
         result = increase_distribution(
             factors, triangles, spec.levels, target, options

@@ -39,6 +39,10 @@ generator's state right after the index draw and calls
 (The index draw itself cannot be split: its rejection sampling consumes
 a variable number of outputs.)  Each element is still summed over the
 factors in the same order, so every sample keeps its bits.
+
+numpy is imported inside the functions that draw or hold samples, so
+the analytic-mean path, and every command built on it alone, starts
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -47,9 +51,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
     EmptyDistributionError,
@@ -57,6 +59,9 @@ from .errors import (
     MissingQuantificationError,
 )
 from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POINT_ANALYTIC_MEAN = "analytic-mean"
 POINT_MC_MEDIAN = "mc-median"
@@ -89,6 +94,8 @@ class EmpiricalDistribution:
     seed: int
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.asarray(self.samples, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
@@ -129,6 +136,8 @@ def _piece_table(triangles: Sequence[ExpertTriangle]) -> np.ndarray:
     degenerate triangle (b == a) gets a split above 1, so every u in
     [0, 1] takes its left piece, which evaluates to a.
     """
+    import numpy as np
+
     rows = []
     for tri in triangles:
         a, m, b = tri.minimum, tri.most_likely, tri.maximum
@@ -140,6 +149,8 @@ def _piece_table(triangles: Sequence[ExpertTriangle]) -> np.ndarray:
 
 def _inverse_cdf(table: np.ndarray, idx, u):
     """Inverse CDF of triangle ``idx`` at ``u`` in [0, 1], per element."""
+    import numpy as np
+
     split, offset, width, span, sign, base = table
     left = 2 * idx
     piece = left + (u >= split[left])
@@ -153,6 +164,8 @@ def triangle_inverse_cdf(tri: ExpertTriangle, u):
 
     ``u`` is clipped to [0, 1].
     """
+    import numpy as np
+
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     out = _inverse_cdf(_piece_table([tri]), np.zeros(u.shape, dtype=np.intp), u)
     return out if u.ndim else float(out)
@@ -167,6 +180,8 @@ def _factor_rng(seed: int, target: Target, factor_id: str) -> np.random.Generato
     # Stable across runs and processes: the stream depends only on
     # (seed, target, factor_id), never on iteration order.  PCG64 is
     # named, not left to default_rng, because _add_mixture advances it.
+    import numpy as np
+
     digest = hashlib.sha256(f"{target.value}:{factor_id}".encode()).digest()
     key = int.from_bytes(digest[:16], "big")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
@@ -203,6 +218,8 @@ def _pool():
 
 def _advanced(rng: np.random.Generator, outputs: int) -> np.random.Generator:
     """A new generator ``outputs`` 64-bit outputs ahead of ``rng``."""
+    import numpy as np
+
     bits = np.random.PCG64()
     bits.state = rng.bit_generator.state
     return np.random.Generator(bits.advance(outputs))
@@ -298,6 +315,8 @@ def increase_distribution(
     independent expert-mixture draw.  Identical (inputs, seed, n) yield
     bit-identical sample lists.
     """
+    import numpy as np
+
     grouped = _triangles_by_factor(factors, triangles, target)
     n = options.n_samples
     samples = np.zeros(n)
@@ -322,8 +341,8 @@ def increase_distribution(
     )
 
 
-def empirical_quantile(sorted_samples: np.ndarray, p: float) -> float:
-    """Nearest-rank quantile of an ascending-sorted sample array."""
+def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
+    """Nearest-rank quantile of an ascending-sorted sample sequence."""
     n = len(sorted_samples)
     if n == 0:
         raise EmptyDistributionError("no samples")
@@ -333,6 +352,8 @@ def empirical_quantile(sorted_samples: np.ndarray, p: float) -> float:
 
 def quantiles(dist: EmpiricalDistribution, probs: Sequence[float]) -> list[float]:
     """Nearest-rank order statistics; monotone nondecreasing in probs."""
+    import numpy as np
+
     if dist.n == 0:
         raise EmptyDistributionError("no samples")
     ordered = np.sort(dist.samples)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .bundle import ContextBundle
 from .model import (
     ExpertTriangle,
@@ -54,6 +52,8 @@ def make_synthetic_bundle(
     releases, which makes every self-consistent prediction exact.
     Factors are ranked by their most-likely impact, largest first.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     dc_factors = [
         InfluenceFactor(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from defectcast import (
     EngineOptions,
+    MissingLevelError,
     NoUsableHistoryError,
     Target,
     UndefinedEffectivenessError,
@@ -153,6 +154,40 @@ class TestCalibrate:
             [FACTOR], [TRI], {"D1": 2}, Target.DEFECT_CONTENT, opts
         ).point
         assert ctx.per_release["R"].ddif_point == expected
+
+    def test_mc_median_draws_once_per_level_vector(self, monkeypatch):
+        import defectcast.calibration as calibration
+        from defectcast import increase_distribution, make_synthetic_bundle
+
+        bundle = make_synthetic_bundle(seed=0, n_releases=60)
+        dc = list(bundle.factors_for(Target.DEFECT_CONTENT))
+        eff = list(bundle.factors_for(Target.EFFECTIVENESS))
+        opts = EngineOptions(n_samples=500, point="mc-median")
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return increase_distribution(*args)
+
+        monkeypatch.setattr(calibration, "increase_distribution", counting)
+        ctx = calibrate(bundle.releases, dc, eff, bundle.quantifications, opts)
+        for target, factors in ((Target.DEFECT_CONTENT, dc),
+                                (Target.EFFECTIVENESS, eff)):
+            vectors = {tuple(r.levels[f.id] for f in factors)
+                       for r in bundle.releases}
+            assert calls.count(target) == len(vectors) < len(bundle.releases)
+        for r in bundle.releases:
+            expected = increase_distribution(
+                dc, bundle.quantifications, r.levels, Target.DEFECT_CONTENT, opts
+            ).point
+            assert ctx.per_release[r.id].ddif_point == expected
+
+    def test_mc_median_missing_level_still_raises(self):
+        # A missing level must not be served the draw of some level.
+        releases = [make_release("A", levels={"D1": 0}), make_release("B")]
+        opts = EngineOptions(n_samples=100, point="mc-median")
+        with pytest.raises(MissingLevelError):
+            calibrate(releases, [FACTOR], [], [TRI], opts)
 
 
 class TestDescriptiveStats:

@@ -282,6 +282,15 @@ class TestDeterminism:
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("argv", [
+        ("calibrate", "--exclude", "A,B,C,D,E,F,G,H,I,J"),
+        ("historysim", "--start", "20"),
+    ], ids=["calibrate-all-excluded", "historysim-short-history"])
+    def test_failing_command_writes_nothing_to_stdout(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--bundle", EXAMPLE_BUNDLE, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_negative_seed_exits_one(self, capsys, command):
         code, out, err = run(
@@ -345,46 +354,72 @@ class TestGoldenReports:
         assert hashlib.sha256(out.encode()).hexdigest() == self.FORMAT_GOLDEN[command]
 
 
+def _fresh_process(probe: str) -> str:
+    """stdout of ``probe`` run in a new interpreter on this package."""
+    src = Path(defectcast.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout.strip()
+
+
+def _main_probe(argv, report: str) -> str:
+    """A probe that runs ``cli.main(argv)`` quietly, then prints ``report``."""
+    return (
+        "import io, sys, contextlib, threading, defectcast.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = defectcast.cli.main({[str(a) for a in argv]!r})\n"
+        f"print({report})"
+    )
+
+
 class TestColdStart:
     def test_cli_import_does_not_load_scipy(self):
         # scipy.stats costs about a second of import; the CLI must not pay it.
-        src = Path(defectcast.__file__).resolve().parent.parent
         probe = "import sys, defectcast.cli; print('scipy' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, check=True, timeout=60,
-        )
-        assert out.stdout.strip() == "False"
+        assert _fresh_process(probe) == "False"
 
     def test_calibrate_does_not_load_numpy_ma(self):
         # np.median imports numpy.ma lazily, about 18 ms per CLI process.
-        src = Path(defectcast.__file__).resolve().parent.parent
-        probe = (
-            "import io, sys, contextlib, defectcast.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = defectcast.cli.main(['calibrate', '--bundle', {str(EXAMPLE_BUNDLE)!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, check=True, timeout=60,
-        )
-        assert out.stdout.strip() == "0 False"
+        probe = _main_probe(["calibrate", "--bundle", EXAMPLE_BUNDLE],
+                            "code, 'numpy.ma' in sys.modules")
+        assert _fresh_process(probe) == "0 False"
 
     def test_default_predict_starts_no_thread(self):
         # 10**4 samples fit one kernel block: one range, on the main thread.
-        src = Path(defectcast.__file__).resolve().parent.parent
-        argv = ["predict", "--bundle", str(EXAMPLE_BUNDLE), "--size", "130",
+        argv = ["predict", "--bundle", EXAMPLE_BUNDLE, "--size", "130",
                 "--levels", TestPredict.LEVELS]
+        probe = _main_probe(
+            argv, "code, 'concurrent.futures' in sys.modules, threading.active_count()"
+        )
+        assert _fresh_process(probe) == "0 False 1"
+
+    # numpy costs about 0.15 s of a 0.35 s command: only commands that draw
+    # samples may load it.
+    @pytest.mark.parametrize("command,loads_numpy", [
+        (("check",), False),
+        (("rank", "--target", "effectiveness"), False),
+        (("calibrate",), False),
+        (("crossval", "--baseline", "dd-median", "--test", "wilcoxon"), False),
+        (("ablate",), False),
+        (("historysim",), False),
+        (("predict", "--size", "130", "--levels", TestPredict.LEVELS), True),
+        (("calibrate", "--point", "mc-median"), True),
+    ], ids=["check", "rank", "calibrate", "crossval", "ablate", "historysim",
+            "predict", "calibrate-mc-median"])
+    def test_numpy_only_where_samples_are_drawn(self, command, loads_numpy):
+        argv = [command[0], "--bundle", EXAMPLE_BUNDLE, *command[1:]]
+        probe = _main_probe(argv, "code, 'numpy' in sys.modules")
+        assert _fresh_process(probe) == f"0 {loads_numpy}"
+
+    def test_package_import_loads_every_layer_without_numpy(self):
+        # The benchmark's tracer reads each layer from sys.modules after
+        # a plain `import defectcast`.
+        layers = ["bundle", "sampling", "calibration", "prediction", "evaluation"]
         probe = (
-            "import io, sys, contextlib, threading, defectcast.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = defectcast.cli.main({argv!r})\n"
-            "print(code, 'concurrent.futures' in sys.modules,"
-            " threading.active_count())"
+            "import sys, defectcast\n"
+            f"print('numpy' in sys.modules, "
+            f"all('defectcast.' + m in sys.modules for m in {layers!r}))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, check=True, timeout=60,
-        )
-        assert out.stdout.strip() == "0 False 1"
+        assert _fresh_process(probe) == "False True"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from defectcast import (
     ContextBundle,
@@ -32,7 +34,35 @@ MRE_EFF = [0.05, 0.02, 0.38, 0.02, 0.10, 0.24, 0.10, 0.02]
 MRE_IF_EFF = [0.02, 0.14, 0.35, 0.00, 0.10, 0.06, 0.10, 0.00]
 
 
+def numpy_accuracy_metrics(cases, thresholds):
+    """The numpy MMRE and Pred(q) that accuracy_metrics used to compute,
+    kept as the bit-for-bit reference."""
+    mres = np.array([abs((p - a) / a) for p, a in cases])
+    pred = {
+        q: float(np.count_nonzero(mres <= q * (1 + 1e-9) + 1e-12) / len(cases))
+        for q in thresholds
+    }
+    return float(mres.mean()), pred
+
+
+# n < 8, 8..128 and > 128 take the three branches of the pairwise sum.
+CASES = st.integers(1, 300).flatmap(lambda n: st.lists(
+    st.tuples(st.floats(0, 1e4), st.floats(1e-3, 1e3)), min_size=n, max_size=n,
+))
+
+
 class TestAccuracyMetrics:
+    @given(cases=CASES)
+    @example(cases=[(1.0, 3.0)] * 7)
+    @example(cases=[(0.1 * i, 1.0) for i in range(1, 129)])
+    @example(cases=[(0.1 * i, 0.7) for i in range(1, 130)])
+    def test_bit_identical_to_numpy_reference(self, cases):
+        thresholds = [0.1, 0.25, 1.0]
+        report = accuracy_metrics(cases, thresholds)
+        mmre, pred = numpy_accuracy_metrics(cases, thresholds)
+        assert report.mmre.hex() == mmre.hex()
+        assert report.pred == pred
+
     @pytest.mark.parametrize(
         "mres,mmre,pred25",
         [

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,54 @@ def brute_force_p(pairs):
     return count / 2 ** len(d)
 
 
+def numpy_wilcoxon(pairs, exact_limit=20):
+    """The numpy test that wilcoxon_one_sided used to run, kept as the
+    bit-for-bit reference: (w_plus, w_minus, n, p, method).  Its numpy
+    mid-ranks equalled scipy's rankdata, which ranks here."""
+    d = np.array([b - a for a, b in pairs], dtype=float)
+    d = d[d != 0.0]
+    n = d.size
+    if n == 0:
+        raise AllZeroDifferencesError("every paired difference is zero")
+    magnitudes = np.round(np.abs(d), 12)
+    ranks = rankdata(magnitudes)
+    w_plus = float(ranks[d > 0].sum())
+    w_minus = float(ranks[d < 0].sum())
+    if n <= exact_limit:
+        doubled = np.rint(2 * ranks).astype(np.int64)
+        total = int(doubled.sum())
+        counts = np.zeros(total + 1, dtype=np.int64)
+        counts[0] = 1
+        for r in doubled:
+            shifted = np.zeros_like(counts)
+            shifted[r:] = counts[: total + 1 - r]
+            counts = counts + shifted
+        count = int(counts[: min(int(round(2 * w_minus)), total) + 1].sum())
+        p = count / 2.0**n
+        method = "exact_enumeration"
+    else:
+        mu = n * (n + 1) / 4.0
+        var = n * (n + 1) * (2 * n + 1) / 24.0
+        _, tie_counts = np.unique(magnitudes, return_counts=True)
+        var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
+        z = (w_minus - mu + 0.5) / math.sqrt(var)
+        p = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        method = "normal_approximation"
+    p = min(max(p, math.ulp(0.0)), 1.0)
+    return w_plus, w_minus, n, p, method
+
+
+# Equal values give zero differences; 0.3 - 0.2 and 0.1 tie only after
+# rounding; 1e-12 and 0.1 + 1e-15 sit at the rounding's edge.
+MRE_VALUES = st.sampled_from(
+    [0.0, 1e-12, 0.1, 0.1 + 1e-15, 0.2, 0.25, 0.3, 0.5, 7.0]
+) | st.floats(0, 3)
+# Up to 20 pairs take the exact path, more the normal approximation.
+PAIRS = st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.tuples(MRE_VALUES, MRE_VALUES), min_size=n, max_size=n,
+))
+
+
 # Few distinct values, so most drawn arrays carry ties.
 TIED_FLOATS = st.lists(
     st.sampled_from([0.0, 1e-12, 0.1, 0.1 + 1e-15, 0.25, 0.3, 7.0, -0.2]),
@@ -44,10 +93,27 @@ class TestMidRanks:
     @example(values=[0.5])
     @example(values=[0.3] * 17)
     def test_equals_scipy_average_ranks(self, values):
-        values = np.array(values)
         ours = _mid_ranks(values)
-        assert ours.dtype == np.float64
-        assert np.array_equal(ours, rankdata(values))
+        assert all(type(r) is float for r in ours)
+        assert ours == rankdata(values).tolist()
+
+
+class TestNumpyReference:
+    @given(pairs=PAIRS)
+    @example(pairs=[(0.2, 0.3), (0.0, 0.1), (0.5, 0.5)])
+    @example(pairs=[(0.1, 0.3)] * 21)
+    def test_bit_identical_to_numpy_reference(self, pairs):
+        try:
+            expected = numpy_wilcoxon(pairs)
+        except AllZeroDifferencesError:
+            with pytest.raises(AllZeroDifferencesError):
+                wilcoxon_one_sided(pairs)
+            return
+        r = wilcoxon_one_sided(pairs)
+        assert (r.w_plus, r.w_minus, r.n_effective, r.method) == (
+            expected[0], expected[1], expected[2], expected[4]
+        )
+        assert r.p_one_sided.hex() == expected[3].hex()
 
 
 class TestExamples:
@@ -70,6 +136,11 @@ class TestExamples:
     def test_all_zero_differences_rejected(self):
         with pytest.raises(AllZeroDifferencesError):
             wilcoxon_one_sided([(0.3, 0.3), (0.1, 0.1)])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_difference_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            wilcoxon_one_sided([(0.1, 0.3), (0.2, bad)])
 
 
 class TestPublishedComparisons:
