@@ -18,10 +18,8 @@ from .calibration import (
 from .bundle import (
     ContextBundle,
     ValidationIssue,
-    bundle_to_payload,
     load_bundle,
     render_report,
-    write_report,
 )
 from .errors import (
     AllZeroDifferencesError,
@@ -75,13 +73,11 @@ from .prediction import (
     predict_effectiveness,
 )
 from .sampling import (
-    EmpiricalDistribution,
     EngineOptions,
     IncreaseResult,
     analytic_mean_increase,
     empirical_quantile,
     increase_distribution,
-    quantiles,
     triangle_inverse_cdf,
     triangle_variance,
 )

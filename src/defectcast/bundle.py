@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -265,13 +265,17 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
                     )
                 )
                 continue
+            listed: set[str] = set()
             for fid in fids:
                 if not isinstance(fid, str) or fid not in ids_by_target[t]:
-                    errors.append(
-                        ValidationIssue(
-                            "active_factors", tname, f"unknown factor {fid!r}"
-                        )
-                    )
+                    message = f"unknown factor {fid!r}"
+                elif fid in listed:
+                    # A repeated factor would count twice in every draw.
+                    message = f"duplicate factor {fid!r}"
+                else:
+                    listed.add(fid)
+                    continue
+                errors.append(ValidationIssue("active_factors", tname, message))
             active[t.value] = tuple(fids)
 
     if errors:
@@ -323,54 +327,6 @@ def load_bundle(path: str | Path) -> ContextBundle:
     return bundle
 
 
-def bundle_to_payload(bundle: ContextBundle) -> dict:
-    """JSON-ready dict for the bundle echo facility."""
-    payload = {
-        "factors": [
-            {
-                "id": f.id,
-                "name": f.name,
-                "description": f.description,
-                "target": f.target.value,
-                "levels": list(f.levels),
-            }
-            for f in bundle.factors
-        ],
-        "quantifications": [
-            {
-                "expert": q.expert,
-                "factor_id": q.factor_id,
-                "target": q.target.value,
-                "min": q.minimum,
-                "most_likely": q.most_likely,
-                "max": q.maximum,
-            }
-            for q in bundle.quantifications
-        ],
-        "rankings": [
-            {"expert": r.expert, "target": r.target.value, "ranks": dict(sorted(r.ranks.items()))}
-            for r in bundle.rankings
-        ],
-        "releases": [
-            {
-                "id": r.id,
-                "size": r.size,
-                "defects_found": r.defects_found,
-                "defects_slipped": r.defects_slipped,
-                "levels": dict(sorted(r.levels.items())),
-                "excluded": r.excluded,
-                "note": r.note,
-            }
-            for r in bundle.releases
-        ],
-    }
-    if bundle.active_factors is not None:
-        payload["active_factors"] = {
-            t: list(fids) for t, fids in sorted(bundle.active_factors.items())
-        }
-    return payload
-
-
 def _round6(value):
     """Fix floats to 6 significant digits so output bytes are stable."""
     if isinstance(value, bool):
@@ -382,78 +338,6 @@ def _round6(value):
     if isinstance(value, (list, tuple)):
         return [_round6(v) for v in value]
     return value
-
-
-def report_to_payload(report) -> dict:
-    """JSON-ready dict for any report object the package produces."""
-    from .calibration import CalibratedContext, DescriptiveStats
-    from .evaluation import AccuracyReport, WilcoxonResult
-    from .prediction import Prediction
-
-    if isinstance(report, AccuracyReport):
-        return {
-            "report": "accuracy",
-            "model": report.model_name,
-            "cases": [
-                {
-                    "release": c.release_id,
-                    "predicted": c.predicted,
-                    "actual": c.actual,
-                    "re": c.re,
-                    "mre": c.mre,
-                }
-                for c in report.cases
-            ],
-            "mmre": report.mmre,
-            "pred": {f"{q:g}": v for q, v in sorted(report.pred.items())},
-        }
-    if isinstance(report, WilcoxonResult):
-        return {
-            "report": "wilcoxon",
-            "w_plus": report.w_plus,
-            "w_minus": report.w_minus,
-            "n_effective": report.n_effective,
-            "p_one_sided": report.p_one_sided,
-            "method": report.method,
-            "zero_differences": "dropped",
-            "ties": "mid-ranks",
-        }
-    if isinstance(report, CalibratedContext):
-        return {
-            "report": "calibration",
-            "per_release": {
-                rid: {
-                    "dd_base": c.dd_base,
-                    "eff_base": c.eff_base,
-                    "ddif_point": c.ddif_point,
-                    "eif_point": c.eif_point,
-                }
-                for rid, c in sorted(report.per_release.items())
-            },
-            "dd_base_median": report.dd_base_median,
-            "eff_base_median": report.eff_base_median,
-            "included": list(report.included_ids),
-        }
-    if isinstance(report, Prediction):
-        return {
-            "report": "prediction",
-            "target": report.target.value,
-            "point": report.point,
-            "quantiles": {f"{p:g}": v for p, v in sorted(report.quantiles.items())},
-            "n_samples": report.n_samples,
-            "seed": report.seed,
-        }
-    if isinstance(report, DescriptiveStats):
-        return {
-            "report": "descriptive",
-            "per_release": {
-                rid: dict(vals) for rid, vals in sorted(report.per_release.items())
-            },
-            "flagged": [list(f) for f in report.flagged],
-        }
-    if isinstance(report, dict):
-        return {str(k): report[k] for k in report}
-    raise TypeError(f"cannot serialize {type(report).__name__}")
 
 
 def _payload_to_csv(payload: dict) -> str:
@@ -482,44 +366,34 @@ def _payload_to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _payload_to_text(payload: dict) -> str:
+def _text_lines(payload: dict, prefix: str = "") -> list[str]:
+    """One ``key value`` line per leaf; nested keys are joined by dots."""
     lines = []
-
-    def emit(prefix, value):
+    for key, value in payload.items():
+        name = f"{prefix}{key}"
         if isinstance(value, dict):
-            for k, v in value.items():
-                emit(f"{prefix}{k}.", v) if isinstance(v, (dict,)) else emit_leaf(
-                    f"{prefix}{k}", v
-                )
+            lines += _text_lines(value, name + ".")
         else:
-            emit_leaf(prefix.rstrip("."), value)
-
-    def emit_leaf(key, value):
-        if isinstance(value, dict):
-            emit(key + ".", value)
-        elif isinstance(value, list):
-            lines.append(f"{key:<28} {json.dumps(value)}")
-        else:
-            lines.append(f"{key:<28} {value}")
-
-    emit("", payload)
-    return "\n".join(lines) + "\n"
+            shown = json.dumps(value) if isinstance(value, list) else value
+            lines.append(f"{name:<28} {shown}")
+    return lines
 
 
 def render_report(report, format: str = "json") -> str:
-    """Serialize a report deterministically to the given format."""
-    payload = _round6(report_to_payload(report))
+    """Serialize a report deterministically to the given format.
+
+    ``report`` is a dict, whose keys are written as strings, or a report
+    object with a ``to_payload()`` method.
+    """
+    if isinstance(report, dict):
+        payload = {str(k): v for k, v in report.items()}
+    else:
+        payload = report.to_payload()
+    payload = _round6(payload)
     if format == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if format == "csv":
         return _payload_to_csv(payload)
     if format == "text":
-        return _payload_to_text(payload)
+        return "\n".join(_text_lines(payload)) + "\n"
     raise ValueError(f"unknown format {format!r}")
-
-
-def write_report(report, format: str, path: str | Path) -> None:
-    """Write a report; identical inputs produce byte-identical files."""
-    text = render_report(report, format)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

@@ -53,6 +53,23 @@ class CalibratedContext:
     def __post_init__(self):
         object.__setattr__(self, "per_release", dict(self.per_release))
 
+    def to_payload(self) -> dict:
+        return {
+            "report": "calibration",
+            "per_release": {
+                rid: {
+                    "dd_base": c.dd_base,
+                    "eff_base": c.eff_base,
+                    "ddif_point": c.ddif_point,
+                    "eif_point": c.eif_point,
+                }
+                for rid, c in sorted(self.per_release.items())
+            },
+            "dd_base_median": self.dd_base_median,
+            "eff_base_median": self.eff_base_median,
+            "included": list(self.included_ids),
+        }
+
 
 def base_defect_density(release: ReleaseRecord, ddif_point: float) -> float:
     """DD_base implied by the release once its DDIF is factored out."""
@@ -134,6 +151,15 @@ class DescriptiveStats:
 
     def __post_init__(self):
         object.__setattr__(self, "per_release", dict(self.per_release))
+
+    def to_payload(self) -> dict:
+        return {
+            "report": "descriptive",
+            "per_release": {
+                rid: dict(vals) for rid, vals in sorted(self.per_release.items())
+            },
+            "flagged": [list(f) for f in self.flagged],
+        }
 
 
 def _iqr_flags(values: dict[str, float], measure: str):

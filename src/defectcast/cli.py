@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .bundle import load_bundle, render_report, write_report
+from .bundle import load_bundle, render_report
 from .errors import BundleValidationError, EstimationError
 from .evaluation import (
     MODEL_DC_MEDIAN,
@@ -174,6 +174,9 @@ def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
     unknown = [fid for fid in ids if fid not in known]
     if unknown:
         raise ValueError(f"--factors: unknown factor ids {unknown}")
+    repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
+    if repeated:
+        raise ValueError(f"--factors: duplicate factor ids {repeated}")
     split = {}
     for target in Target:
         of_target = {f.id for f in bundle.factors_for(target)}
@@ -186,7 +189,8 @@ def _emit(report, args) -> None:
     # command that fails writes nothing to it.
     text = render_report(report, args.format)
     if args.out:
-        write_report(report, args.format, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     sys.stdout.write(f"seed: {args.seed}\n{text}")
 
 
@@ -251,6 +255,11 @@ def _run(args) -> int:
         else:
             print("predict needs --spec or both --size and --levels", file=sys.stderr)
             return 2
+        known = {f.id for f in bundle.factors}
+        unknown = [fid for fid in spec.levels if fid not in known]
+        if unknown:
+            source = "--spec" if args.spec else "--levels"
+            raise ValueError(f"{source}: unknown factor ids {unknown}")
         dc_active = active(Target.DEFECT_CONTENT)
         eff_active = active(Target.EFFECTIVENESS)
         ctx = calibrate(
@@ -262,7 +271,7 @@ def _run(args) -> int:
         )
         payload = {
             "report": "predictions",
-            "defect_content": render_json_fragment(dc_pred),
+            "defect_content": dc_pred.to_payload(),
             "seed": options.seed,
         }
         if ctx.eff_base_median is not None and all(
@@ -271,7 +280,7 @@ def _run(args) -> int:
             eff_pred = predict_effectiveness(
                 ctx, spec, eff_active, bundle.quantifications, options, args.quantiles
             )
-            payload["effectiveness"] = render_json_fragment(eff_pred)
+            payload["effectiveness"] = eff_pred.to_payload()
             payload["expected_defects_found"] = predict_defects_found(dc_pred, eff_pred)
         _emit(payload, args)
         return 0
@@ -279,21 +288,19 @@ def _run(args) -> int:
     if args.command == "crossval":
         model = _MODELS[args.model]
         report = loocv(bundle, model, target, options, overrides[target])
-        payload = {"report": "crossval", "model": render_json_fragment(report)}
+        payload = {"report": "crossval", "model": report.to_payload()}
         if args.baseline:
             base_report = loocv(
                 bundle, _MODELS[args.baseline], target, options, overrides[target]
             )
-            payload["baseline"] = render_json_fragment(base_report)
+            payload["baseline"] = base_report.to_payload()
             if args.test == "wilcoxon":
                 model_mres = report.mres()
                 base_mres = base_report.mres()
                 pairs = [
                     (model_mres[rid], base_mres[rid]) for rid in sorted(model_mres)
                 ]
-                payload["wilcoxon"] = render_json_fragment(
-                    wilcoxon_one_sided(pairs)
-                )
+                payload["wilcoxon"] = wilcoxon_one_sided(pairs).to_payload()
         _emit(payload, args)
         return 0
 
@@ -339,15 +346,11 @@ def _run(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def render_json_fragment(report):
-    from .bundle import report_to_payload
-
-    return report_to_payload(report)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "crossval" and args.test == "wilcoxon" and not args.baseline:
+        parser.error("crossval --test wilcoxon needs --baseline")
     try:
         return _run(args)
     except BundleValidationError as exc:

@@ -71,6 +71,24 @@ class AccuracyReport:
     def mres(self) -> dict[str, float]:
         return {c.release_id: c.mre for c in self.cases}
 
+    def to_payload(self) -> dict:
+        return {
+            "report": "accuracy",
+            "model": self.model_name,
+            "cases": [
+                {
+                    "release": c.release_id,
+                    "predicted": c.predicted,
+                    "actual": c.actual,
+                    "re": c.re,
+                    "mre": c.mre,
+                }
+                for c in self.cases
+            ],
+            "mmre": self.mmre,
+            "pred": {f"{q:g}": v for q, v in sorted(self.pred.items())},
+        }
+
 
 def accuracy_metrics(
     cases: Sequence[tuple[float, float]],
@@ -253,6 +271,18 @@ class WilcoxonResult:
     n_effective: int
     p_one_sided: float
     method: str  # exact_enumeration | normal_approximation
+
+    def to_payload(self) -> dict:
+        return {
+            "report": "wilcoxon",
+            "w_plus": self.w_plus,
+            "w_minus": self.w_minus,
+            "n_effective": self.n_effective,
+            "p_one_sided": self.p_one_sided,
+            "method": self.method,
+            "zero_differences": "dropped",
+            "ties": "mid-ranks",
+        }
 
 
 def _exact_count_le(doubled_ranks: Sequence[int], doubled_w: int) -> int:

@@ -49,6 +49,16 @@ class Prediction:
     def __post_init__(self):
         object.__setattr__(self, "quantiles", dict(self.quantiles))
 
+    def to_payload(self) -> dict:
+        return {
+            "report": "prediction",
+            "target": self.target.value,
+            "point": self.point,
+            "quantiles": {f"{p:g}": v for p, v in sorted(self.quantiles.items())},
+            "n_samples": self.n_samples,
+            "seed": self.seed,
+        }
+
 
 def _model_equation(target: Target, size: float, base: float, increase):
     """The model equation for one target.
@@ -87,7 +97,7 @@ def _predict(
             factors, triangles, spec.levels, target, options
         )
         increase_point = result.point
-        increase_samples = result.distribution.samples
+        increase_samples = result.samples
     else:
         increase_point = 0.0
         increase_samples = np.zeros(options.n_samples)

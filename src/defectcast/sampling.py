@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
@@ -87,30 +87,14 @@ class EngineOptions:
 
 
 @dataclass(frozen=True)
-class EmpiricalDistribution:
-    """A deterministic Monte Carlo sample set."""
-
-    samples: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        import numpy as np
-
-        arr = np.asarray(self.samples, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
 class IncreaseResult:
-    """DDIF or EIF distribution for one release characterization."""
+    """DDIF or EIF distribution for one release characterization.
+
+    ``samples`` is a read-only float64 array in draw order.
+    """
 
     target: Target
-    distribution: EmpiricalDistribution
+    samples: np.ndarray
     analytic_mean: float
     point: float
 
@@ -329,15 +313,15 @@ def increase_distribution(
         rng = _factor_rng(options.seed, target, factor.id)
         _add_mixture(samples, grouped[factor.id], weight, rng)
     mean = analytic_mean_increase(factors, triangles, levels, target)
-    dist = EmpiricalDistribution(samples=samples, seed=options.seed)
     if options.point == POINT_ANALYTIC_MEAN:
         point = mean
     else:
         # The nearest-rank median of empirical_quantile, by selection.
         k = math.ceil(0.5 * n) - 1
         point = float(np.partition(samples, k)[k])
+    samples.setflags(write=False)
     return IncreaseResult(
-        target=target, distribution=dist, analytic_mean=mean, point=point
+        target=target, samples=samples, analytic_mean=mean, point=point
     )
 
 
@@ -348,13 +332,3 @@ def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
         raise EmptyDistributionError("no samples")
     k = math.ceil(p * n) - 1
     return float(sorted_samples[min(max(k, 0), n - 1)])
-
-
-def quantiles(dist: EmpiricalDistribution, probs: Sequence[float]) -> list[float]:
-    """Nearest-rank order statistics; monotone nondecreasing in probs."""
-    import numpy as np
-
-    if dist.n == 0:
-        raise EmptyDistributionError("no samples")
-    ordered = np.sort(dist.samples)
-    return [empirical_quantile(ordered, p) for p in probs]

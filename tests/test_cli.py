@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defectcast
 
@@ -121,6 +125,20 @@ class TestPredict:
         assert code == 1
         assert "D1" in err.split("\nerror: ", 1)[1]
 
+    @pytest.mark.parametrize("route", ["levels", "spec"])
+    def test_unknown_level_id_exits_one(self, capsys, tmp_path, route):
+        if route == "levels":
+            argv = ("--size", "130", "--levels", self.LEVELS + ",ZZ=3,Q7=2")
+        else:
+            levels = dict(item.split("=") for item in self.LEVELS.split(","))
+            levels = {k: int(v) for k, v in levels.items()} | {"ZZ": 3, "Q7": 2}
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"size": 130, "levels": levels}))
+            argv = ("--spec", spec)
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE, *argv)
+        assert (code, out) == (1, "")
+        assert f"--{route}: unknown factor ids ['ZZ', 'Q7']" in err
+
     def test_missing_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE)
         assert code == 2
@@ -191,6 +209,12 @@ class TestFactorsOverride:
         assert code == 1
         assert "unknown factor ids ['X9']" in err
 
+    def test_duplicate_id_exits_one(self, capsys):
+        code, out, err = run(capsys, "calibrate", "--bundle", EXAMPLE_BUNDLE,
+                             "--factors", "D1,E1,D1")
+        assert (code, out) == (1, "")
+        assert "--factors: duplicate factor ids ['D1']" in err
+
 
 class TestCrossval:
     def test_table_pipeline(self, capsys):
@@ -204,6 +228,12 @@ class TestCrossval:
         assert "mmre" in payload["model"]
         assert "mmre" in payload["baseline"]
         assert 0 < payload["wilcoxon"]["p_one_sided"] <= 1
+
+    def test_wilcoxon_without_baseline_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crossval", "--bundle", str(EXAMPLE_BUNDLE), "--test", "wilcoxon"])
+        assert exc.value.code == 2
+        assert "needs --baseline" in capsys.readouterr().err
 
     def test_exclude_flag(self, capsys):
         code, out, _ = run(
@@ -270,17 +300,31 @@ class TestDeterminism:
     ]
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
-    def test_same_seed_same_bytes(self, capsys, tmp_path, command):
-        outputs = []
-        for name in ("first", "second"):
-            out_path = tmp_path / f"{name}.json"
-            code, *_ = run(
-                capsys, command[0], "--bundle", EXAMPLE_BUNDLE,
-                *command[1:], "--seed", "7", "--out", out_path,
-            )
-            assert code == 0
-            outputs.append(out_path.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_same_seed_same_bytes(self, capsys, tmp_path, monkeypatch, command):
+        renders = []
+
+        def counted(*args):
+            renders.append(args)
+            return render_report(*args)
+
+        for module in (defectcast.cli, defectcast.bundle):
+            monkeypatch.setattr(module, "render_report", counted)
+        for fmt in ("json", "csv", "text"):
+            outputs = []
+            for name in ("first", "second"):
+                out_path = tmp_path / f"{name}.{fmt}"
+                renders.clear()
+                code, out, _ = run(
+                    capsys, command[0], "--bundle", EXAMPLE_BUNDLE,
+                    *command[1:], "--seed", "7", "--format", fmt,
+                    "--out", out_path,
+                )
+                assert code == 0
+                # --out gets stdout's one rendering, without the seed line.
+                assert len(renders) == 1
+                assert out_path.read_bytes() == out.removeprefix("seed: 7\n").encode()
+                outputs.append(out_path.read_bytes())
+            assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("argv", [
         ("calibrate", "--exclude", "A,B,C,D,E,F,G,H,I,J"),
@@ -352,6 +396,105 @@ class TestGoldenReports:
         code, out, _ = run(capsys, *command, "--bundle", EXAMPLE_BUNDLE)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.FORMAT_GOLDEN[command]
+
+
+FACTOR_IDS = [f"{t}{i}" for t in "DE" for i in range(1, 6)]
+SPEC = "<spec file>"  # stands for the spec file's path in a drawn argv
+
+
+def _joined(elements):
+    return st.lists(elements, min_size=1, max_size=4).map(",".join)
+
+
+def _valid_or(valid, *invalid):
+    """``valid`` is listed three times, so that whole argvs often succeed."""
+    return st.one_of(*[st.just(valid)] * 3, st.sampled_from(invalid))
+
+
+_TARGET = st.sampled_from(["defect-content", "effectiveness"])
+_MODEL = st.sampled_from(["influence-factor", "dc-median", "dd-median", "eff-median"])
+_LEVEL = st.builds(
+    "{}={}".format, st.sampled_from(FACTOR_IDS + ["ZZ"]),
+    _valid_or("2", "0", "3", "4", "-1", "x"),
+)
+_COMMON = {
+    "--seed": st.integers(-1, 2**64).map(str),
+    "--samples": _valid_or("2000", "1", "0", "-1"),
+    "--point": st.sampled_from(["analytic-mean", "mc-median"]),
+    "--exclude": _joined(st.sampled_from(list("ABCDEFGHIJ") + ["NOPE", ""])),
+    "--factors": _joined(st.sampled_from(FACTOR_IDS + ["X9", ""])),
+    "--format": st.sampled_from(["json", "csv", "text"]),
+}
+_OPTIONS = {  # each command's options beyond the common ones
+    "check": {},
+    "rank": {"--target": _TARGET},
+    "calibrate": {},
+    "predict": {"--quantiles": _joined(_valid_or("0.5", "0", "1", "1.5", "x"))},
+    "crossval": {
+        "--target": _TARGET, "--model": _MODEL, "--baseline": _MODEL,
+        "--test": st.sampled_from(["wilcoxon", "none"]),
+    },
+    "ablate": {
+        "--target": _TARGET,
+        "--ks": _joined(st.sampled_from(["0", "1", "3", "5", "6", "-1", "x"])),
+    },
+    "historysim": {"--target": _TARGET, "--start": st.integers(-1, 12).map(str)},
+}
+# How predict is given the release: a spec file, inline, or not at all.
+_PREDICT_ROUTE = st.one_of(
+    st.just(["--spec", SPEC]),
+    st.tuples(
+        _valid_or("130", "0", "-5", "nan", "inf", "1e300", "abc"),
+        st.one_of(
+            st.just(TestPredict.LEVELS),
+            _LEVEL.map(f"{TestPredict.LEVELS},{{}}".format),
+            _joined(_LEVEL),
+        ),
+    ).map(lambda route: ["--size", route[0], "--levels", route[1]]),
+    st.just([]),
+)
+_SPEC_DOCUMENT = st.one_of(
+    st.fixed_dictionaries({
+        "size": _valid_or(130, 0, -1, "x", None),
+        "levels": st.dictionaries(
+            st.sampled_from(FACTOR_IDS + ["Q7"]), _valid_or(2, 0, 3, 4, -1),
+            min_size=8,
+        ),
+    }),
+    st.sampled_from([[], {}, "x", None]),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """An argv drawn from the parser's grammar, and the spec file's document."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = {**_COMMON, **_OPTIONS[command]}
+    argv = [command, "--bundle", str(EXAMPLE_BUNDLE)]
+    if command == "predict":
+        argv += draw(_PREDICT_ROUTE)
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [flag, draw(options[flag])]
+    return argv, draw(_SPEC_DOCUMENT)
+
+
+class TestArgvGrammar:
+    @settings(deadline=None, max_examples=150)
+    @given(run_input=cli_runs())
+    def test_exit_code_and_stdout_contract(self, tmp_path_factory, run_input):
+        argv, spec = run_input
+        spec_path = tmp_path_factory.getbasetemp() / "grammar_spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = [str(spec_path) if a == SPEC else a for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, stderr.getvalue())
+        if code:
+            assert stdout.getvalue() == "", argv
 
 
 def _fresh_process(probe: str) -> str:

@@ -1,8 +1,10 @@
 """Each demo runs in a fresh process and prints what it printed when
-its stdout digest was recorded, so the demos follow every API change."""
+its stdout digest was recorded, so the demos follow every API change.
+The README's table of entry points names only what the package has."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +41,11 @@ def test_demo_stdout(demo):
     )
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == GOLDEN[demo]
+
+
+def test_readme_entry_points_exist():
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Key entry points", 1)[1].split("\n\n", 2)[1]
+    names = re.findall(r"`(\w+)`", table)
+    assert len(names) > 20
+    assert [n for n in names if not hasattr(defectcast, n)] == []

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectcast import (
-    EmpiricalDistribution,
     EngineOptions,
     MissingLevelError,
     MissingQuantificationError,
@@ -21,7 +20,6 @@ from defectcast import (
     analytic_mean_increase,
     empirical_quantile,
     increase_distribution,
-    quantiles,
     triangle_inverse_cdf,
     triangle_variance,
 )
@@ -90,7 +88,7 @@ def mixture_draws(triangles, n, seed=0):
         [make_factor("D1")], triangles, {"D1": 3}, Target.DEFECT_CONTENT,
         EngineOptions(n_samples=n, seed=seed),
     )
-    return res.distribution.samples
+    return res.samples
 
 
 class TestExpertMixture:
@@ -132,7 +130,7 @@ class TestIncreaseDistribution:
     def test_all_levels_zero_is_point_mass(self):
         res = increase_distribution([FACTOR], [TRI], {"D1": 0},
                                     Target.DEFECT_CONTENT)
-        assert np.all(res.distribution.samples == 0)
+        assert np.all(res.samples == 0)
         assert res.point == 0
         assert res.analytic_mean == 0
 
@@ -141,7 +139,7 @@ class TestIncreaseDistribution:
             [FACTOR], [TRI], {"D1": 3}, Target.DEFECT_CONTENT,
             EngineOptions(n_samples=100_000),
         )
-        s = res.distribution.samples
+        s = res.samples
         assert s.min() >= 0.10 and s.max() <= 0.25
         sigma = math.sqrt(triangle_variance(TRI))
         assert abs(s.mean() - 0.5 / 3) < 3 * sigma / math.sqrt(s.size)
@@ -162,7 +160,7 @@ class TestIncreaseDistribution:
             [FACTOR, f2], tris, levels, Target.DEFECT_CONTENT,
             EngineOptions(n_samples=1_000_000),
         )
-        s = res.distribution.samples
+        s = res.samples
         assert abs(s.mean() - expected) < 3 * s.std() / math.sqrt(s.size)
 
     def test_missing_quantification_and_level_errors(self):
@@ -176,11 +174,12 @@ class TestIncreaseDistribution:
               EngineOptions(seed=42))
         a = increase_distribution(*kw)
         b = increase_distribution(*kw)
-        assert np.array_equal(a.distribution.samples, b.distribution.samples)
+        assert not a.samples.flags.writeable
+        assert np.array_equal(a.samples, b.samples)
         c = increase_distribution([FACTOR], [TRI], {"D1": 2},
                                   Target.DEFECT_CONTENT, EngineOptions(seed=43))
-        assert not np.array_equal(a.distribution.samples,
-                                  c.distribution.samples)
+        assert not np.array_equal(a.samples,
+                                  c.samples)
 
     def test_factor_declaration_order_is_irrelevant(self):
         f2 = make_factor("D2")
@@ -190,7 +189,7 @@ class TestIncreaseDistribution:
                                   Target.DEFECT_CONTENT)
         b = increase_distribution([f2, FACTOR], tris, levels,
                                   Target.DEFECT_CONTENT)
-        assert np.array_equal(a.distribution.samples, b.distribution.samples)
+        assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("low,high", [(0, 1), (1, 2), (2, 3)])
     def test_raising_a_level_stochastically_dominates(self, low, high):
@@ -199,11 +198,10 @@ class TestIncreaseDistribution:
         hi = increase_distribution([FACTOR], [TRI], {"D1": high},
                                    Target.DEFECT_CONTENT)
         assert hi.analytic_mean >= lo.analytic_mean
-        probs = np.linspace(0, 1, 21)
+        hi_sorted, lo_sorted = np.sort(hi.samples), np.sort(lo.samples)
         assert all(
-            h >= l
-            for h, l in zip(quantiles(hi.distribution, probs),
-                            quantiles(lo.distribution, probs))
+            empirical_quantile(hi_sorted, p) >= empirical_quantile(lo_sorted, p)
+            for p in np.linspace(0, 1, 21)
         )
 
     def test_point_strategy_mc_median(self):
@@ -211,7 +209,7 @@ class TestIncreaseDistribution:
             [FACTOR], [TRI], {"D1": 3}, Target.DEFECT_CONTENT,
             EngineOptions(point="mc-median"),
         )
-        ordered = np.sort(res.distribution.samples)
+        ordered = np.sort(res.samples)
         assert res.point == empirical_quantile(ordered, 0.5)
 
 
@@ -381,29 +379,28 @@ class TestMixtureKernel:
                     target,
                     EngineOptions(n_samples=100_000, seed=seed, point="mc-median"),
                 )
-            samples = res.distribution.samples
+            samples = res.samples
             digest = hashlib.sha256(samples.tobytes()).hexdigest()
             assert digest == self.PINNED[(target, seed)], f"{workers} ranges"
 
 
 class TestQuantiles:
     def test_nearest_rank_median(self):
-        dist = EmpiricalDistribution(np.arange(1, 101, dtype=float), seed=0)
-        assert quantiles(dist, [0.5]) == [50]
+        assert empirical_quantile(np.arange(1, 101, dtype=float), 0.5) == 50
 
     def test_extremes(self):
-        dist = EmpiricalDistribution(np.arange(1, 101, dtype=float), seed=0)
-        assert quantiles(dist, [0.0, 1.0]) == [1, 100]
+        ordered = np.arange(1, 101, dtype=float)
+        assert [empirical_quantile(ordered, p) for p in (0.0, 1.0)] == [1, 100]
 
     def test_sorting_independence(self):
-        dist = EmpiricalDistribution(np.array([3.0, 1.0, 2.0]), seed=0)
-        assert quantiles(dist, [0.5]) == [2]
+        ordered = np.sort(np.array([3.0, 1.0, 2.0]))
+        assert empirical_quantile(ordered, 0.5) == 2
 
     @given(
         values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
         probs=st.lists(st.floats(0, 1), min_size=1, max_size=10),
     )
     def test_monotone_in_probs(self, values, probs):
-        dist = EmpiricalDistribution(np.array(values), seed=0)
-        out = quantiles(dist, sorted(probs))
+        ordered = np.sort(np.array(values))
+        out = [empirical_quantile(ordered, p) for p in sorted(probs)]
         assert out == sorted(out)
