@@ -46,10 +46,8 @@ from .evaluation import (
     WilcoxonResult,
     ablation_curve,
     accuracy_metrics,
-    baseline_predict,
     history_simulation,
     loocv,
-    summarize_mres,
     wilcoxon_one_sided,
 )
 from .model import (
@@ -81,6 +79,6 @@ from .sampling import (
     triangle_inverse_cdf,
     triangle_variance,
 )
-from .synth import make_dominant_factor_bundle, make_synthetic_bundle
+from .synth import make_synthetic_bundle
 
 __version__ = "0.1.0"

@@ -60,10 +60,17 @@ class ContextBundle:
         entry, then (for effectiveness) the two top-ranked factors when
         rankings exist, then all factors of the target.  The top-2
         effectiveness default exists because extra effectiveness factors
-        did not improve accuracy in practice.
+        did not improve accuracy in practice.  An override id that names
+        no factor of the target, or that repeats, is a ``ValueError``.
         """
         by_id = {f.id: f for f in self.factors_for(target)}
         if override_ids is not None:
+            unknown = [fid for fid in override_ids if fid not in by_id]
+            if unknown:
+                raise ValueError(f"ids {unknown} name no {target.value} factor")
+            repeated = {fid for fid in override_ids if override_ids.count(fid) > 1}
+            if repeated:
+                raise ValueError(f"duplicate factor ids {sorted(repeated)}")
             return [by_id[fid] for fid in override_ids]
         if self.active_factors and target.value in self.active_factors:
             return [by_id[fid] for fid in self.active_factors[target.value]]

@@ -140,9 +140,18 @@ def _parse_ks(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object, unless it repeats a key (the last one would win)."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"--spec: duplicate keys {repeated}")
+    return dict(pairs)
+
+
 def _load_spec(path: str) -> NewReleaseSpec:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=_unique_keys)
     try:
         return NewReleaseSpec(size=float(raw["size"]), levels=raw["levels"])
     except (KeyError, TypeError) as exc:
@@ -153,15 +162,20 @@ def _load_spec(path: str) -> NewReleaseSpec:
 
 
 def _parse_levels(text: str) -> dict[str, int]:
-    levels = {}
+    levels, repeated = {}, set()
     for item in text.split(","):
         key, _, value = item.partition("=")
         if not key or not value:
             raise ValueError(f"bad --levels entry {item!r}")
+        key = key.strip()
+        if key in levels:
+            repeated.add(key)
         try:
-            levels[key.strip()] = int(value)
+            levels[key] = int(value)
         except ValueError:
             raise ValueError(f"bad --levels entry {item!r}") from None
+    if repeated:
+        raise ValueError(f"--levels: duplicate factor ids {sorted(repeated)}")
     return levels
 
 

@@ -16,7 +16,6 @@ from .calibration import calibrate
 from .errors import (
     AllZeroDifferencesError,
     InsufficientHistoryError,
-    NoUsableHistoryError,
     ZeroActualError,
 )
 from .model import (
@@ -24,7 +23,6 @@ from .model import (
     ReleaseRecord,
     Target,
     defect_content,
-    defect_density,
     effectiveness,
 )
 from .prediction import _model_equation
@@ -158,42 +156,6 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def summarize_mres(
-    mres: Sequence[float],
-    thresholds: Sequence[float] = DEFAULT_PRED_THRESHOLDS,
-    ids: Sequence[str] | None = None,
-    model_name: str = "",
-) -> AccuracyReport:
-    """Accuracy report from already-computed MRE values.
-
-    Routes through accuracy_metrics with actual = 1, so an MRE of m is
-    represented exactly by the pair (1 + m, 1)."""
-    return accuracy_metrics(
-        [(1.0 + m, 1.0) for m in mres], thresholds, ids, model_name
-    )
-
-
-def baseline_predict(
-    history: Sequence[ReleaseRecord], kind: str, new_size: float | None = None
-) -> float:
-    """Purely data-based prediction from historical medians."""
-    if not history:
-        raise NoUsableHistoryError("empty history")
-    if kind == MODEL_DC_MEDIAN:
-        return float(statistics.median([defect_content(r) for r in history]))
-    if kind == MODEL_DD_MEDIAN:
-        if new_size is None or new_size <= 0:
-            raise ValueError("dd_median needs a positive new_size")
-        median_dd = statistics.median([defect_density(r) for r in history])
-        return float(median_dd) * new_size
-    if kind == MODEL_EFF_MEDIAN:
-        values = [effectiveness(r) for r in history if defect_content(r) > 0]
-        if not values:
-            raise NoUsableHistoryError("no release with defined effectiveness")
-        return float(statistics.median(values))
-    raise ValueError(f"unknown baseline {kind!r}")
-
-
 def _actual(release: ReleaseRecord, target: Target) -> float:
     if target == Target.DEFECT_CONTENT:
         return defect_content(release)
@@ -239,8 +201,14 @@ def loocv(
     The expert triangles are fold-independent (elicitation does not
     depend on the measurement history).  For the effectiveness target,
     defect-free releases are skipped (their actual value is undefined).
-    A data-only baseline must predict ``target``.
+
+    A data-only baseline must predict ``target``.  It runs in the same
+    fold loop: ``dd_median`` and ``eff_median`` are the influence-factor
+    model with no active factor, and ``dc_median`` takes each release's
+    defect content as its base value and predicts at unit size.
     """
+    if model != MODEL_INFLUENCE_FACTOR and model not in _BASELINE_TARGETS:
+        raise ValueError(f"unknown model {model!r}")
     if _BASELINE_TARGETS.get(model, target) != target:
         raise ValueError(f"baseline {model!r} does not predict {target.value}")
     releases = bundle.included_releases()
@@ -248,19 +216,23 @@ def loocv(
         releases = [r for r in releases if defect_content(r) > 0]
     if len(releases) < 2:
         raise InsufficientHistoryError("leave-one-out needs >= 2 usable releases")
+    # Resolved for every model, so a bad override fails the same way.
     active = bundle.resolve_active(target, active_ids)
-    if model == MODEL_INFLUENCE_FACTOR:
+    if model == MODEL_DC_MEDIAN:
+        n = len(releases)
+        sizes, points = [1.0] * n, [0.0] * n
+        bases = [defect_content(r) for r in releases]
+    else:
+        sizes = [r.size for r in releases]
+        if model != MODEL_INFLUENCE_FACTOR:
+            active = []
         points, bases = _fitted(bundle, releases, target, active, options)
-    cases, ids = [], []
+    cases = []
     for i, release in enumerate(releases):
-        if model == MODEL_INFLUENCE_FACTOR:
-            base = statistics.median(bases[:i] + bases[i + 1:])
-            predicted = _model_equation(target, release.size, base, points[i])
-        else:
-            rest = [r for r in releases if r.id != release.id]
-            predicted = baseline_predict(rest, model, new_size=release.size)
+        base = statistics.median(bases[:i] + bases[i + 1:])
+        predicted = _model_equation(target, sizes[i], base, points[i])
         cases.append((predicted, _actual(release, target)))
-        ids.append(release.id)
+    ids = [r.id for r in releases]
     return accuracy_metrics(cases, thresholds, ids, model_name=model)
 
 

@@ -121,11 +121,3 @@ def make_synthetic_bundle(
         releases=tuple(releases),
     )
 
-
-def make_dominant_factor_bundle(seed: int = 0, n_releases: int = 10) -> ContextBundle:
-    """One strongly influential defect-content factor, the rest inert."""
-    return make_synthetic_bundle(
-        seed=seed,
-        n_releases=n_releases,
-        dc_impacts=((0.40, 0.60, 0.90), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-    )

@@ -7,7 +7,9 @@ from defectcast import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    accuracy_metrics,
     load_bundle,
+    make_synthetic_bundle,
 )
 
 EXAMPLE_BUNDLE = Path(__file__).parent.parent / "demos" / "data" / "example_bundle.json"
@@ -37,6 +39,25 @@ def make_triangle(fid="D1", a=0.10, m=0.15, b=0.25,
     return ExpertTriangle(
         expert=expert, factor_id=fid, target=target,
         minimum=a, most_likely=m, maximum=b,
+    )
+
+
+def summarize_mres(mres, thresholds=(0.25,), ids=None, model_name=""):
+    """Accuracy report from already-computed MRE values.
+
+    Routes through accuracy_metrics with actual = 1, so an MRE of m is
+    represented exactly by the pair (1 + m, 1)."""
+    return accuracy_metrics(
+        [(1.0 + m, 1.0) for m in mres], thresholds, ids, model_name
+    )
+
+
+def make_dominant_factor_bundle(seed=0, n_releases=10):
+    """One strongly influential defect-content factor, the rest inert."""
+    return make_synthetic_bundle(
+        seed=seed,
+        n_releases=n_releases,
+        dc_impacts=((0.40, 0.60, 0.90), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
     )
 
 

@@ -27,18 +27,23 @@ from defectcast import (
     effectiveness,
     history_simulation,
     loocv,
-    make_dominant_factor_bundle,
     make_synthetic_bundle,
     predict_defect_content,
     predict_effectiveness,
-    summarize_mres,
     triangle_inverse_cdf,
     triangle_variance,
     wilcoxon_one_sided,
 )
 from defectcast.cli import main as cli_main
 
-from conftest import EXAMPLE_BUNDLE, make_factor, make_release, make_triangle
+from conftest import (
+    EXAMPLE_BUNDLE,
+    make_dominant_factor_bundle,
+    make_factor,
+    make_release,
+    make_triangle,
+    summarize_mres,
+)
 from test_evaluation import MRE_DC, MRE_DD, MRE_EFF, MRE_IF, MRE_IF_EFF
 
 

@@ -10,9 +10,10 @@ from defectcast import (
     ValidationIssue,
     load_bundle,
     render_report,
-    summarize_mres,
 )
 from defectcast.bundle import _build_bundle
+
+from conftest import summarize_mres
 
 
 MINIMAL = {

@@ -139,6 +139,21 @@ class TestPredict:
         assert (code, out) == (1, "")
         assert f"--{route}: unknown factor ids ['ZZ', 'Q7']" in err
 
+    @pytest.mark.parametrize("route", ["levels", "spec"])
+    def test_repeated_level_id_exits_one(self, capsys, tmp_path, route):
+        # Otherwise the last D1 wins and the prediction runs with D1=3.
+        if route == "levels":
+            argv = ("--size", "130", "--levels", "D1=0,D1=3," + self.LEVELS[5:])
+            expected = "--levels: duplicate factor ids ['D1']"
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text('{"size": 130, "levels": {"D1": 0, "D1": 3, "D2": 1}}')
+            argv = ("--spec", spec)
+            expected = "--spec: duplicate keys ['D1']"
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE, *argv)
+        assert (code, out) == (1, "")
+        assert expected in err
+
     def test_missing_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE)
         assert code == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -15,16 +17,19 @@ from defectcast import (
     ablation_curve,
     accuracy_metrics,
     aggregate_rankings,
-    baseline_predict,
     history_simulation,
     loocv,
-    make_dominant_factor_bundle,
     make_synthetic_bundle,
-    summarize_mres,
     wilcoxon_one_sided,
 )
 
-from conftest import make_factor, make_release, make_triangle
+from conftest import (
+    make_dominant_factor_bundle,
+    make_factor,
+    make_release,
+    make_triangle,
+    summarize_mres,
+)
 
 # Published cross-validation MRE rows used as aggregate fixtures.
 MRE_DC = [0.17, 0.52, 0.27, 0.56, 1.33, 0.20, 0.75, 3.20]
@@ -110,33 +115,13 @@ class TestAccuracyMetrics:
         assert a.pred[10.0] == 1.0
 
 
-class TestBaselinePredict:
-    def test_dc_median(self):
-        history = [make_release(str(i), found=dc, slipped=0)
-                   for i, dc in enumerate([10, 20, 30])]
-        assert baseline_predict(history, MODEL_DC_MEDIAN) == 20
-
-    def test_dd_median(self):
-        history = [
-            make_release(str(i), size=10, found=f, slipped=0)
-            for i, f in enumerate([4, 5, 6])
-        ]
-        assert baseline_predict(history, MODEL_DD_MEDIAN, new_size=40) == 20
-
-    def test_eff_median_single(self):
-        history = [make_release(found=8, slipped=2)]
-        assert baseline_predict(history, MODEL_EFF_MEDIAN) == pytest.approx(0.8)
-
-
-def two_release_bundle():
-    factor = make_factor("D1")
-    tri = make_triangle("D1")
-    releases = (
-        make_release("A", size=50, found=10, slipped=0, levels={"D1": 0}),
-        make_release("B", size=50, found=30, slipped=0, levels={"D1": 0}),
+def bundle_of(*releases):
+    """One defect-content factor and the given releases, all at level 0."""
+    return ContextBundle(
+        factors=(make_factor("D1"),),
+        quantifications=(make_triangle("D1"),),
+        releases=tuple(replace(r, levels={"D1": 0}) for r in releases),
     )
-    return ContextBundle(factors=(factor,), quantifications=(tri,),
-                         releases=releases)
 
 
 class TestLoocv:
@@ -156,9 +141,38 @@ class TestLoocv:
                      Target.EFFECTIVENESS).mmre == pytest.approx(0, abs=1e-12)
 
     def test_two_release_folds_hand_enumerated(self):
-        report = loocv(two_release_bundle(), MODEL_DC_MEDIAN)
-        assert report.mres() == pytest.approx({"A": 2.0, "B": 2 / 3})
-        assert report.mmre == pytest.approx(4 / 3)
+        # Each fold predicts from the median of the other releases.
+        cases = [
+            # defect contents 10 and 30: each fold predicts the other one
+            (bundle_of(make_release("A", size=50, found=10, slipped=0),
+                       make_release("B", size=50, found=30, slipped=0)),
+             MODEL_DC_MEDIAN, Target.DEFECT_CONTENT, {"A": 30, "B": 10}),
+            # defect contents 10, 20, 30
+            (bundle_of(*(make_release(str(i), found=dc, slipped=0)
+                         for i, dc in enumerate([10, 20, 30]))),
+             MODEL_DC_MEDIAN, Target.DEFECT_CONTENT,
+             {"0": 25, "1": 20, "2": 15}),
+            # densities 0.4, 0.5, 0.6 at size 10
+            (bundle_of(*(make_release(str(i), size=10, found=f, slipped=0)
+                         for i, f in enumerate([4, 5, 6]))),
+             MODEL_DD_MEDIAN, Target.DEFECT_CONTENT,
+             {"0": 5.5, "1": 5.0, "2": 4.5}),
+            # effectiveness 0.8 and 0.5: each fold predicts the other one
+            (bundle_of(make_release("A", found=8, slipped=2),
+                       make_release("B", found=5, slipped=5)),
+             MODEL_EFF_MEDIAN, Target.EFFECTIVENESS, {"A": 0.5, "B": 0.8}),
+        ]
+        for bundle, model, target, predicted in cases:
+            report = loocv(bundle, model, target)
+            got = {c.release_id: c.predicted for c in report.cases}
+            assert got == pytest.approx(predicted), model
+        first = loocv(cases[0][0], MODEL_DC_MEDIAN)
+        assert first.mres() == pytest.approx({"A": 2.0, "B": 2 / 3})
+        assert first.mmre == pytest.approx(4 / 3)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            loocv(make_synthetic_bundle(seed=0), "bogus")
 
     def test_insufficient_history(self):
         bundle = ContextBundle(
@@ -204,6 +218,30 @@ class TestLoocv:
         explicit = loocv(bundle, MODEL_INFLUENCE_FACTOR, Target.EFFECTIVENESS,
                          active_ids=["E1", "E2"])
         assert default.mres() == explicit.mres()
+
+
+class TestActiveOverride:
+    """An override id must name one factor of the target, once: a
+    repeated id would double that factor's weight."""
+
+    RUNS = {
+        "loocv": lambda b, ids: loocv(b, MODEL_INFLUENCE_FACTOR, active_ids=ids),
+        "history": lambda b, ids: history_simulation(b, active_ids=ids),
+        "ablation": lambda b, ids: ablation_curve(
+            b, Target.DEFECT_CONTENT, ids, [len(ids)]
+        ),
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    @pytest.mark.parametrize("ids,message", [
+        (["D1", "D1"], "duplicate factor ids ['D1']"),
+        (["D2", "ZZ"], "ids ['ZZ'] name no defect_content factor"),
+        (["E1"], "ids ['E1'] name no defect_content factor"),
+    ], ids=["repeated", "unknown", "other-target"])
+    def test_rejected(self, example_bundle, run, ids, message):
+        with pytest.raises(ValueError) as exc:
+            self.RUNS[run](example_bundle, ids)
+        assert str(exc.value) == message
 
 
 class TestAblation:

@@ -3,21 +3,28 @@
 ``loocv``, ``ablation_curve`` and ``history_simulation`` calibrate once
 and reuse each release's increase point in every fold.  The reference
 below is the per-fold path they replaced: recalibrate on the fold's
-history, then predict the held-out release in full.
+history, then predict the held-out release in full.  The data-only
+baselines have their own per-fold reference: the medians of the fold's
+history that ``loocv`` used to take for them.
 """
 
 import dataclasses
 import hashlib
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectcast import (
+    MODEL_DC_MEDIAN,
+    MODEL_DD_MEDIAN,
+    MODEL_EFF_MEDIAN,
     MODEL_INFLUENCE_FACTOR,
     EngineOptions,
     InsufficientHistoryError,
     NewReleaseSpec,
+    NoUsableHistoryError,
     Target,
     ZeroActualError,
     ablation_curve,
@@ -25,6 +32,7 @@ from defectcast import (
     aggregate_rankings,
     calibrate,
     defect_content,
+    defect_density,
     effectiveness,
     history_simulation,
     loocv,
@@ -75,6 +83,47 @@ def reference_loocv(bundle, target, options, active_ids):
         cases.append((predicted, _actual(release, target)))
         ids.append(release.id)
     return accuracy_metrics(cases, ids=ids, model_name=MODEL_INFLUENCE_FACTOR)
+
+
+# The target each data-only baseline predicts.
+BASELINES = {
+    MODEL_DC_MEDIAN: Target.DEFECT_CONTENT,
+    MODEL_DD_MEDIAN: Target.DEFECT_CONTENT,
+    MODEL_EFF_MEDIAN: Target.EFFECTIVENESS,
+}
+
+
+def reference_baseline(history, kind, new_size):
+    """Purely data-based prediction from the fold's historical medians."""
+    if not history:
+        raise NoUsableHistoryError("empty history")
+    if kind == MODEL_DC_MEDIAN:
+        return float(statistics.median([defect_content(r) for r in history]))
+    if kind == MODEL_DD_MEDIAN:
+        if new_size is None or new_size <= 0:
+            raise ValueError("dd_median needs a positive new_size")
+        median_dd = statistics.median([defect_density(r) for r in history])
+        return float(median_dd) * new_size
+    values = [effectiveness(r) for r in history if defect_content(r) > 0]
+    if not values:
+        raise NoUsableHistoryError("no release with defined effectiveness")
+    return float(statistics.median(values))
+
+
+def reference_baseline_loocv(bundle, model, target, active_ids):
+    if BASELINES[model] != target:
+        raise ValueError(f"baseline {model!r} does not predict {target.value}")
+    releases = _usable(bundle, target)
+    if len(releases) < 2:
+        raise InsufficientHistoryError("leave-one-out needs >= 2 usable releases")
+    bundle.resolve_active(target, active_ids)
+    cases, ids = [], []
+    for release in releases:
+        rest = [r for r in releases if r.id != release.id]
+        predicted = reference_baseline(rest, model, release.size)
+        cases.append((predicted, _actual(release, target)))
+        ids.append(release.id)
+    return accuracy_metrics(cases, ids=ids, model_name=model)
 
 
 def reference_history(bundle, start_m, target, options, active_ids):
@@ -145,6 +194,15 @@ class TestAgainstPerFoldReference:
         )
         assert fast == outcome(reference_loocv, bundle, target, options, active_ids)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=variants())
+    def test_baselines(self, case):
+        bundle, target, options, active_ids = case
+        for model in BASELINES:
+            fast = outcome(loocv, bundle, model, target, options, active_ids)
+            ref = outcome(reference_baseline_loocv, bundle, model, target, active_ids)
+            assert fast == ref
+
     @settings(max_examples=120, deadline=None)
     @given(case=variants(), start_m=st.integers(2, 6))
     def test_history_simulation(self, case, start_m):
@@ -174,16 +232,19 @@ def synthetic_200():
 
 
 def rendered(kind, target, options):
+    """``kind`` is "ablation", "history", "loocv" (the influence-factor
+    model) or the name of a data-only baseline run through ``loocv``."""
     bundle = synthetic_200()
-    if kind == "loocv":
-        return render_report(loocv(bundle, MODEL_INFLUENCE_FACTOR, target, options))
     if kind == "ablation":
         ranked = aggregate_rankings(list(bundle.rankings), target)
         order = [rf.factor_id for rf in ranked]
         curve = ablation_curve(bundle, target, order, [0, 1, 2, 3], options)
         return "".join(render_report(curve[k]) for k in sorted(curve))
-    steps = history_simulation(bundle, 4, target, options)
-    return render_report({"steps": [dataclasses.asdict(s) for s in steps]})
+    if kind == "history":
+        steps = history_simulation(bundle, 4, target, options)
+        return render_report({"steps": [dataclasses.asdict(s) for s in steps]})
+    model = MODEL_INFLUENCE_FACTOR if kind == "loocv" else kind
+    return render_report(loocv(bundle, model, target, options))
 
 
 class TestSyntheticGoldens:
@@ -213,6 +274,20 @@ class TestSyntheticGoldens:
             "b3f2213263d1c17e4f73e4477001ceced898885ba03ff1a895937ae5713d5c92",
         ("history", EFF, "mc-median"):
             "563c5e60dc6d334e351035aebe286e7684e5bbf321b8f89ad73dd88bb6d3f437",
+        # The data-only baselines, recorded with their per-fold path; they
+        # draw nothing, so both point strategies give the same report.
+        (MODEL_DC_MEDIAN, DC, "analytic-mean"):
+            "bb1aa9c7799a10ed86e3f03aadc97a3564e090a72bdf0c45eb1da0eadaa4fb99",
+        (MODEL_DC_MEDIAN, DC, "mc-median"):
+            "bb1aa9c7799a10ed86e3f03aadc97a3564e090a72bdf0c45eb1da0eadaa4fb99",
+        (MODEL_DD_MEDIAN, DC, "analytic-mean"):
+            "8f1e7ffb9e6f130569a8e30206b88a37cdbd8d01334fb1f581b64b95698a3ad6",
+        (MODEL_DD_MEDIAN, DC, "mc-median"):
+            "8f1e7ffb9e6f130569a8e30206b88a37cdbd8d01334fb1f581b64b95698a3ad6",
+        (MODEL_EFF_MEDIAN, EFF, "analytic-mean"):
+            "6e9c760422d48604df69dd6b3ed52a3b66816248905048b9b72d74431a55be76",
+        (MODEL_EFF_MEDIAN, EFF, "mc-median"):
+            "6e9c760422d48604df69dd6b3ed52a3b66816248905048b9b72d74431a55be76",
     }
 
     @pytest.mark.parametrize(
