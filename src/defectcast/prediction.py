@@ -14,7 +14,13 @@ from typing import Mapping, Sequence
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
 from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
-from .sampling import EngineOptions, empirical_quantile, increase_distribution
+from .sampling import (
+    POINT_ANALYTIC_MEAN,
+    EngineOptions,
+    _draw_increase,
+    analytic_mean_increase,
+    empirical_quantile,
+)
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -65,11 +71,12 @@ def _model_equation(target: Target, size: float, base: float, increase):
 
     Defect content is (size * DD_base) * (1 + DDIF); effectiveness is
     Eff_base * (1 + EIF), clipped to at most 1.  ``increase`` is a float,
-    which gives a float, or a sample array, which gives a new array
-    transformed in place without further temporaries.
+    which gives a float, or a sample array, which is transformed in place
+    and returned: the caller's array holds the result.
     """
     scale = size * base if target == Target.DEFECT_CONTENT else base
-    value = 1.0 + increase
+    value = increase
+    value += 1.0
     value *= scale
     if target == Target.EFFECTIVENESS:
         if isinstance(value, float):
@@ -90,22 +97,20 @@ def _predict(
     options: EngineOptions,
     probs: Sequence[float],
 ) -> Prediction:
-    import numpy as np
-
-    if factors:
-        result = increase_distribution(
-            factors, triangles, spec.levels, target, options
-        )
-        increase_point = result.point
-        increase_samples = result.samples
-    else:
-        increase_point = 0.0
-        increase_samples = np.zeros(options.n_samples)
-    samples = _model_equation(target, spec.size, base, increase_samples)
+    samples = _draw_increase(factors, triangles, spec.levels, target, options)
+    _model_equation(target, spec.size, base, samples)
     samples.sort()
+    if options.point == POINT_ANALYTIC_MEAN:
+        mean = analytic_mean_increase(factors, triangles, spec.levels, target)
+        point = _model_equation(target, spec.size, base, mean)
+    else:
+        # The model equation is nondecreasing in the increase and does the
+        # same IEEE operations on floats and arrays, so the median of the
+        # predictions is the prediction of the increase median, bit for bit.
+        point = empirical_quantile(samples, 0.5)
     return Prediction(
         target=target,
-        point=_model_equation(target, spec.size, base, increase_point),
+        point=point,
         quantiles={p: empirical_quantile(samples, p) for p in probs},
         n_samples=options.n_samples,
         seed=options.seed,

@@ -15,16 +15,21 @@ from (seed, target, factor id), so results do not depend on factor
 declaration order and factors can be sampled in parallel.
 
 A factor's mixture draw is one gather-and-block kernel, ``_add_mixture``.
-It draws every expert index at full length first.  Each expert's
-triangle is split into two pieces, left and right of its mode, with one
-entry per piece in a few small parameter arrays.  The kernel walks the
-samples in blocks of ``_BLOCK``, small enough to stay in cache.  In each
-block it draws the block's uniforms, picks every sample's piece from its
-expert index and uniform, gathers that piece's parameters, evaluates the
+It first draws every expert index, a block at a time, into a
+full-length array of the smallest unsigned type that holds them: one
+byte per sample up to 256 experts.  Each expert's triangle is split
+into two pieces, left and right of its mode, with one entry per piece
+in a few small parameter arrays.  The kernel walks the samples in
+blocks of ``_BLOCK``, small enough to stay in cache.  In each block it
+draws the block's uniforms, picks every sample's piece from its expert
+index and uniform, gathers that piece's parameters, evaluates the
 piece's inverse CDF, scales it by the level weight and adds it into the
 running sum in place.  Gathering, instead of masking the draws expert by
 expert, avoids the mispredicted branches of boolean compress and
-scatter, and no full-length temporary is made beyond the index array.
+scatter.  Every block writes into work buffers of one block's length
+that its range allocates once, so a prediction holds one full-length
+float64 array, its samples, plus the one-byte indices of the factor
+being drawn.
 
 The blocks of one factor are cut into one contiguous range per CPU
 (never more ranges than blocks), and the ranges run on threads: numpy
@@ -32,12 +37,16 @@ releases the interpreter lock in the random fills and the ufuncs.  The
 uniforms stay the ones a single full-length ``random(n)`` call after the
 indices would give.  ``Generator.random`` turns exactly one 64-bit PCG64
 output into one double and buffers nothing, so uniform ``i`` is output
-``i`` after the index draw, whichever call produces it.  The first range
-draws from the factor's own generator; every other range copies that
-generator's state right after the index draw and calls
-``PCG64.advance(start)``, where ``start`` is the range's first sample.
-(The index draw itself cannot be split: its rejection sampling consumes
-a variable number of outputs.)  Each element is still summed over the
+``i`` after the index draw, whichever call produces it.  The indices
+are drawn as int32, block by block: bounded integers below 2**32 take
+the same 32-bit Lemire draws whatever the dtype, and the generator
+keeps its spare 32-bit half between calls, so the blocks give the
+values, and leave the state, of one full-length ``integers(0, k, n)``
+call.  The first range draws from the factor's own generator; every
+other range copies that generator's state right after the index draw
+and calls ``PCG64.advance(start)``, where ``start`` is the range's
+first sample.  (The index draw itself cannot be split across ranges:
+its rejection sampling consumes a variable number of outputs.)  Each element is still summed over the
 factors in the same order, so every sample keeps its bits.
 
 numpy is imported inside the functions that draw or hold samples, so
@@ -47,7 +56,6 @@ without loading numpy.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -80,8 +88,10 @@ class EngineOptions:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        if not (_is_int(self.n_samples) and self.n_samples >= 1):
+            raise ValueError(
+                f"n_samples must be an integer >= 1, got {self.n_samples!r}"
+            )
         if self.point not in (POINT_ANALYTIC_MEAN, POINT_MC_MEDIAN):
             raise ValueError(f"unknown point strategy {self.point!r}")
 
@@ -131,16 +141,36 @@ def _piece_table(triangles: Sequence[ExpertTriangle]) -> np.ndarray:
     return np.ascontiguousarray(np.array(rows).T)
 
 
-def _inverse_cdf(table: np.ndarray, idx, u):
-    """Inverse CDF of triangle ``idx`` at ``u`` in [0, 1], per element."""
+def _buffers(shape) -> tuple:
+    """Work arrays of ``_inverse_cdf``: piece, side, scratch and result."""
+    import numpy as np
+
+    return (np.empty(shape, np.intp), np.empty(shape, bool), np.empty(shape),
+            np.empty(shape))
+
+
+def _inverse_cdf(table: np.ndarray, idx, u, buffers):
+    """Inverse CDF of triangle ``idx`` at ``u`` in [0, 1], per element.
+
+    Works in ``buffers`` (from ``_buffers``, of ``u``'s shape) and
+    returns its result array.
+    """
     import numpy as np
 
     split, offset, width, span, sign, base = table
-    left = 2 * idx
-    piece = left + (u >= split[left])
-    return base[piece] + sign[piece] * np.sqrt(
-        np.abs(offset[piece] - u) * width[piece] * span[piece]
-    )
+    piece, side, scratch, out = buffers
+    # Widen before doubling: a uint8 index doubled in uint8 wraps at 128.
+    # Pieces are in range by construction; mode="raise" would copy ``out``.
+    np.multiply(idx, 2, out=piece, dtype=np.intp)
+    np.greater_equal(u, np.take(split, piece, out=scratch, mode="clip"), out=side)
+    piece += side
+    np.subtract(np.take(offset, piece, out=scratch, mode="clip"), u, out=scratch)
+    np.abs(scratch, out=scratch)
+    scratch *= np.take(width, piece, out=out, mode="clip")
+    scratch *= np.take(span, piece, out=out, mode="clip")
+    np.sqrt(scratch, out=scratch)
+    np.multiply(np.take(sign, piece, out=out, mode="clip"), scratch, out=scratch)
+    return np.add(np.take(base, piece, out=out, mode="clip"), scratch, out=out)
 
 
 def triangle_inverse_cdf(tri: ExpertTriangle, u):
@@ -151,7 +181,8 @@ def triangle_inverse_cdf(tri: ExpertTriangle, u):
     import numpy as np
 
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    out = _inverse_cdf(_piece_table([tri]), np.zeros(u.shape, dtype=np.intp), u)
+    out = _inverse_cdf(_piece_table([tri]), np.zeros(u.shape, dtype=np.intp), u,
+                       _buffers(u.shape))
     return out if u.ndim else float(out)
 
 
@@ -164,6 +195,8 @@ def _factor_rng(seed: int, target: Target, factor_id: str) -> np.random.Generato
     # Stable across runs and processes: the stream depends only on
     # (seed, target, factor_id), never on iteration order.  PCG64 is
     # named, not left to default_rng, because _add_mixture advances it.
+    import hashlib
+
     import numpy as np
 
     digest = hashlib.sha256(f"{target.value}:{factor_id}".encode()).digest()
@@ -220,8 +253,13 @@ def _add_mixture(
     ``rng`` must be PCG64-backed.  The draws are those of
     ``rng.integers(0, k, n)`` followed by ``rng.random(n)``.
     """
-    n = samples.size
-    idx = rng.integers(0, len(triangles), size=n)
+    import numpy as np
+
+    n, k = samples.size, len(triangles)
+    idx = np.empty(n, np.min_scalar_type(k - 1))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        idx[start:stop] = rng.integers(0, k, size=stop - start, dtype=np.int32)
     table = _piece_table(triangles)
     blocks = -(-n // _BLOCK)
     ranges = min(_cpus(), blocks)
@@ -230,10 +268,15 @@ def _add_mixture(
     gens = [rng] + [_advanced(rng, start) for start in starts[1:]]
 
     def run(gen, lo, hi):
+        length = min(_BLOCK, hi - lo)
+        u, buffers = np.empty(length), _buffers(length)
         for start in range(lo, hi, _BLOCK):
-            block = slice(start, min(start + _BLOCK, hi))
-            u = gen.random(block.stop - start)
-            samples[block] += weight * _inverse_cdf(table, idx[block], u)
+            size = min(_BLOCK, hi - start)
+            gen.random(out=u[:size])
+            x = _inverse_cdf(table, idx[start:start + size], u[:size],
+                             [b[:size] for b in buffers])
+            x *= weight
+            samples[start:start + size] += x
 
     jobs = list(zip(gens, starts, starts[1:] + [n]))
     futures = [_pool().submit(run, *job) for job in jobs[1:]]
@@ -286,6 +329,33 @@ def analytic_mean_increase(
     return total
 
 
+def _draw_increase(
+    factors: Sequence[InfluenceFactor],
+    triangles: Sequence[ExpertTriangle],
+    levels: Mapping[str, int],
+    target: Target,
+    options: EngineOptions,
+) -> np.ndarray:
+    """Fresh, writable increase samples in draw order.
+
+    Each sample is the sum over active factors of (level/3) times an
+    independent expert-mixture draw.
+    """
+    import numpy as np
+
+    grouped = _triangles_by_factor(factors, triangles, target)
+    samples = np.zeros(options.n_samples)
+    for factor in sorted(factors, key=lambda f: f.id):
+        if factor.id not in levels:
+            raise MissingLevelError(f"no level for factor {factor.id!r}")
+        weight = levels[factor.id] / 3.0
+        if weight == 0.0:
+            continue  # own RNG stream, skipping cannot shift other factors
+        rng = _factor_rng(options.seed, target, factor.id)
+        _add_mixture(samples, grouped[factor.id], weight, rng)
+    return samples
+
+
 def increase_distribution(
     factors: Sequence[InfluenceFactor],
     triangles: Sequence[ExpertTriangle],
@@ -301,23 +371,13 @@ def increase_distribution(
     """
     import numpy as np
 
-    grouped = _triangles_by_factor(factors, triangles, target)
-    n = options.n_samples
-    samples = np.zeros(n)
-    for factor in sorted(factors, key=lambda f: f.id):
-        if factor.id not in levels:
-            raise MissingLevelError(f"no level for factor {factor.id!r}")
-        weight = levels[factor.id] / 3.0
-        if weight == 0.0:
-            continue  # own RNG stream, skipping cannot shift other factors
-        rng = _factor_rng(options.seed, target, factor.id)
-        _add_mixture(samples, grouped[factor.id], weight, rng)
+    samples = _draw_increase(factors, triangles, levels, target, options)
     mean = analytic_mean_increase(factors, triangles, levels, target)
     if options.point == POINT_ANALYTIC_MEAN:
         point = mean
     else:
         # The nearest-rank median of empirical_quantile, by selection.
-        k = math.ceil(0.5 * n) - 1
+        k = math.ceil(0.5 * samples.size) - 1
         point = float(np.partition(samples, k)[k])
     samples.setflags(write=False)
     return IncreaseResult(

@@ -1,3 +1,4 @@
+import contextlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from defectcast import (
     accuracy_metrics,
     load_bundle,
     make_synthetic_bundle,
+    sampling,
 )
 
 EXAMPLE_BUNDLE = Path(__file__).parent.parent / "demos" / "data" / "example_bundle.json"
@@ -59,6 +61,19 @@ def make_dominant_factor_bundle(seed=0, n_releases=10):
         n_releases=n_releases,
         dc_impacts=((0.40, 0.60, 0.90), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
     )
+
+
+@contextlib.contextmanager
+def cut_into(workers):
+    """Cut each draw into up to ``workers`` ranges, on a pool of its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_cpus", lambda: workers)
+        mp.setattr(sampling, "_POOL", None)
+        try:
+            yield
+        finally:
+            if sampling._POOL is not None:
+                sampling._POOL.shutdown()
 
 
 def triangle_cdf(a, m, b, x):

@@ -553,8 +553,9 @@ class TestColdStart:
         )
         assert _fresh_process(probe) == "0 False 1"
 
-    # numpy costs about 0.15 s of a 0.35 s command: only commands that draw
-    # samples may load it.
+    # numpy costs about 0.15 s of a 0.35 s command, and OpenSSL's _hashlib,
+    # which seeds the draw streams, about 4 ms: only commands that draw
+    # samples may load them.
     @pytest.mark.parametrize("command,loads_numpy", [
         (("check",), False),
         (("rank", "--target", "effectiveness"), False),
@@ -568,8 +569,10 @@ class TestColdStart:
             "predict", "calibrate-mc-median"])
     def test_numpy_only_where_samples_are_drawn(self, command, loads_numpy):
         argv = [command[0], "--bundle", EXAMPLE_BUNDLE, *command[1:]]
-        probe = _main_probe(argv, "code, 'numpy' in sys.modules")
-        assert _fresh_process(probe) == f"0 {loads_numpy}"
+        probe = _main_probe(
+            argv, "code, 'numpy' in sys.modules, '_hashlib' in sys.modules"
+        )
+        assert _fresh_process(probe) == f"0 {loads_numpy} {loads_numpy}"
 
     def test_package_import_loads_every_layer_without_numpy(self):
         # The benchmark's tracer reads each layer from sys.modules after

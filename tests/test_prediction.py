@@ -1,20 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectcast import (
+    CalibratedContext,
     EngineOptions,
     NewReleaseSpec,
     NoEffectivenessHistoryError,
+    Prediction,
     Target,
     calibrate,
     defect_content,
     effectiveness,
+    empirical_quantile,
+    increase_distribution,
+    load_bundle,
     predict_defect_content,
     predict_defects_found,
     predict_effectiveness,
 )
 
-from conftest import make_factor, make_release, make_triangle
+from defectcast.sampling import _BLOCK
+
+from conftest import EXAMPLE_BUNDLE, cut_into, make_factor, make_release, make_triangle
 
 DC_F = make_factor("D1")
 EFF_F = make_factor("E1", Target.EFFECTIVENESS)
@@ -159,3 +170,106 @@ class TestPredictDefectsFound:
         dc = predict_defect_content(ctx, spec, [DC_F], TRIS)
         eff = predict_effectiveness(ctx, spec, [EFF_F], TRIS)
         assert predict_defects_found(dc, eff) == dc.point * eff.point
+
+
+def reference_predict(target, base, spec, factors, triangles, options, probs):
+    """The prediction body before it drew into one array: the increase
+    distribution, the model equation on its point, and a transformed,
+    sorted copy of its samples for the quantiles."""
+    if factors:
+        result = increase_distribution(
+            factors, triangles, spec.levels, target, options
+        )
+        increase_point, increase_samples = result.point, result.samples
+    else:
+        increase_point, increase_samples = 0.0, np.zeros(options.n_samples)
+    scale = spec.size * base if target == Target.DEFECT_CONTENT else base
+    point = (1.0 + increase_point) * scale
+    samples = (1.0 + increase_samples) * scale
+    if target == Target.EFFECTIVENESS:
+        point = min(point, 1.0)
+        samples = np.minimum(samples, 1.0)
+    samples.sort()
+    return Prediction(
+        target=target,
+        point=point,
+        quantiles={p: empirical_quantile(samples, p) for p in probs},
+        n_samples=options.n_samples,
+        seed=options.seed,
+    )
+
+
+@st.composite
+def prediction_cases(draw):
+    """A target with 0 to 3 active factors of 1 to 3 experts each, and a
+    base and size.  Effectiveness bases near 1 with increases up to 1 put
+    mass on the clip at 1."""
+    target = draw(st.sampled_from(list(Target)))
+    prefix = "D" if target == Target.DEFECT_CONTENT else "E"
+    factors, triangles, levels = [], [], {}
+    for i in range(draw(st.integers(0, 3))):
+        fid = f"{prefix}{i + 1}"
+        factors.append(make_factor(fid, target))
+        levels[fid] = draw(st.integers(0, 3))
+        for j in range(draw(st.integers(1, 3))):
+            a, m, b = sorted(draw(st.floats(0, 1)) for _ in range(3))
+            triangles.append(make_triangle(fid, a, m, b, target=target,
+                                           expert=f"X{j}"))
+    if target == Target.DEFECT_CONTENT:
+        base = draw(st.floats(0.01, 2.0))
+    else:
+        base = draw(st.floats(0.3, 1.0))
+    spec = NewReleaseSpec(size=draw(st.floats(1.0, 1e4)), levels=levels)
+    options = EngineOptions(
+        n_samples=draw(st.sampled_from([1, 2, _BLOCK + 1])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        point=draw(st.sampled_from(["analytic-mean", "mc-median"])),
+    )
+    return target, base, spec, factors, triangles, options
+
+
+def hexed(pred):
+    return (pred.point.hex(), {p: v.hex() for p, v in pred.quantiles.items()},
+            pred.n_samples, pred.seed)
+
+
+class TestAgainstReferencePrediction:
+    PROBS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=prediction_cases())
+    def test_bit_identical_to_reference(self, case):
+        target, base, spec, factors, triangles, options = case
+        ctx = CalibratedContext({}, dd_base_median=base, eff_base_median=base,
+                                included_ids=("R",))
+        predict = (predict_defect_content if target == Target.DEFECT_CONTENT
+                   else predict_effectiveness)
+        got = predict(ctx, spec, factors, triangles, options, self.PROBS)
+        expected = reference_predict(target, base, spec, factors, triangles,
+                                     options, self.PROBS)
+        assert hexed(got) == hexed(expected)
+
+
+class TestMemory:
+    def test_one_sample_array_per_prediction(self):
+        # numpy reports its buffers to tracemalloc.  A prediction may hold
+        # its float64 samples, one byte of expert index per sample and,
+        # per range, a few buffers of one kernel block.
+        n, ranges = 10**6, 2
+        bundle = load_bundle(EXAMPLE_BUNDLE)
+        factors = bundle.factors_for(Target.DEFECT_CONTENT)
+        ctx = CalibratedContext({}, dd_base_median=0.3, eff_base_median=None,
+                                included_ids=("R",))
+        spec = NewReleaseSpec(size=130, levels={f.id: 3 for f in factors})
+        options = EngineOptions(n_samples=n, point="mc-median")
+        with cut_into(ranges):
+            predict_defect_content(ctx, spec, factors, bundle.quantifications,
+                                   options)  # warm-up: pool threads, imports
+            tracemalloc.start()
+            try:
+                predict_defect_content(ctx, spec, factors,
+                                       bundle.quantifications, options)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * n + n + ranges * 48 * _BLOCK

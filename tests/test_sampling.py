@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import math
 import multiprocessing
@@ -27,7 +26,9 @@ from defectcast import (
 from defectcast import load_bundle, sampling
 from defectcast.sampling import _BLOCK, _add_mixture
 
-from conftest import EXAMPLE_BUNDLE, make_factor, make_triangle, triangle_cdf
+from conftest import (
+    EXAMPLE_BUNDLE, cut_into, make_factor, make_triangle, triangle_cdf,
+)
 
 
 def ordered_triple(draw_min=0.0, draw_max=1.0):
@@ -120,6 +121,11 @@ class TestEngineOptions:
     def test_seed_must_be_a_non_negative_int(self, seed):
         with pytest.raises(ValueError, match="seed must be"):
             EngineOptions(seed=seed)
+
+    @pytest.mark.parametrize("n", [0, -1, True, False, 1.5, 1e6, "10", None])
+    def test_n_samples_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            EngineOptions(n_samples=n)
 
 
 FACTOR = make_factor("D1")
@@ -247,19 +253,6 @@ def triangles_with_ties():
     ])
 
 
-@contextlib.contextmanager
-def cut_into(workers):
-    """Cut each draw into up to ``workers`` ranges, on a pool of its own."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling, "_cpus", lambda: workers)
-        mp.setattr(sampling, "_POOL", None)
-        try:
-            yield
-        finally:
-            if sampling._POOL is not None:
-                sampling._POOL.shutdown()
-
-
 def draw_two_ranges():
     _add_mixture(np.zeros(2 * _BLOCK), [make_triangle()], 1.0,
                  np.random.default_rng(0))
@@ -296,6 +289,36 @@ class TestMixtureKernel:
             assert np.array_equal(
                 got.view(np.int64), expected.view(np.int64)
             ), f"{workers} ranges"
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        k=st.sampled_from([129, 256, 257, 300]),
+        n=st.sampled_from([1, 2 * _BLOCK // 3 + 1, _BLOCK - 1, _BLOCK + 1,
+                           3 * _BLOCK + 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_many_experts_match_full_length_int64_indices(self, k, n, seed):
+        # The reference draws all n indices as int64 in one call.  Above
+        # 128 experts a one-byte index doubled in one byte wraps; above
+        # 256 the indices need two bytes.  Distinct triangles make a
+        # wrong piece show in the samples.
+        triangles = [make_triangle(a=j / 1000, m=j / 700, b=j / 500,
+                                   expert=f"X{j}") for j in range(k)]
+        reference = np.random.default_rng(seed)
+        expected = reference_mixture(triangles, n, reference)
+        for workers in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            got = np.zeros(n)
+            with cut_into(workers):
+                _add_mixture(got, triangles, 1.0, rng)
+            assert np.array_equal(
+                got.view(np.int64), expected.view(np.int64)
+            ), f"{workers} ranges"
+            if workers == 1:
+                # One range draws every uniform from ``rng`` itself; with
+                # more, the ranges advance copies by the offsets the index
+                # draw left, which the samples above already check.
+                assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_more_ranges_than_cores_under_fast_switching(self):
         triangles = [make_triangle(a=0.1, m=0.2, b=0.4),
