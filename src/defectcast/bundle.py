@@ -8,10 +8,8 @@ Triangle values are stored as fractions (0.15 means "15% more defects").
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,19 +21,18 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _Record,
     aggregate_rankings,
 )
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(_Record):
     entity: str
     field: str
     message: str
 
 
-@dataclass(frozen=True)
-class ContextBundle:
+class ContextBundle(_Record):
     """All inputs of one estimation context."""
 
     factors: tuple[InfluenceFactor, ...]
@@ -84,9 +81,9 @@ class ContextBundle:
         """Copy of the bundle with the given releases marked excluded."""
         ids = set(ids)
         releases = tuple(
-            replace(r, excluded=r.excluded or r.id in ids) for r in self.releases
+            r._replace(excluded=r.excluded or r.id in ids) for r in self.releases
         )
-        return replace(self, releases=releases)
+        return self._replace(releases=releases)
 
 
 _JSON_KINDS = {
@@ -158,7 +155,9 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
         t: {f.id for f in factors if f.target == t} for t in Target
     }
 
+    # A second estimate or ranking by one expert would double their weight.
     triangles: list[ExpertTriangle] = []
+    by_expert: set[tuple] = set()
     for i, q in _objects(raw, "quantifications", "quantification", errors):
         entity = f"quantification:{q.get('expert', '?')}/{q.get('factor_id', f'#{i}')}"
         try:
@@ -180,6 +179,10 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
                     f"unknown factor {tri.factor_id!r} for target {tri.target.value}",
                 )
             )
+        key = (tri.expert, tri.factor_id, tri.target)
+        if key in by_expert:
+            errors.append(ValidationIssue(entity, "expert", "duplicate estimate"))
+        by_expert.add(key)
         triangles.append(tri)
 
     rankings: list[FactorRanking] = []
@@ -199,6 +202,9 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
                 errors.append(
                     ValidationIssue(entity, "ranks", f"unknown factor {fid!r}")
                 )
+        if (ranking.expert, ranking.target) in by_expert:
+            errors.append(ValidationIssue(entity, "expert", "duplicate ranking"))
+        by_expert.add((ranking.expert, ranking.target))
         rankings.append(ranking)
 
     releases: list[ReleaseRecord] = []
@@ -348,6 +354,8 @@ def _round6(value):
 
 
 def _payload_to_csv(payload: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     kind = payload.get("report")

@@ -11,8 +11,6 @@ values are the medians over the included releases.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import NoUsableHistoryError, UndefinedEffectivenessError
@@ -21,6 +19,8 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _median,
+    _Record,
     defect_content,
     defect_density,
     effectiveness,
@@ -34,8 +34,7 @@ from .sampling import (
 )
 
 
-@dataclass(frozen=True)
-class ReleaseCalibration:
+class ReleaseCalibration(_Record):
     release_id: str
     ddif_point: float
     eif_point: float
@@ -43,8 +42,7 @@ class ReleaseCalibration:
     eff_base: float | None  # absent for defect-free releases (0/0)
 
 
-@dataclass(frozen=True)
-class CalibratedContext:
+class CalibratedContext(_Record):
     per_release: Mapping[str, ReleaseCalibration]
     dd_base_median: float
     eff_base_median: float | None
@@ -133,9 +131,9 @@ def calibrate(
             eff_base=eff_base,
         )
     ordered = sorted(per_release.values(), key=lambda c: c.release_id)
-    dd_median = float(statistics.median([c.dd_base for c in ordered]))
+    dd_median = float(_median([c.dd_base for c in ordered]))
     eff_values = [c.eff_base for c in ordered if c.eff_base is not None]
-    eff_median = float(statistics.median(eff_values)) if eff_values else None
+    eff_median = float(_median(eff_values)) if eff_values else None
     return CalibratedContext(
         per_release=per_release,
         dd_base_median=dd_median,
@@ -144,8 +142,7 @@ def calibrate(
     )
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
+class DescriptiveStats(_Record):
     per_release: Mapping[str, dict]
     flagged: tuple[tuple[str, str, str], ...]  # (release_id, measure, reason)
 

@@ -6,9 +6,7 @@ ablation, and the growing-history simulation.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bundle import ContextBundle
@@ -22,6 +20,8 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _median,
+    _Record,
     defect_content,
     effectiveness,
 )
@@ -47,8 +47,7 @@ _BASELINE_TARGETS = {
 _RANK_SCALE = 1e12
 
 
-@dataclass(frozen=True)
-class AccuracyCase:
+class AccuracyCase(_Record):
     release_id: str
     predicted: float
     actual: float
@@ -56,8 +55,7 @@ class AccuracyCase:
     mre: float
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(_Record):
     model_name: str
     cases: tuple[AccuracyCase, ...]
     mmre: float
@@ -229,15 +227,14 @@ def loocv(
         points, bases = _fitted(bundle, releases, target, active, options)
     cases = []
     for i, release in enumerate(releases):
-        base = statistics.median(bases[:i] + bases[i + 1:])
+        base = _median(bases[:i] + bases[i + 1:])
         predicted = _model_equation(target, sizes[i], base, points[i])
         cases.append((predicted, _actual(release, target)))
     ids = [r.id for r in releases]
     return accuracy_metrics(cases, thresholds, ids, model_name=model)
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(_Record):
     w_plus: float
     w_minus: float
     n_effective: int
@@ -359,8 +356,7 @@ def ablation_curve(
     return out
 
 
-@dataclass(frozen=True)
-class HistoryStep:
+class HistoryStep(_Record):
     history_size: int
     predicted_release_id: str
     predicted: float
@@ -396,7 +392,7 @@ def history_simulation(
     steps = []
     for m in range(start_m, len(releases)):
         nxt = releases[m]
-        base = statistics.median(bases[:m])
+        base = _median(bases[:m])
         predicted = _model_equation(target, nxt.size, base, points[m])
         actual = _actual(nxt, target)
         if actual == 0:

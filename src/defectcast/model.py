@@ -14,8 +14,6 @@ context best case; each factor is rated on a four-level ordinal scale.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -27,6 +25,55 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _median(values):
+    """``statistics.median``: the middle value, or the mean of the middle two."""
+    data = sorted(values)
+    i = len(data) // 2
+    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
+
+
+class _Record:
+    """Immutable record of the annotated fields; a class attribute is a default."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: use _replace")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        """A new record with ``changes`` applied, checked like a new one."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
 class Target(str, Enum):
     """What an influence factor (or an estimate) acts on."""
 
@@ -34,8 +81,7 @@ class Target(str, Enum):
     EFFECTIVENESS = "effectiveness"
 
 
-@dataclass(frozen=True)
-class InfluenceFactor:
+class InfluenceFactor(_Record):
     """A named driver of defect content or QA effectiveness.
 
     ``levels`` holds exactly four ordered level descriptions: index 0 is
@@ -60,8 +106,7 @@ class InfluenceFactor:
         object.__setattr__(self, "target", Target(self.target))
 
 
-@dataclass(frozen=True)
-class ExpertTriangle:
+class ExpertTriangle(_Record):
     """One expert's (min, most-likely, max) relative-increase estimate.
 
     Values are unitless fractions relative to the context best case:
@@ -96,8 +141,7 @@ class ExpertTriangle:
         return (self.minimum + self.most_likely + self.maximum) / 3.0
 
 
-@dataclass(frozen=True)
-class FactorRanking:
+class FactorRanking(_Record):
     """One expert's importance ranking of the factors for one target.
 
     Rank 1 marks the most important factor; ranks run from 1 to the
@@ -119,8 +163,7 @@ class FactorRanking:
                 )
 
 
-@dataclass(frozen=True)
-class ReleaseRecord:
+class ReleaseRecord(_Record):
     """A historical release with its measurements and characterization.
 
     ``size`` is whatever size proxy the context uses (e.g. the number of
@@ -179,8 +222,7 @@ def effectiveness(release: ReleaseRecord) -> float:
     return release.defects_found / dc
 
 
-@dataclass(frozen=True)
-class RankedFactor:
+class RankedFactor(_Record):
     factor_id: str
     mean_rank: float
     median_rank: float
@@ -220,8 +262,8 @@ def aggregate_rankings(
         out.append(
             RankedFactor(
                 factor_id=fid,
-                mean_rank=statistics.fmean(values),
-                median_rank=float(statistics.median(values)),
+                mean_rank=math.fsum(values) / len(values),
+                median_rank=float(_median(values)),
             )
         )
     out.sort(key=lambda f: (f.mean_rank, f.median_rank, f.factor_id))

@@ -8,12 +8,11 @@ estimate sampling only; the base-value medians are held fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
-from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
+from .model import ExpertTriangle, InfluenceFactor, Target, _is_int, _Record
 from .sampling import (
     POINT_ANALYTIC_MEAN,
     EngineOptions,
@@ -25,8 +24,7 @@ from .sampling import (
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
-@dataclass(frozen=True)
-class NewReleaseSpec:
+class NewReleaseSpec(_Record):
     """Size and factor characterization of the release to predict."""
 
     size: float
@@ -44,8 +42,7 @@ class NewReleaseSpec:
                 )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(_Record):
     target: Target
     point: float
     quantiles: Mapping[float, float]

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
@@ -66,7 +65,7 @@ from .errors import (
     MissingLevelError,
     MissingQuantificationError,
 )
-from .model import ExpertTriangle, InfluenceFactor, Target, _is_int
+from .model import ExpertTriangle, InfluenceFactor, Target, _is_int, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,8 +74,7 @@ POINT_ANALYTIC_MEAN = "analytic-mean"
 POINT_MC_MEDIAN = "mc-median"
 
 
-@dataclass(frozen=True)
-class EngineOptions:
+class EngineOptions(_Record):
     """Sampling configuration shared by calibration and prediction."""
 
     n_samples: int = 10_000
@@ -96,8 +94,7 @@ class EngineOptions:
             raise ValueError(f"unknown point strategy {self.point!r}")
 
 
-@dataclass(frozen=True)
-class IncreaseResult:
+class IncreaseResult(_Record):
     """DDIF or EIF distribution for one release characterization.
 
     ``samples`` is a read-only float64 array in draw order.
@@ -299,6 +296,8 @@ def _triangles_by_factor(
         if tri.target == target and tri.factor_id in grouped:
             grouped[tri.factor_id].append(tri)
     for fid, tris in grouped.items():
+        # Expert order, not file order, decides each expert's mixture index.
+        tris.sort(key=lambda t: t.expert)
         if not tris:
             raise MissingQuantificationError(
                 f"factor {fid!r} has no impact estimate for target "

@@ -177,6 +177,35 @@ class TestLoadBundle:
             ValidationIssue("active_factors", "defect_content", "duplicate factor 'D1'")
         ]
 
+    def test_repeated_expert_estimate_rejected(self, tmp_path):
+        # A second triangle would double the expert's weight in the mixture.
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["quantifications"].append(dict(doc["quantifications"][0], max=0.3))
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [
+            ValidationIssue("quantification:X1/D1", "expert", "duplicate estimate")
+        ]
+
+    def test_repeated_expert_ranking_rejected(self, tmp_path):
+        # A second ranking would double the expert's vote.
+        doc = json.loads(json.dumps(MINIMAL))
+        vote = {"expert": "X1", "target": "defect_content", "ranks": {"D1": 1}}
+        doc["rankings"] = [vote, dict(vote)]
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [
+            ValidationIssue("ranking:X1", "expert", "duplicate ranking")
+        ]
+
+    def test_loaded_records_are_immutable(self, example_bundle):
+        with pytest.raises(AttributeError):
+            example_bundle.releases[0].size = 1.0
+        with pytest.raises(AttributeError):
+            example_bundle.quantifications[0].maximum = 9.0
+        with pytest.raises(AttributeError):
+            example_bundle.releases = ()
+
     def test_both_target_name_warns(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["factors"].append(

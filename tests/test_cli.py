@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import defectcast
@@ -512,6 +512,60 @@ class TestArgvGrammar:
             assert stdout.getvalue() == "", argv
 
 
+# Reports of the example bundle whose inputs are all order-sensitive in
+# principle: expert mixtures, rankings and per-release levels.
+_ORDER_RUNS = [
+    ["calibrate"],
+    ["predict", "--size", "130", "--levels", TestPredict.LEVELS],
+    ["crossval"],
+    ["crossval", "--target", "effectiveness"],
+    ["historysim"],
+]
+
+
+def _order_reports(doc, path) -> list[str]:
+    """stdout of every order run on ``doc``, under both point strategies."""
+    path.write_text(json.dumps(doc))
+    reports = []
+    for argv in _ORDER_RUNS:
+        for point in ("analytic-mean", "mc-median"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([*argv, "--bundle", str(path), "--point", point]) == 0
+            reports.append(stdout.getvalue())
+    return reports
+
+
+class TestOrderIndependence:
+    # Shrinking permutations of 40 triangles takes minutes; a failure
+    # reports the first shuffled bundle instead.
+    @settings(deadline=None, max_examples=20, phases=[Phase.reuse, Phase.generate])
+    @given(data=st.data(), with_active=st.booleans())
+    def test_entry_and_key_order_leave_reports_unchanged(
+        self, tmp_path_factory, data, with_active
+    ):
+        # Release order is chronological, so it alone stays as it is.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        if with_active:
+            doc["active_factors"] = {
+                "defect_content": ["D1", "D3", "D4"], "effectiveness": ["E2", "E5"],
+            }
+        base = tmp_path_factory.getbasetemp()
+        expected = _order_reports(doc, base / "ordered.json")
+
+        def shuffled(items):
+            return data.draw(st.permutations(list(items)))
+
+        for section in ("factors", "quantifications", "rankings"):
+            doc[section] = shuffled(doc[section])
+        for release in doc["releases"]:
+            release["levels"] = dict(shuffled(release["levels"].items()))
+        if with_active:
+            doc["active_factors"] = dict(shuffled(doc["active_factors"].items()))
+        assert _order_reports(doc, base / "shuffled.json") == expected
+
+
 def _fresh_process(probe: str) -> str:
     """stdout of ``probe`` run in a new interpreter on this package."""
     src = Path(defectcast.__file__).resolve().parent.parent
@@ -553,9 +607,10 @@ class TestColdStart:
         )
         assert _fresh_process(probe) == "0 False 1"
 
-    # numpy costs about 0.15 s of a 0.35 s command, and OpenSSL's _hashlib,
-    # which seeds the draw streams, about 4 ms: only commands that draw
-    # samples may load them.
+    # numpy costs about 0.15 s of a 0.35 s command, OpenSSL's _hashlib,
+    # which seeds the draw streams, about 4 ms, and inspect, which numpy
+    # imports, about 6 ms: only commands that draw samples may load them.
+    # No command loads dataclasses, statistics or csv (about 5 ms together).
     @pytest.mark.parametrize("command,loads_numpy", [
         (("check",), False),
         (("rank", "--target", "effectiveness"), False),
@@ -569,10 +624,13 @@ class TestColdStart:
             "predict", "calibrate-mc-median"])
     def test_numpy_only_where_samples_are_drawn(self, command, loads_numpy):
         argv = [command[0], "--bundle", EXAMPLE_BUNDLE, *command[1:]]
+        unused = ("dataclasses", "statistics", "csv")
         probe = _main_probe(
-            argv, "code, 'numpy' in sys.modules, '_hashlib' in sys.modules"
+            argv, "code, 'numpy' in sys.modules, '_hashlib' in sys.modules, "
+            f"'inspect' in sys.modules, [m for m in {unused!r} if m in sys.modules]"
         )
-        assert _fresh_process(probe) == f"0 {loads_numpy} {loads_numpy}"
+        expected = f"0 {loads_numpy} {loads_numpy} {loads_numpy} []"
+        assert _fresh_process(probe) == expected
 
     def test_package_import_loads_every_layer_without_numpy(self):
         # The benchmark's tracer reads each layer from sys.modules after

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -120,7 +118,7 @@ def bundle_of(*releases):
     return ContextBundle(
         factors=(make_factor("D1"),),
         quantifications=(make_triangle("D1"),),
-        releases=tuple(replace(r, levels={"D1": 0}) for r in releases),
+        releases=tuple(r._replace(levels={"D1": 0}) for r in releases),
     )
 
 

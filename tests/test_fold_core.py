@@ -8,7 +8,6 @@ baselines have their own per-fold reference: the medians of the fold's
 history that ``loocv`` used to take for them.
 """
 
-import dataclasses
 import hashlib
 import statistics
 
@@ -163,8 +162,8 @@ def variants(draw):
     )
     ids = [r.id for r in bundle.releases]
     defect_free = draw(st.sets(st.sampled_from(ids), max_size=2))
-    bundle = dataclasses.replace(bundle, releases=tuple(
-        dataclasses.replace(r, defects_found=0.0, defects_slipped=0.0)
+    bundle = bundle._replace(releases=tuple(
+        r._replace(defects_found=0.0, defects_slipped=0.0)
         if r.id in defect_free else r
         for r in bundle.releases
     ))
@@ -242,7 +241,7 @@ def rendered(kind, target, options):
         return "".join(render_report(curve[k]) for k in sorted(curve))
     if kind == "history":
         steps = history_simulation(bundle, 4, target, options)
-        return render_report({"steps": [dataclasses.asdict(s) for s in steps]})
+        return render_report({"steps": [{n: getattr(s, n) for n in s._fields} for s in steps]})
     model = MODEL_INFLUENCE_FACTOR if kind == "loocv" else kind
     return render_report(loocv(bundle, model, target, options))
 

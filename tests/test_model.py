@@ -1,3 +1,6 @@
+import math
+import statistics
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from defectcast import (
     FactorRanking,
     InfluenceFactor,
     MissingFactorError,
+    RankedFactor,
     Target,
     UndefinedEffectivenessError,
     aggregate_rankings,
@@ -14,6 +18,8 @@ from defectcast import (
     defect_density,
     effectiveness,
 )
+
+from defectcast.model import _median
 
 from conftest import make_release
 
@@ -140,3 +146,85 @@ class TestAggregateRankings:
         ]
         out = aggregate_rankings(votes, Target.EFFECTIVENESS)
         assert [f.factor_id for f in out] == ["E"]
+
+
+class TestRecord:
+    def test_positional_keyword_and_default_fields(self):
+        by_position = InfluenceFactor("D1", "f", "defect_content", ["a", "b", "c", "d"])
+        assert by_position == InfluenceFactor(
+            id="D1", name="f", target=Target.DEFECT_CONTENT,
+            levels=("a", "b", "c", "d"), description="",
+        )
+        # __post_init__ ran: the target and levels were coerced.
+        assert by_position.target is Target.DEFECT_CONTENT
+        assert by_position.levels == ("a", "b", "c", "d")
+        assert InfluenceFactor._fields == ("id", "name", "target", "levels", "description")
+
+    @pytest.mark.parametrize("args,kwargs", [
+        (("D1", 1.0), {}),
+        (("D1", 1.0, 1.0), {"extra": 1}),
+        (("D1", 1.0, 1.0, 1.0), {}),
+        (("D1", 1.0, 1.0), {"factor_id": "D2"}),
+    ], ids=["missing", "unknown", "too-many", "twice"])
+    def test_bad_fields_are_type_errors(self, args, kwargs):
+        with pytest.raises(TypeError):
+            RankedFactor(*args, **kwargs)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        record = RankedFactor("D1", 1.0, 1.0)
+        with pytest.raises(AttributeError):
+            record.mean_rank = 2.0
+        with pytest.raises(AttributeError):
+            del record.factor_id
+        with pytest.raises(AttributeError):
+            record.other = 1
+        assert record.mean_rank == 1.0
+
+    def test_equality_hash_and_repr(self):
+        record = RankedFactor("D1", 1.0, 1.5)
+        assert record == RankedFactor("D1", 1.0, 1.5)
+        assert hash(record) == hash(RankedFactor("D1", 1.0, 1.5))
+        assert record != RankedFactor("D1", 1.0, 2.0)
+        assert record != ("D1", 1.0, 1.5)
+        assert repr(record) == \
+            "RankedFactor(factor_id='D1', mean_rank=1.0, median_rank=1.5)"
+
+    def test_replace_copies_and_rechecks(self):
+        tri = ExpertTriangle("X", "D1", Target.DEFECT_CONTENT, 0.1, 0.2, 0.3)
+        wider = tri._replace(maximum=0.5)
+        assert (wider.minimum, wider.maximum, tri.maximum) == (0.1, 0.5, 0.3)
+        with pytest.raises(ValueError):
+            tri._replace(minimum=0.4)
+        with pytest.raises(TypeError):
+            tri._replace(mode=0.2)
+
+
+# Few distinct values, so most lists hold ties (and both zeros).
+_TIE_HEAVY = st.one_of(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1e-300, 2.5, 1e300])
+        | st.floats(-1e300, 1e300),
+        min_size=1, max_size=300,
+    ),
+    st.lists(st.integers(-3, 3) | st.integers(-2**60, 2**60), min_size=1, max_size=300),
+)
+
+
+class TestMedianOracle:
+    @given(values=_TIE_HEAVY)
+    def test_median_matches_statistics_bit_for_bit(self, values):
+        ours, oracle = _median(values), statistics.median(values)
+        assert type(ours) is type(oracle)
+        assert float(ours).hex() == float(oracle).hex()
+
+    @given(values=_TIE_HEAVY)
+    def test_fsum_mean_matches_fmean_bit_for_bit(self, values):
+        assert (math.fsum(values) / len(values)).hex() == statistics.fmean(values).hex()
+
+    @given(votes=st.lists(st.permutations([1, 2, 3, 4]), min_size=1, max_size=40))
+    def test_aggregate_rankings_matches_statistics(self, votes):
+        rankings = [ranking(f"X{i}", dict(zip("ABCD", v))) for i, v in enumerate(votes)]
+        for rf in aggregate_rankings(rankings, Target.DEFECT_CONTENT):
+            ranks = [dict(zip("ABCD", v))[rf.factor_id] for v in votes]
+            assert rf.mean_rank.hex() == statistics.fmean(ranks).hex()
+            assert rf.median_rank.hex() == float(statistics.median(ranks)).hex()
