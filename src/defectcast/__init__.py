@@ -15,12 +15,7 @@ from .calibration import (
     calibrate,
     descriptive_stats,
 )
-from .bundle import (
-    ContextBundle,
-    ValidationIssue,
-    load_bundle,
-    render_report,
-)
+from .bundle import ContextBundle, ValidationIssue, load_bundle
 from .errors import (
     AllZeroDifferencesError,
     BundleValidationError,
@@ -70,6 +65,7 @@ from .prediction import (
     predict_defects_found,
     predict_effectiveness,
 )
+from .report import render_report
 from .sampling import (
     EngineOptions,
     IncreaseResult,

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .bundle import load_bundle, render_report
+from .bundle import load_bundle
 from .errors import BundleValidationError, EstimationError
 from .evaluation import (
     MODEL_DC_MEDIAN,
@@ -34,6 +34,7 @@ from .prediction import (
     predict_defects_found,
     predict_effectiveness,
 )
+from .report import render_report
 from .sampling import EngineOptions
 
 _TARGETS = {"defect-content": Target.DEFECT_CONTENT, "effectiveness": Target.EFFECTIVENESS}
@@ -180,7 +181,7 @@ def _parse_levels(text: str) -> dict[str, int]:
 
 
 def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
-    """Per-target active-factor overrides from the --factors ids."""
+    """Per-target --factors overrides; ``resolve_active`` checks each target's ids."""
     if not text:
         return {target: None for target in Target}
     ids = [fid.strip() for fid in text.split(",")]
@@ -188,13 +189,12 @@ def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
     unknown = [fid for fid in ids if fid not in known]
     if unknown:
         raise ValueError(f"--factors: unknown factor ids {unknown}")
-    repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
-    if repeated:
-        raise ValueError(f"--factors: duplicate factor ids {repeated}")
     split = {}
     for target in Target:
         of_target = {f.id for f in bundle.factors_for(target)}
         split[target] = [fid for fid in ids if fid in of_target] or None
+        if split[target]:  # checked for every command, even one that ignores them
+            bundle.resolve_active(target, split[target])
     return split
 
 
@@ -214,12 +214,7 @@ def _run(args) -> int:
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.exclude:
-        ids = [rid.strip() for rid in args.exclude.split(",")]
-        known = {r.id for r in bundle.releases}
-        unknown = [rid for rid in ids if rid not in known]
-        if unknown:
-            raise ValueError(f"--exclude: unknown release ids {unknown}")
-        bundle = bundle.with_excluded(ids)
+        bundle = bundle.with_excluded([rid.strip() for rid in args.exclude.split(",")])
     overrides = _split_factors(bundle, args.factors)
 
     def active(target):

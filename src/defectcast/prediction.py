@@ -63,25 +63,16 @@ class Prediction(_Record):
         }
 
 
-def _model_equation(target: Target, size: float, base: float, increase):
+def _model_equation(target: Target, size: float, base: float, increase: float) -> float:
     """The model equation for one target.
 
     Defect content is (size * DD_base) * (1 + DDIF); effectiveness is
-    Eff_base * (1 + EIF), clipped to at most 1.  ``increase`` is a float,
-    which gives a float, or a sample array, which is transformed in place
-    and returned: the caller's array holds the result.
+    Eff_base * (1 + EIF), clipped to at most 1.
     """
     scale = size * base if target == Target.DEFECT_CONTENT else base
-    value = increase
-    value += 1.0
-    value *= scale
+    value = (increase + 1.0) * scale
     if target == Target.EFFECTIVENESS:
-        if isinstance(value, float):
-            value = min(value, 1.0)
-        else:
-            import numpy as np
-
-            np.minimum(value, 1.0, out=value)
+        value = min(value, 1.0)
     return value
 
 
@@ -94,21 +85,22 @@ def _predict(
     options: EngineOptions,
     probs: Sequence[float],
 ) -> Prediction:
+    # The model equation is nondecreasing in the increase, rounding
+    # included, so each quantile of the predictions is, bit for bit, the
+    # prediction of that quantile of the increase.
     samples = _draw_increase(factors, triangles, spec.levels, target, options)
-    _model_equation(target, spec.size, base, samples)
     samples.sort()
     if options.point == POINT_ANALYTIC_MEAN:
-        mean = analytic_mean_increase(factors, triangles, spec.levels, target)
-        point = _model_equation(target, spec.size, base, mean)
+        increase = analytic_mean_increase(factors, triangles, spec.levels, target)
     else:
-        # The model equation is nondecreasing in the increase and does the
-        # same IEEE operations on floats and arrays, so the median of the
-        # predictions is the prediction of the increase median, bit for bit.
-        point = empirical_quantile(samples, 0.5)
+        increase = empirical_quantile(samples, 0.5)
     return Prediction(
         target=target,
-        point=point,
-        quantiles={p: empirical_quantile(samples, p) for p in probs},
+        point=_model_equation(target, spec.size, base, increase),
+        quantiles={
+            p: _model_equation(target, spec.size, base, empirical_quantile(samples, p))
+            for p in probs
+        },
         n_samples=options.n_samples,
         seed=options.seed,
     )

@@ -286,11 +286,13 @@ def _add_mixture(
         future.result()
 
 
-def _triangles_by_factor(
+def _terms(
     factors: Sequence[InfluenceFactor],
     triangles: Sequence[ExpertTriangle],
+    levels: Mapping[str, int],
     target: Target,
-) -> dict[str, list[ExpertTriangle]]:
+) -> list[tuple[str, float, list[ExpertTriangle]]]:
+    """(factor id, level / 3, triangles in expert order), in factor-id order."""
     grouped: dict[str, list[ExpertTriangle]] = {f.id: [] for f in factors}
     for tri in triangles:
         if tri.target == target and tri.factor_id in grouped:
@@ -303,7 +305,12 @@ def _triangles_by_factor(
                 f"factor {fid!r} has no impact estimate for target "
                 f"{target.value!r}"
             )
-    return grouped
+    terms = []
+    for factor in sorted(factors, key=lambda f: f.id):
+        if factor.id not in levels:
+            raise MissingLevelError(f"no level for factor {factor.id!r}")
+        terms.append((factor.id, levels[factor.id] / 3.0, grouped[factor.id]))
+    return terms
 
 
 def analytic_mean_increase(
@@ -317,13 +324,8 @@ def analytic_mean_increase(
     Sum over active factors of (level/3) times the mean triangle mean
     (a+m+b)/3, averaged uniformly over the factor's experts.
     """
-    grouped = _triangles_by_factor(factors, triangles, target)
     total = 0.0
-    for factor in sorted(factors, key=lambda f: f.id):
-        if factor.id not in levels:
-            raise MissingLevelError(f"no level for factor {factor.id!r}")
-        weight = levels[factor.id] / 3.0
-        tris = grouped[factor.id]
+    for _, weight, tris in _terms(factors, triangles, levels, target):
         total += weight * (sum(t.mean for t in tris) / len(tris))
     return total
 
@@ -342,16 +344,11 @@ def _draw_increase(
     """
     import numpy as np
 
-    grouped = _triangles_by_factor(factors, triangles, target)
     samples = np.zeros(options.n_samples)
-    for factor in sorted(factors, key=lambda f: f.id):
-        if factor.id not in levels:
-            raise MissingLevelError(f"no level for factor {factor.id!r}")
-        weight = levels[factor.id] / 3.0
+    for fid, weight, tris in _terms(factors, triangles, levels, target):
         if weight == 0.0:
             continue  # own RNG stream, skipping cannot shift other factors
-        rng = _factor_rng(options.seed, target, factor.id)
-        _add_mixture(samples, grouped[factor.id], weight, rng)
+        _add_mixture(samples, tris, weight, _factor_rng(options.seed, target, fid))
     return samples
 
 

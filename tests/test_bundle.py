@@ -244,6 +244,20 @@ class TestResolveActive:
         active = example_bundle.resolve_active(Target.DEFECT_CONTENT, ["D3"])
         assert [f.id for f in active] == ["D3"]
 
+    @pytest.mark.parametrize("ids,message", [
+        (["D1", "E1"], r"ids \['E1'\] name no defect_content factor"),
+        (["D1", "D3", "D1"], r"duplicate factor ids \['D1'\]"),
+    ])
+    def test_bad_override_rejected(self, example_bundle, ids, message):
+        with pytest.raises(ValueError, match=message):
+            example_bundle.resolve_active(Target.DEFECT_CONTENT, ids)
+
+    def test_excluding_unknown_release_rejected(self, example_bundle):
+        with pytest.raises(ValueError, match=r"unknown release ids \['NOPE', 'X'\]"):
+            example_bundle.with_excluded(["X", "A", "NOPE"])
+        excluded = example_bundle.with_excluded(iter(["A", "B"]))
+        assert {r.id for r in excluded.releases if r.excluded} >= {"A", "B"}
+
 
 class TestWriteReport:
     def test_byte_identical_serialization(self):

@@ -228,7 +228,7 @@ class TestFactorsOverride:
         code, out, err = run(capsys, "calibrate", "--bundle", EXAMPLE_BUNDLE,
                              "--factors", "D1,E1,D1")
         assert (code, out) == (1, "")
-        assert "--factors: duplicate factor ids ['D1']" in err
+        assert "error: duplicate factor ids ['D1']" in err
 
 
 class TestCrossval:
@@ -264,7 +264,7 @@ class TestCrossval:
         code, out, err = run(capsys, "crossval", "--bundle", EXAMPLE_BUNDLE,
                              "--exclude", "A,NOPE")
         assert (code, out) == (1, "")
-        assert "--exclude: unknown release ids ['NOPE']" in err
+        assert "error: unknown release ids ['NOPE']" in err
 
     @pytest.mark.parametrize("argv", [
         ("--baseline", "eff-median"),
@@ -322,7 +322,7 @@ class TestDeterminism:
             renders.append(args)
             return render_report(*args)
 
-        for module in (defectcast.cli, defectcast.bundle):
+        for module in (defectcast.cli, defectcast.report):
             monkeypatch.setattr(module, "render_report", counted)
         for fmt in ("json", "csv", "text"):
             outputs = []
@@ -523,18 +523,25 @@ _ORDER_RUNS = [
 ]
 
 
-def _order_reports(doc, path) -> list[str]:
-    """stdout of every order run on ``doc``, under both point strategies."""
+def _reports(doc, path, runs) -> list[str]:
+    """stdout of each argv in ``runs`` on ``doc``, written to ``path``."""
     path.write_text(json.dumps(doc))
     reports = []
-    for argv in _ORDER_RUNS:
-        for point in ("analytic-mean", "mc-median"):
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main([*argv, "--bundle", str(path), "--point", point]) == 0
-            reports.append(stdout.getvalue())
+    for argv in runs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--bundle", str(path)]) == 0
+        reports.append(stdout.getvalue())
     return reports
+
+
+def _order_reports(doc, path) -> list[str]:
+    """stdout of every order run on ``doc``, under both point strategies."""
+    return _reports(doc, path, [
+        [*argv, "--point", point]
+        for argv in _ORDER_RUNS for point in ("analytic-mean", "mc-median")
+    ])
 
 
 class TestOrderIndependence:
@@ -564,6 +571,43 @@ class TestOrderIndependence:
         if with_active:
             doc["active_factors"] = dict(shuffled(doc["active_factors"].items()))
         assert _order_reports(doc, base / "shuffled.json") == expected
+
+
+# Every report computed from the history; calibrate under both points.
+_HISTORY_RUNS = [
+    ["calibrate"],
+    ["calibrate", "--point", "mc-median"],
+    ["crossval"],
+    ["ablate"],
+    ["historysim"],
+    ["predict", "--size", "130", "--levels", TestPredict.LEVELS],
+]
+_EXCLUDED_RELEASE = st.fixed_dictionaries({
+    "id": st.sampled_from(["K", "Z9", "late"]),
+    "size": st.floats(1e-3, 1e6),
+    "defects_found": st.one_of(st.integers(0, 10**4), st.floats(0, 1e6)),
+    "defects_slipped": st.one_of(st.integers(0, 10**4), st.floats(0, 1e6)),
+    "levels": st.fixed_dictionaries({fid: st.integers(0, 3) for fid in FACTOR_IDS}),
+    "excluded": st.just(True),
+})
+
+
+class TestExcludedRelease:
+    @pytest.fixture(scope="class")
+    def expected(self, tmp_path_factory):
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        return _reports(doc, tmp_path_factory.mktemp("excluded") / "b.json",
+                        _HISTORY_RUNS)
+
+    @settings(deadline=None, max_examples=20)
+    @given(release=_EXCLUDED_RELEASE)
+    def test_appended_excluded_release_leaves_reports_unchanged(
+        self, tmp_path_factory, expected, release
+    ):
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        doc["releases"].append(release)
+        path = tmp_path_factory.getbasetemp() / "with_excluded.json"
+        assert _reports(doc, path, _HISTORY_RUNS) == expected
 
 
 def _fresh_process(probe: str) -> str:

@@ -23,6 +23,7 @@ from defectcast import (
     predict_effectiveness,
 )
 
+from defectcast import prediction
 from defectcast.sampling import _BLOCK
 
 from conftest import EXAMPLE_BUNDLE, cut_into, make_factor, make_release, make_triangle
@@ -248,6 +249,68 @@ class TestAgainstReferencePrediction:
         expected = reference_predict(target, base, spec, factors, triangles,
                                      options, self.PROBS)
         assert hexed(got) == hexed(expected)
+
+
+def in_place_reference(target, size, base, increase, mean, point, probs):
+    """The model equation on the whole sample array, as predictions once
+    applied it: the increase samples transformed in place (+= 1, *= scale,
+    clipped at 1), then sorted, and the point read off that array."""
+    scale = size * base if target == Target.DEFECT_CONTENT else base
+    samples = increase.copy()
+    samples += 1.0
+    samples *= scale
+    if target == Target.EFFECTIVENESS:
+        np.minimum(samples, 1.0, out=samples)
+    samples.sort()
+    if point == "analytic-mean":
+        value = mean
+        value += 1.0
+        value *= scale
+        if target == Target.EFFECTIVENESS:
+            value = min(value, 1.0)
+    else:
+        value = empirical_quantile(samples, 0.5)
+    return value, {p: empirical_quantile(samples, p) for p in probs}
+
+
+# Increases are >= 0, as every expert triangle is; a few fixed values
+# give ties, zeros and, on effectiveness, values that clip at 1.
+_INCREASE = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]), st.floats(0, 4))
+_PROB = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))
+
+
+class TestFloatModelEquation:
+    """Only the reported quantiles and the point go through the model
+    equation; the samples are sorted as drawn."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=st.sampled_from(list(Target)),
+        increase=st.lists(_INCREASE, min_size=1, max_size=60).map(np.array),
+        mean=_INCREASE,
+        size=st.floats(1e-3, 1e4),
+        base=st.one_of(st.just(0.0), st.floats(0, 1.5)),
+        point=st.sampled_from(["analytic-mean", "mc-median"]),
+        probs=st.lists(_PROB, min_size=1, max_size=7),
+    )
+    def test_equal_to_in_place_transform(
+        self, target, increase, mean, size, base, point, probs
+    ):
+        ctx = CalibratedContext({}, dd_base_median=base, eff_base_median=base,
+                                included_ids=("R",))
+        spec = NewReleaseSpec(size=size, levels={})
+        options = EngineOptions(n_samples=increase.size, point=point)
+        predict = (predict_defect_content if target == Target.DEFECT_CONTENT
+                   else predict_effectiveness)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prediction, "_draw_increase", lambda *a: increase.copy())
+            mp.setattr(prediction, "analytic_mean_increase", lambda *a: mean)
+            got = predict(ctx, spec, [], [], options, probs)
+        value, quantiles = in_place_reference(target, size, base, increase, mean,
+                                              point, probs)
+        assert hexed(got)[:2] == (
+            value.hex(), {p: v.hex() for p, v in quantiles.items()}
+        )
 
 
 class TestMemory:
