@@ -56,14 +56,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--exclude", default="", help="comma-separated release ids to exclude"
     )
+    parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    parser.add_argument("--out", default=None, help="write the report to this path")
+
+
+def _add_factors(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--factors",
-        default=None,
         help="comma-separated active-factor override; a target none of the "
         "listed factors belongs to keeps its default active factors",
     )
-    parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    parser.add_argument("--out", default=None, help="write the report to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,9 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="derive context base values")
     _add_common(p)
+    _add_factors(p)
 
     p = sub.add_parser("predict", help="predict a new release")
     _add_common(p)
+    _add_factors(p)
     p.add_argument("--size", type=float, default=None)
     p.add_argument(
         "--levels", default=None, help="inline characterization, e.g. D1=2,D2=0"
@@ -101,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="leave-one-out model comparison")
     _add_common(p)
+    _add_factors(p)
     p.add_argument("--target", choices=list(_TARGETS), default="defect-content")
     p.add_argument("--model", choices=list(_MODELS), default="influence-factor")
     p.add_argument("--baseline", choices=list(_MODELS), default=None)
@@ -115,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("historysim", help="growing-history prediction simulation")
     _add_common(p)
+    _add_factors(p)
     p.add_argument("--target", choices=list(_TARGETS), default="defect-content")
     p.add_argument("--start", type=int, default=4)
 
@@ -193,7 +199,7 @@ def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
     for target in Target:
         of_target = {f.id for f in bundle.factors_for(target)}
         split[target] = [fid for fid in ids if fid in of_target] or None
-        if split[target]:  # checked for every command, even one that ignores them
+        if split[target]:  # checked for both targets, even if the command uses one
             bundle.resolve_active(target, split[target])
     return split
 
@@ -215,7 +221,7 @@ def _run(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if args.exclude:
         bundle = bundle.with_excluded([rid.strip() for rid in args.exclude.split(",")])
-    overrides = _split_factors(bundle, args.factors)
+    overrides = _split_factors(bundle, getattr(args, "factors", None))
 
     def active(target):
         return bundle.resolve_active(target, overrides[target])

@@ -20,34 +20,38 @@ full-length array of the smallest unsigned type that holds them: one
 byte per sample up to 256 experts.  Each expert's triangle is split
 into two pieces, left and right of its mode, with one entry per piece
 in a few small parameter arrays.  The kernel walks the samples in
-blocks of ``_BLOCK``, small enough to stay in cache.  In each block it
-draws the block's uniforms, picks every sample's piece from its expert
-index and uniform, gathers that piece's parameters, evaluates the
-piece's inverse CDF, scales it by the level weight and adds it into the
-running sum in place.  Gathering, instead of masking the draws expert by
-expert, avoids the mispredicted branches of boolean compress and
-scatter.  Every block writes into work buffers of one block's length
-that its range allocates once, so a prediction holds one full-length
-float64 array, its samples, plus the one-byte indices of the factor
-being drawn.
+blocks of ``_BLOCK``.  In each block it draws the block's uniforms,
+picks every sample's piece from its expert index and uniform, gathers
+that piece's parameters, evaluates the piece's inverse CDF, scales it
+by the level weight and adds it into the running sum in place.
+Gathering, instead of masking the draws expert by expert, avoids the
+mispredicted branches of boolean compress and scatter.  Each range
+allocates its block buffers once: uniforms (float64, reused as scratch
+once read), piece indices (intp), piece sides (bool) and results
+(float64), 25 bytes per block element.  So a prediction holds one
+full-length float64 array, its samples, plus the one-byte indices of
+the factor being drawn.
 
 The blocks of one factor are cut into one contiguous range per CPU
-(never more ranges than blocks), and the ranges run on threads: numpy
-releases the interpreter lock in the random fills and the ufuncs.  The
-uniforms stay the ones a single full-length ``random(n)`` call after the
-indices would give.  ``Generator.random`` turns exactly one 64-bit PCG64
-output into one double and buffers nothing, so uniform ``i`` is output
-``i`` after the index draw, whichever call produces it.  The indices
-are drawn as int32, block by block: bounded integers below 2**32 take
-the same 32-bit Lemire draws whatever the dtype, and the generator
-keeps its spare 32-bit half between calls, so the blocks give the
-values, and leave the state, of one full-length ``integers(0, k, n)``
-call.  The first range draws from the factor's own generator; every
-other range copies that generator's state right after the index draw
-and calls ``PCG64.advance(start)``, where ``start`` is the range's
-first sample.  (The index draw itself cannot be split across ranges:
-its rejection sampling consumes a variable number of outputs.)  Each element is still summed over the
-factors in the same order, so every sample keeps its bits.
+(never more ranges than blocks).  The calling thread draws the first
+range; each other range runs on a thread of its own that the draw
+starts and joins, since numpy releases the interpreter lock in the
+random fills and the ufuncs.  The uniforms stay the ones a single
+full-length ``random(n)`` call after the indices would give.
+``Generator.random`` turns exactly one 64-bit PCG64 output into one
+double and buffers nothing, so uniform ``i`` is output ``i`` after the
+index draw, whichever call produces it.  The indices are drawn as
+int32, block by block: bounded integers below 2**32 take the same
+32-bit Lemire draws whatever the dtype, and the generator keeps its
+spare 32-bit half between calls, so the blocks give the values, and
+leave the state, of one full-length ``integers(0, k, n)`` call.  The
+first range draws from the factor's own generator; every other range
+copies that generator's state right after the index draw and calls
+``PCG64.advance(start)``, where ``start`` is the range's first sample.
+(The index draw itself cannot be split across ranges: its rejection
+sampling consumes a variable number of outputs.)  Each element is still
+summed over the factors in the same order, so every sample keeps its
+bits, whatever the block size and the number of ranges.
 
 numpy is imported inside the functions that draw or hold samples, so
 the analytic-mean path, and every command built on it alone, starts
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
@@ -106,9 +111,11 @@ class IncreaseResult(_Record):
     point: float
 
 
-# Samples per kernel block: its temporaries stay in cache.  Sizes from
-# 2**12 to 2**15 time within noise of each other.
-_BLOCK = 1 << 14
+# Samples per kernel block.  Each of a block's ~19 numpy calls hands the
+# interpreter lock between the ranges' threads, so fewer blocks pay.  A
+# predict_bigmc unit (10**6 samples, 2-CPU Xeon) took 0.244 s at 2**13,
+# 0.181 s at 2**14, 0.159 s at 2**15 and 0.163 s at 2**16 (+1.8 MB RSS).
+_BLOCK = 1 << 15
 
 
 def _piece_table(triangles: Sequence[ExpertTriangle]) -> np.ndarray:
@@ -139,29 +146,29 @@ def _piece_table(triangles: Sequence[ExpertTriangle]) -> np.ndarray:
 
 
 def _buffers(shape) -> tuple:
-    """Work arrays of ``_inverse_cdf``: piece, side, scratch and result."""
+    """Work arrays of ``_inverse_cdf``: piece, side and result."""
     import numpy as np
 
-    return (np.empty(shape, np.intp), np.empty(shape, bool), np.empty(shape),
-            np.empty(shape))
+    return np.empty(shape, np.intp), np.empty(shape, bool), np.empty(shape)
 
 
 def _inverse_cdf(table: np.ndarray, idx, u, buffers):
     """Inverse CDF of triangle ``idx`` at ``u`` in [0, 1], per element.
 
-    Works in ``buffers`` (from ``_buffers``, of ``u``'s shape) and
-    returns its result array.
+    Works in ``buffers`` (from ``_buffers``, of ``u``'s shape) and in
+    ``u`` itself, which it overwrites, and returns its result array.
     """
     import numpy as np
 
     split, offset, width, span, sign, base = table
-    piece, side, scratch, out = buffers
+    piece, side, out = buffers
     # Widen before doubling: a uint8 index doubled in uint8 wraps at 128.
     # Pieces are in range by construction; mode="raise" would copy ``out``.
     np.multiply(idx, 2, out=piece, dtype=np.intp)
-    np.greater_equal(u, np.take(split, piece, out=scratch, mode="clip"), out=side)
+    np.greater_equal(u, np.take(split, piece, out=out, mode="clip"), out=side)
     piece += side
-    np.subtract(np.take(offset, piece, out=scratch, mode="clip"), u, out=scratch)
+    # The last read of u: from here on it is the scratch array.
+    scratch = np.subtract(np.take(offset, piece, out=out, mode="clip"), u, out=u)
     np.abs(scratch, out=scratch)
     scratch *= np.take(width, piece, out=out, mode="clip")
     scratch *= np.take(span, piece, out=out, mode="clip")
@@ -177,7 +184,8 @@ def triangle_inverse_cdf(tri: ExpertTriangle, u):
     """
     import numpy as np
 
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    # np.array: clipping a 0-d array gives a scalar, which cannot be written.
+    u = np.array(np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
     out = _inverse_cdf(_piece_table([tri]), np.zeros(u.shape, dtype=np.intp), u,
                        _buffers(u.shape))
     return out if u.ndim else float(out)
@@ -206,28 +214,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-_POOL = None  # threads for all but the first range, made on first need
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool but none of its threads.
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool():
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="defectcast-draw")
-    return _POOL
 
 
 def _advanced(rng: np.random.Generator, outputs: int) -> np.random.Generator:
@@ -264,26 +250,34 @@ def _add_mixture(
     # Every range's generator is set up before the first range draws.
     gens = [rng] + [_advanced(rng, start) for start in starts[1:]]
 
+    errors = []
+
     def run(gen, lo, hi):
-        length = min(_BLOCK, hi - lo)
-        u, buffers = np.empty(length), _buffers(length)
-        for start in range(lo, hi, _BLOCK):
-            size = min(_BLOCK, hi - start)
-            gen.random(out=u[:size])
-            x = _inverse_cdf(table, idx[start:start + size], u[:size],
-                             [b[:size] for b in buffers])
-            x *= weight
-            samples[start:start + size] += x
+        try:
+            length = min(_BLOCK, hi - lo)
+            u, buffers = np.empty(length), _buffers(length)
+            for start in range(lo, hi, _BLOCK):
+                size = min(_BLOCK, hi - start)
+                gen.random(out=u[:size])
+                x = _inverse_cdf(table, idx[start:start + size], u[:size],
+                                 [b[:size] for b in buffers])
+                x *= weight
+                samples[start:start + size] += x
+        except BaseException as exc:  # raised once every range has ended
+            errors.append(exc)
 
     jobs = list(zip(gens, starts, starts[1:] + [n]))
-    futures = [_pool().submit(run, *job) for job in jobs[1:]]
+    threads = [threading.Thread(target=run, args=job) for job in jobs[1:]]
     try:
+        for thread in threads:
+            thread.start()
         run(*jobs[0])
     finally:
-        for future in futures:
-            future.exception()  # waits: no range may write after return
-    for future in futures:
-        future.result()
+        for thread in threads:
+            if thread.is_alive():  # one that failed to start never is
+                thread.join()  # no range may write after return
+    if errors:
+        raise errors[0]
 
 
 def _terms(

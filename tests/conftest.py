@@ -65,15 +65,10 @@ def make_dominant_factor_bundle(seed=0, n_releases=10):
 
 @contextlib.contextmanager
 def cut_into(workers):
-    """Cut each draw into up to ``workers`` ranges, on a pool of its own."""
+    """Cut each draw into up to ``workers`` ranges."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling, "_cpus", lambda: workers)
-        mp.setattr(sampling, "_POOL", None)
-        try:
-            yield
-        finally:
-            if sampling._POOL is not None:
-                sampling._POOL.shutdown()
+        yield
 
 
 def triangle_cdf(a, m, b, x):

@@ -230,6 +230,18 @@ class TestFactorsOverride:
         assert (code, out) == (1, "")
         assert "error: duplicate factor ids ['D1']" in err
 
+    @pytest.mark.parametrize("command", [
+        ("check",), ("rank", "--target", "defect-content"), ("ablate",),
+    ], ids=lambda c: c[0])
+    def test_command_that_ignores_factors_rejects_it(self, capsys, command):
+        # A factor list these commands would not use is a usage error, not
+        # a report of every factor.
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--bundle", str(EXAMPLE_BUNDLE), *command[1:],
+                  "--factors", "D1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestCrossval:
     def test_table_pipeline(self, capsys):
@@ -437,23 +449,29 @@ _COMMON = {
     "--samples": _valid_or("2000", "1", "0", "-1"),
     "--point": st.sampled_from(["analytic-mean", "mc-median"]),
     "--exclude": _joined(st.sampled_from(list("ABCDEFGHIJ") + ["NOPE", ""])),
-    "--factors": _joined(st.sampled_from(FACTOR_IDS + ["X9", ""])),
     "--format": st.sampled_from(["json", "csv", "text"]),
 }
+_FACTORS = _joined(st.sampled_from(FACTOR_IDS + ["X9", ""]))
 _OPTIONS = {  # each command's options beyond the common ones
     "check": {},
     "rank": {"--target": _TARGET},
-    "calibrate": {},
-    "predict": {"--quantiles": _joined(_valid_or("0.5", "0", "1", "1.5", "x"))},
+    "calibrate": {"--factors": _FACTORS},
+    "predict": {
+        "--factors": _FACTORS,
+        "--quantiles": _joined(_valid_or("0.5", "0", "1", "1.5", "x")),
+    },
     "crossval": {
-        "--target": _TARGET, "--model": _MODEL, "--baseline": _MODEL,
-        "--test": st.sampled_from(["wilcoxon", "none"]),
+        "--factors": _FACTORS, "--target": _TARGET, "--model": _MODEL,
+        "--baseline": _MODEL, "--test": st.sampled_from(["wilcoxon", "none"]),
     },
     "ablate": {
         "--target": _TARGET,
         "--ks": _joined(st.sampled_from(["0", "1", "3", "5", "6", "-1", "x"])),
     },
-    "historysim": {"--target": _TARGET, "--start": st.integers(-1, 12).map(str)},
+    "historysim": {
+        "--factors": _FACTORS, "--target": _TARGET,
+        "--start": st.integers(-1, 12).map(str),
+    },
 }
 # How predict is given the release: a spec file, inline, or not at all.
 _PREDICT_ROUTE = st.one_of(
@@ -647,6 +665,16 @@ class TestColdStart:
         argv = ["predict", "--bundle", EXAMPLE_BUNDLE, "--size", "130",
                 "--levels", TestPredict.LEVELS]
         probe = _main_probe(
+            argv, "code, 'concurrent.futures' in sys.modules, threading.active_count()"
+        )
+        assert _fresh_process(probe) == "0 False 1"
+
+    def test_threaded_predict_leaves_no_thread_or_pool(self):
+        # 10**6 samples on 2 ranges: every draw starts and joins its own
+        # thread, and no executor is imported for it.
+        argv = ["predict", "--bundle", EXAMPLE_BUNDLE, "--size", "130",
+                "--levels", TestPredict.LEVELS, "--samples", "1000000"]
+        probe = "import defectcast.sampling as s\ns._cpus = lambda: 2\n" + _main_probe(
             argv, "code, 'concurrent.futures' in sys.modules, threading.active_count()"
         )
         assert _fresh_process(probe) == "0 False 1"

@@ -317,7 +317,7 @@ class TestMemory:
     def test_one_sample_array_per_prediction(self):
         # numpy reports its buffers to tracemalloc.  A prediction may hold
         # its float64 samples, one byte of expert index per sample and,
-        # per range, a few buffers of one kernel block.
+        # per range, the kernel's 25 bytes of buffers per block element.
         n, ranges = 10**6, 2
         bundle = load_bundle(EXAMPLE_BUNDLE)
         factors = bundle.factors_for(Target.DEFECT_CONTENT)
@@ -327,7 +327,7 @@ class TestMemory:
         options = EngineOptions(n_samples=n, point="mc-median")
         with cut_into(ranges):
             predict_defect_content(ctx, spec, factors, bundle.quantifications,
-                                   options)  # warm-up: pool threads, imports
+                                   options)  # warm-up: imports
             tracemalloc.start()
             try:
                 predict_defect_content(ctx, spec, factors,
@@ -335,4 +335,4 @@ class TestMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 8 * n + n + ranges * 48 * _BLOCK
+        assert peak < 8 * n + n + ranges * 32 * _BLOCK

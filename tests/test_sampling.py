@@ -362,9 +362,34 @@ class TestMixtureKernel:
             # Nothing may still run once the error is raised.
             assert len(finished) == (3 if failing == "main" else 1)
 
+    def test_thread_that_cannot_start_fails_the_draw_after_the_others(
+        self, monkeypatch
+    ):
+        real_start = threading.Thread.start
+        started = []
+
+        def start(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        with cut_into(3):
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                _add_mixture(np.zeros(3 * _BLOCK), [make_triangle()], 1.0,
+                             np.random.default_rng(0))
+        assert not started[0].is_alive()
+
+    def test_draw_leaves_no_thread_behind(self):
+        before = threading.active_count()
+        with cut_into(2):
+            draw_two_ranges()
+        assert threading.active_count() == before
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_draws_on_threads_of_its_own(self):
-        # The child inherits the parent's pool object but not its threads.
+        # A child forked after a threaded draw inherits none of its threads.
         with cut_into(2):
             draw_two_ranges()
             child = multiprocessing.get_context("fork").Process(
@@ -391,20 +416,25 @@ class TestMixtureKernel:
     }
 
     @pytest.mark.parametrize("target,seed", sorted(PINNED))
-    def test_example_bundle_samples_pinned(self, target, seed):
+    def test_example_bundle_samples_pinned(self, monkeypatch, target, seed):
+        # The block size is free to tune: no draw depends on it.
         bundle = load_bundle(EXAMPLE_BUNDLE)
         levels = {"D1": 1, "D2": 1, "D3": 3, "D4": 1, "D5": 0,
                   "E1": 2, "E2": 2, "E3": 3, "E4": 2, "E5": 2}
-        for workers in WORKERS:
-            with cut_into(workers):
-                res = increase_distribution(
-                    bundle.factors_for(target), bundle.quantifications, levels,
-                    target,
-                    EngineOptions(n_samples=100_000, seed=seed, point="mc-median"),
+        for block in (4096, 12345, _BLOCK):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            for workers in WORKERS:
+                with cut_into(workers):
+                    res = increase_distribution(
+                        bundle.factors_for(target), bundle.quantifications,
+                        levels, target,
+                        EngineOptions(n_samples=100_000, seed=seed,
+                                      point="mc-median"),
+                    )
+                digest = hashlib.sha256(res.samples.tobytes()).hexdigest()
+                assert digest == self.PINNED[(target, seed)], (
+                    f"block {block}, {workers} ranges"
                 )
-            samples = res.samples
-            digest = hashlib.sha256(samples.tobytes()).hexdigest()
-            assert digest == self.PINNED[(target, seed)], f"{workers} ranges"
 
 
 class TestQuantiles:
