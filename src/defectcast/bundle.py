@@ -11,6 +11,7 @@ and outlier releases.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -326,20 +327,36 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     return bundle, []
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object, unless it repeats a key (the last one would win)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"duplicate keys {sorted(k for k in obj if counts[k] > 1)}")
+    return obj
+
+
+def read_json(path: str | Path):
+    """JSON at ``path``; a repeated key or over-deep nesting is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("JSON nests too deep to parse") from None
+
+
 def load_bundle(path: str | Path) -> ContextBundle:
     """Load and fully validate a context bundle.
 
     Raises BundleValidationError with the exhaustive issue list on any
     invariant violation; non-fatal findings end up in bundle.warnings.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        # ValueError also covers bad UTF-8 and over-long integers.
-        except (ValueError, RecursionError) as exc:
-            raise BundleValidationError(
-                [ValidationIssue("document", "json", str(exc))]
-            ) from exc
+    try:
+        raw = read_json(path)
+    except ValueError as exc:
+        raise BundleValidationError(
+            [ValidationIssue("document", "json", str(exc))]
+        ) from exc
     bundle, errors = _build_bundle(raw)
     if errors:
         raise BundleValidationError(errors)

@@ -2,18 +2,17 @@
 
 Thin mapping onto the library: `check`, `rank`, `calibrate`, `predict`,
 `crossval`, `ablate`, `historysim`.  Runs are reproducible by default
-(seed 0, never time-based); every randomized command prints the
-effective seed.  Exit codes: 0 success, 1 validation/data error, 2
-usage error.
+(seed 0, never time-based); every command prints the effective seed
+as the first line of stdout.  Exit codes: 0 success, 1 validation/data
+error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .bundle import load_bundle
+from .bundle import load_bundle, read_json
 from .errors import BundleValidationError, EstimationError
 from .evaluation import (
     MODEL_DC_MEDIAN,
@@ -147,21 +146,17 @@ def _parse_ks(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
-def _unique_keys(pairs: list[tuple]) -> dict:
-    """A JSON object, unless it repeats a key (the last one would win)."""
-    keys = [key for key, _ in pairs]
-    repeated = sorted({key for key in keys if keys.count(key) > 1})
-    if repeated:
-        raise ValueError(f"--spec: duplicate keys {repeated}")
-    return dict(pairs)
-
-
 def _load_spec(path: str) -> NewReleaseSpec:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh, object_pairs_hook=_unique_keys)
     try:
+        raw = read_json(path)
+    except ValueError as exc:
+        raise ValueError(f"--spec: {exc}") from exc
+    try:
+        # An array of pairs would pass dict() and skip the repeated-key check.
+        if not isinstance(raw["levels"], dict):
+            raise TypeError("'levels' is not an object")
         return NewReleaseSpec(size=float(raw["size"]), levels=raw["levels"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(
             f"spec file {path}: need an object with a numeric 'size' and a "
             f"'levels' object"
@@ -214,7 +209,7 @@ def _emit(report, args) -> None:
     sys.stdout.write(f"seed: {args.seed}\n{text}")
 
 
-def _run(args) -> int:
+def _run(args) -> None:
     options = EngineOptions(n_samples=args.samples, seed=args.seed, point=args.point)
     bundle = load_bundle(args.bundle)
     for warning in bundle.warnings:
@@ -226,50 +221,37 @@ def _run(args) -> int:
     def active(target):
         return bundle.resolve_active(target, overrides[target])
 
-    if args.command == "check":
-        _emit(descriptive_stats(bundle.releases), args)
-        return 0
-
     target = _TARGETS[args.target] if getattr(args, "target", None) else None
 
-    if args.command == "rank":
+    if args.command == "check":
+        report = descriptive_stats(bundle.releases)
+    elif args.command == "rank":
         ranked = aggregate_rankings(list(bundle.rankings), target)
-        _emit(
-            {
-                "report": "ranking",
-                "target": target.value,
-                "order": [
-                    {
-                        "factor_id": rf.factor_id,
-                        "mean_rank": rf.mean_rank,
-                        "median_rank": rf.median_rank,
-                    }
-                    for rf in ranked
-                ],
-            },
-            args,
-        )
-        return 0
-
-    if args.command == "calibrate":
-        ctx = calibrate(
+        report = {
+            "report": "ranking",
+            "target": target.value,
+            "order": [
+                {
+                    "factor_id": rf.factor_id,
+                    "mean_rank": rf.mean_rank,
+                    "median_rank": rf.median_rank,
+                }
+                for rf in ranked
+            ],
+        }
+    elif args.command == "calibrate":
+        report = calibrate(
             bundle.included_releases(),
             active(Target.DEFECT_CONTENT),
             active(Target.EFFECTIVENESS),
             bundle.quantifications,
             options,
         )
-        _emit(ctx, args)
-        return 0
-
-    if args.command == "predict":
+    elif args.command == "predict":
         if args.spec:
             spec = _load_spec(args.spec)
-        elif args.size is not None and args.levels is not None:
-            spec = NewReleaseSpec(size=args.size, levels=_parse_levels(args.levels))
         else:
-            print("predict needs --spec or both --size and --levels", file=sys.stderr)
-            return 2
+            spec = NewReleaseSpec(size=args.size, levels=_parse_levels(args.levels))
         known = {f.id for f in bundle.factors}
         unknown = [fid for fid in spec.levels if fid not in known]
         if unknown:
@@ -284,81 +266,70 @@ def _run(args) -> int:
         dc_pred = predict_defect_content(
             ctx, spec, dc_active, bundle.quantifications, options, args.quantiles
         )
-        payload = {
+        report = {
             "report": "predictions",
             "defect_content": dc_pred.to_payload(),
             "seed": options.seed,
         }
-        if ctx.eff_base_median is not None and all(
-            f.id in spec.levels for f in eff_active
-        ):
+        missing = [f.id for f in eff_active if f.id not in spec.levels]
+        if ctx.eff_base_median is None:
+            print("warning: no effectiveness prediction: no included release "
+                  "has a defined effectiveness", file=sys.stderr)
+        elif missing:
+            print("warning: no effectiveness prediction: no level for active "
+                  f"effectiveness factors {missing}", file=sys.stderr)
+        else:
             eff_pred = predict_effectiveness(
                 ctx, spec, eff_active, bundle.quantifications, options, args.quantiles
             )
-            payload["effectiveness"] = eff_pred.to_payload()
-            payload["expected_defects_found"] = predict_defects_found(dc_pred, eff_pred)
-        _emit(payload, args)
-        return 0
-
-    if args.command == "crossval":
-        model = _MODELS[args.model]
-        report = loocv(bundle, model, target, options, overrides[target])
-        payload = {"report": "crossval", "model": report.to_payload()}
+            report["effectiveness"] = eff_pred.to_payload()
+            report["expected_defects_found"] = predict_defects_found(dc_pred, eff_pred)
+    elif args.command == "crossval":
+        model = loocv(bundle, _MODELS[args.model], target, options, overrides[target])
+        report = {"report": "crossval", "model": model.to_payload()}
         if args.baseline:
-            base_report = loocv(
+            baseline = loocv(
                 bundle, _MODELS[args.baseline], target, options, overrides[target]
             )
-            payload["baseline"] = base_report.to_payload()
+            report["baseline"] = baseline.to_payload()
             if args.test == "wilcoxon":
-                model_mres = report.mres()
-                base_mres = base_report.mres()
+                model_mres = model.mres()
+                base_mres = baseline.mres()
                 pairs = [
                     (model_mres[rid], base_mres[rid]) for rid in sorted(model_mres)
                 ]
-                payload["wilcoxon"] = wilcoxon_one_sided(pairs).to_payload()
-        _emit(payload, args)
-        return 0
-
-    if args.command == "ablate":
+                report["wilcoxon"] = wilcoxon_one_sided(pairs).to_payload()
+    elif args.command == "ablate":
         ranked = aggregate_rankings(list(bundle.rankings), target)
         order = [rf.factor_id for rf in ranked]
         curve = ablation_curve(bundle, target, order, args.ks, options)
-        _emit(
-            {
-                "report": "ablation",
-                "target": target.value,
-                "ranking_order": order,
-                "mmre_by_k": {str(k): curve[k].mmre for k in sorted(curve)},
-            },
-            args,
-        )
-        return 0
-
-    if args.command == "historysim":
+        report = {
+            "report": "ablation",
+            "target": target.value,
+            "ranking_order": order,
+            "mmre_by_k": {str(k): curve[k].mmre for k in sorted(curve)},
+        }
+    else:  # historysim
         steps = history_simulation(
             bundle, args.start, target, options, overrides[target]
         )
-        _emit(
-            {
-                "report": "history_simulation",
-                "target": target.value,
-                "start": args.start,
-                "steps": [
-                    {
-                        "history_size": s.history_size,
-                        "release": s.predicted_release_id,
-                        "predicted": s.predicted,
-                        "actual": s.actual,
-                        "mre": s.mre,
-                    }
-                    for s in steps
-                ],
-            },
-            args,
-        )
-        return 0
+        report = {
+            "report": "history_simulation",
+            "target": target.value,
+            "start": args.start,
+            "steps": [
+                {
+                    "history_size": s.history_size,
+                    "release": s.predicted_release_id,
+                    "predicted": s.predicted,
+                    "actual": s.actual,
+                    "mre": s.mre,
+                }
+                for s in steps
+            ],
+        }
 
-    raise AssertionError(f"unhandled command {args.command}")
+    _emit(report, args)
 
 
 def main(argv=None) -> int:
@@ -366,16 +337,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "crossval" and args.test == "wilcoxon" and not args.baseline:
         parser.error("crossval --test wilcoxon needs --baseline")
+    if args.command == "predict":
+        inline = (args.size, args.levels)
+        if args.spec and inline != (None, None):
+            parser.error("predict takes --spec or --size and --levels, not both")
+        if not args.spec and None in inline:
+            parser.error("predict needs --spec or both --size and --levels")
     try:
-        return _run(args)
+        _run(args)
     except BundleValidationError as exc:
         print("bundle validation failed:", file=sys.stderr)
         for issue in exc.errors:
             print(f"  {issue.entity}.{issue.field}: {issue.message}", file=sys.stderr)
         return 1
-    except (EstimationError, ValueError, OSError) as exc:
+    except (EstimationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -46,6 +46,9 @@ _BASELINE_TARGETS = {
 # equal up to float noise (e.g. 0.30 - 0.20 vs 0.10) tie properly.
 _RANK_SCALE = 1e12
 
+# Up to this many nonzero differences the Wilcoxon p-value is exact.
+_EXACT_LIMIT = 20
+
 
 class AccuracyCase(_Record):
     release_id: str
@@ -190,7 +193,6 @@ def loocv(
     target: Target = Target.DEFECT_CONTENT,
     options: EngineOptions = EngineOptions(),
     active_ids: Sequence[str] | None = None,
-    thresholds: Sequence[float] = DEFAULT_PRED_THRESHOLDS,
 ) -> AccuracyReport:
     """Leave-one-out cross-validation of one model.
 
@@ -231,7 +233,7 @@ def loocv(
         predicted = _model_equation(target, sizes[i], base, points[i])
         cases.append((predicted, _actual(release, target)))
     ids = [r.id for r in releases]
-    return accuracy_metrics(cases, thresholds, ids, model_name=model)
+    return accuracy_metrics(cases, ids=ids, model_name=model)
 
 
 class WilcoxonResult(_Record):
@@ -282,16 +284,14 @@ def _mid_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def wilcoxon_one_sided(
-    pairs: Sequence[tuple[float, float]], exact_limit: int = 20
-) -> WilcoxonResult:
+def wilcoxon_one_sided(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
     """One-sided Wilcoxon matched-pairs signed-rank test.
 
     Differences are d = mre_b - mre_a; the alternative is that model A
     is the more accurate one (d tends positive), so the p-value is the
     null probability of a negative-rank sum at or below the observed
     one.  Zero differences are dropped, tied magnitudes get mid-ranks.
-    Exact enumeration of all 2^n sign assignments up to n = exact_limit,
+    Exact enumeration of all 2^n sign assignments up to n = _EXACT_LIMIT,
     normal approximation with continuity and tie correction beyond.
     """
     d = [float(b - a) for a, b in pairs]
@@ -307,7 +307,7 @@ def wilcoxon_one_sided(
     # Ranks are multiples of 1/2, so these sums are exact in any order.
     w_plus = float(sum(r for r, x in zip(ranks, d) if x > 0))
     w_minus = float(sum(r for r, x in zip(ranks, d) if x < 0))
-    if n <= exact_limit:
+    if n <= _EXACT_LIMIT:
         doubled = [round(2 * r) for r in ranks]
         count = _exact_count_le(doubled, round(2 * w_minus))
         p = count / 2.0**n

@@ -24,30 +24,14 @@ def _round6(value):
 
 
 def _payload_to_csv(payload: dict) -> str:
+    """One ``key,value`` row per top-level key; values are JSON."""
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    kind = payload.get("report")
-    if kind == "accuracy":
-        writer.writerow(["release", "predicted", "actual", "mre"])
-        for c in payload["cases"]:
-            writer.writerow([c["release"], c["predicted"], c["actual"], c["mre"]])
-        writer.writerow(["MMRE", "", "", payload["mmre"]])
-        for q, v in payload["pred"].items():
-            writer.writerow([f"Pred({q})", "", "", v])
-    elif kind == "prediction":
-        writer.writerow(["quantity", "value"])
-        writer.writerow(["target", payload["target"]])
-        writer.writerow(["point", payload["point"]])
-        for p, v in payload["quantiles"].items():
-            writer.writerow([f"q{p}", v])
-        writer.writerow(["seed", payload["seed"]])
-        writer.writerow(["n_samples", payload["n_samples"]])
-    else:
-        writer.writerow(["key", "value"])
-        for k, v in payload.items():
-            writer.writerow([k, json.dumps(v, sort_keys=True)])
+    writer.writerow(["key", "value"])
+    for k, v in payload.items():
+        writer.writerow([k, json.dumps(v, sort_keys=True)])
     return buf.getvalue()
 
 

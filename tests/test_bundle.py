@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -146,6 +148,22 @@ class TestLoadBundle:
             load_bundle(path)
         assert exc.value.errors[0].entity == "document"
 
+    @pytest.mark.parametrize("once,twice,repeated", [
+        ('"size": 100', '"size": 100, "size": 1e9', "size"),
+        ('{"D1": 2}', '{"D1": 2, "D1": 0}', "D1"),
+    ], ids=["release-size", "levels-id"])
+    def test_repeated_key_rejected(self, tmp_path, once, twice, repeated):
+        # Otherwise the last copy would win without a word.
+        doc = json.dumps(MINIMAL)
+        assert doc.count(once) == 1
+        path = tmp_path / "bundle.json"
+        path.write_text(doc.replace(once, twice))
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(path)
+        assert exc.value.errors == [
+            ValidationIssue("document", "json", f"duplicate keys [{repeated!r}]")
+        ]
+
     @pytest.mark.parametrize("doc,entity,field", [
         ([1, 2], "document", "json"),
         ("x", "document", "json"),
@@ -267,12 +285,13 @@ class TestWriteReport:
             assert render_report(report, fmt) == render_report(report, fmt)
 
     def test_csv_accuracy_layout(self):
+        # Every report is one key,value row per payload key, JSON values.
         report = summarize_mres([0.1], ids=["A"], model_name="demo")
-        lines = render_report(report, "csv").splitlines()
-        assert lines[0] == "release,predicted,actual,mre"
-        assert lines[1].startswith("A,1.1,1")
-        assert any(line.startswith("MMRE") for line in lines)
-        assert any(line.startswith("Pred(0.25)") for line in lines)
+        rows = list(csv.reader(io.StringIO(render_report(report, "csv"))))
+        payload = json.loads(render_report(report, "json"))
+        assert rows[0] == ["key", "value"]
+        assert [key for key, _ in rows[1:]] == list(report.to_payload())
+        assert {key: json.loads(value) for key, value in rows[1:]} == payload
 
     def test_json_prediction_keys(self):
         from defectcast import (

@@ -40,6 +40,15 @@ class TestCheck:
         assert code == 1
         assert "validation failed" in err
 
+    def test_repeated_key_in_bundle_exits_one(self, capsys, tmp_path):
+        # Otherwise release A would load with the second size, 1.
+        bad = tmp_path / "bad.json"
+        text = EXAMPLE_BUNDLE.read_text()
+        bad.write_text(text.replace('"size": 120,', '"size": 120, "size": 1,'))
+        code, out, err = run(capsys, "check", "--bundle", bad)
+        assert (code, out) == (1, "")
+        assert "  document.json: duplicate keys ['size']" in err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["check"])  # missing --bundle
@@ -85,7 +94,10 @@ class TestPredict:
         {"size": 130},
         {"size": None, "levels": {}},
         [130],
-    ], ids=["no-size", "no-levels", "null-size", "not-an-object"])
+        {"size": 10**400, "levels": {"D1": 1}},
+        {"size": 130, "levels": [["D1", 0], ["D1", 3]]},
+    ], ids=["no-size", "no-levels", "null-size", "not-an-object", "float-overflow",
+            "levels-pairs"])
     def test_malformed_spec_file_exits_one(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -155,8 +167,59 @@ class TestPredict:
         assert expected in err
 
     def test_missing_spec_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE)
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--bundle", str(EXAMPLE_BUNDLE)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("inline", [
+        ("--size", "3"), ("--levels", "D1=1"), ("--size", "3", "--levels", "D1=1"),
+    ], ids=["size", "levels", "both"])
+    def test_spec_with_inline_values_is_usage_error(self, capsys, tmp_path, inline):
+        # The spec file would silently win over the inline values.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"size": 130, "levels": {"D1": 1}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--bundle", str(EXAMPLE_BUNDLE), "--spec", str(spec),
+                  *inline])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_too_deep_spec_exits_one(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[" * 100_000)
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                             "--spec", spec)
+        assert (code, out) == (1, "")
+        assert "error: --spec: JSON nests too deep" in err
+
+    def test_too_many_samples_exits_one(self, capsys):
+        # 8 * 10**15 bytes: the first sample array fails to allocate at
+        # once, before any thread starts.
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                             "--size", "130", "--levels", self.LEVELS,
+                             "--samples", 10**15)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("defect_free,levels,reason", [
+        (False, "D1=1,D2=1,D3=3,D4=1,D5=0",
+         "no level for active effectiveness factors ['E1', 'E2']"),
+        (True, LEVELS, "no included release has a defined effectiveness"),
+    ], ids=["unlevelled-factor", "defect-free-history"])
+    def test_skipped_effectiveness_prediction_warns(
+        self, capsys, tmp_path, defect_free, levels, reason
+    ):
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        if defect_free:
+            for release in doc["releases"]:
+                release.update(defects_found=0, defects_slipped=0)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "predict", "--bundle", path,
+                             "--size", "130", "--levels", levels)
+        assert code == 0
+        assert "effectiveness" not in json.loads(out.split("seed: 0\n", 1)[1])
+        assert f"warning: no effectiveness prediction: {reason}\n" in err
 
     def test_single_history_round_trip(self, capsys, tmp_path):
         bundle = {
@@ -473,9 +536,10 @@ _OPTIONS = {  # each command's options beyond the common ones
         "--start": st.integers(-1, 12).map(str),
     },
 }
-# How predict is given the release: a spec file, inline, or not at all.
+# How predict is given the release: a spec file, inline, both, or not at all.
 _PREDICT_ROUTE = st.one_of(
     st.just(["--spec", SPEC]),
+    st.just(["--spec", SPEC, "--size", "130", "--levels", TestPredict.LEVELS]),
     st.tuples(
         _valid_or("130", "0", "-5", "nan", "inf", "1e300", "abc"),
         st.one_of(

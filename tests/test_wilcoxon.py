@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from defectcast import AllZeroDifferencesError, wilcoxon_one_sided
+from defectcast import evaluation
 from defectcast.evaluation import _mid_ranks
 
 from test_evaluation import MRE_DD, MRE_EFF, MRE_IF, MRE_IF_EFF
@@ -197,10 +198,11 @@ class TestStructure:
         assert result.method == "normal_approximation"
         assert result.p_one_sided < 0.001
 
-    def test_normal_close_to_exact_at_the_boundary(self):
+    def test_normal_close_to_exact_at_the_boundary(self, monkeypatch):
         rng = np.random.default_rng(4)
         pairs = [tuple(rng.random(2)) for _ in range(18)]
-        exact = wilcoxon_one_sided(pairs, exact_limit=20)
-        approx = wilcoxon_one_sided(pairs, exact_limit=10)
+        exact = wilcoxon_one_sided(pairs)
+        monkeypatch.setattr(evaluation, "_EXACT_LIMIT", 10)
+        approx = wilcoxon_one_sided(pairs)
         assert approx.method == "normal_approximation"
         assert approx.p_one_sided == pytest.approx(exact.p_one_sided, abs=0.02)
