@@ -123,6 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=list(_TARGETS), default="defect-content")
     p.add_argument("--start", type=int, default=4)
 
+    # A usage rule checked after parsing reports through its command's parser.
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -335,14 +338,15 @@ def _run(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    usage_error = args.command_parser.error
     if args.command == "crossval" and args.test == "wilcoxon" and not args.baseline:
-        parser.error("crossval --test wilcoxon needs --baseline")
+        usage_error("--test wilcoxon needs --baseline")
     if args.command == "predict":
         inline = (args.size, args.levels)
         if args.spec and inline != (None, None):
-            parser.error("predict takes --spec or --size and --levels, not both")
+            usage_error("takes --spec or --size and --levels, not both")
         if not args.spec and None in inline:
-            parser.error("predict needs --spec or both --size and --levels")
+            usage_error("needs --spec or both --size and --levels")
     try:
         _run(args)
     except BundleValidationError as exc:

@@ -33,7 +33,13 @@ class NewReleaseSpec(_Record):
     def __post_init__(self):
         if not (math.isfinite(self.size) and self.size > 0):
             raise ValueError(f"size must be positive and finite, got {self.size!r}")
-        object.__setattr__(self, "levels", dict(self.levels))
+        pairs = list(self.levels.items() if isinstance(self.levels, Mapping)
+                     else self.levels)
+        object.__setattr__(self, "levels", dict(pairs))
+        if len(self.levels) < len(pairs):
+            ids = [fid for fid, _ in pairs]
+            repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
+            raise ValueError(f"levels name a factor more than once: {repeated}")
         for fid, lvl in self.levels.items():
             if not (_is_int(lvl) and 0 <= lvl <= 3):
                 raise ValueError(

@@ -33,25 +33,37 @@ full-length float64 array, its samples, plus the one-byte indices of
 the factor being drawn.
 
 The blocks of one factor are cut into one contiguous range per CPU
-(never more ranges than blocks).  The calling thread draws the first
-range; each other range runs on a thread of its own that the draw
-starts and joins, since numpy releases the interpreter lock in the
-random fills and the ufuncs.  The uniforms stay the ones a single
-full-length ``random(n)`` call after the indices would give.
+(never more ranges than blocks).  Both passes of a factor, its indices
+and then its uniforms, run on these ranges: the calling thread draws
+the first range; each other range runs on a thread of its own that the
+pass starts and joins, since numpy releases the interpreter lock in the
+random fills and the ufuncs.  The draws stay those of one full-length
+``integers(0, k, n)`` call followed by one full-length ``random(n)``.
+
+The indices are drawn as int32, block by block: bounded integers below
+2**32 take the same 32-bit Lemire draws whatever the dtype, and the
+generator keeps its spare 32-bit half between calls, so the blocks give
+the values, and leave the state, of one full-length call.  A Lemire
+draw rejects a value only when its product's low word falls below
+2**32 mod k, which is 0 when k is a power of two and has probability
+below k / 2**32 otherwise.  Without a rejection each index takes one
+32-bit half of a 64-bit output, so every range but the first starts
+from a guess: a copy of the generator advanced by ``start // 2``
+outputs (by none for one expert, for which numpy draws nothing).  After
+the join, each range's end state is compared with the next range's
+guess.  At the first mismatch the indices from that range on are drawn
+again, serially, from where the range before really ended.  A wrong
+guess costs time, never a bit.  The factor's generator is then set to
+where the whole index draw ended.
+
 ``Generator.random`` turns exactly one 64-bit PCG64 output into one
 double and buffers nothing, so uniform ``i`` is output ``i`` after the
-index draw, whichever call produces it.  The indices are drawn as
-int32, block by block: bounded integers below 2**32 take the same
-32-bit Lemire draws whatever the dtype, and the generator keeps its
-spare 32-bit half between calls, so the blocks give the values, and
-leave the state, of one full-length ``integers(0, k, n)`` call.  The
-first range draws from the factor's own generator; every other range
-copies that generator's state right after the index draw and calls
-``PCG64.advance(start)``, where ``start`` is the range's first sample.
-(The index draw itself cannot be split across ranges: its rejection
-sampling consumes a variable number of outputs.)  Each element is still
-summed over the factors in the same order, so every sample keeps its
-bits, whatever the block size and the number of ranges.
+index draw, whichever call produces it.  The first range draws its
+uniforms from the factor's own generator; every other range copies that
+generator's state and calls ``PCG64.advance(start)``, where ``start`` is
+the range's first sample.  Each element is still summed over the
+factors in the same order, so every sample keeps its bits, whatever the
+block size and the number of ranges.
 
 numpy is imported inside the functions that draw or hold samples, so
 the analytic-mean path, and every command built on it alone, starts
@@ -217,12 +229,69 @@ def _cpus() -> int:
 
 
 def _advanced(rng: np.random.Generator, outputs: int) -> np.random.Generator:
-    """A new generator ``outputs`` 64-bit outputs ahead of ``rng``."""
+    """A new generator ``outputs`` 64-bit outputs ahead of ``rng``.
+
+    At 0 outputs it is a plain copy, spare 32-bit half included.
+    """
     import numpy as np
 
     bits = np.random.PCG64()
     bits.state = rng.bit_generator.state
-    return np.random.Generator(bits.advance(outputs))
+    return np.random.Generator(bits.advance(outputs) if outputs else bits)
+
+
+def _index_start(rng: np.random.Generator, k: int, start: int) -> np.random.Generator:
+    """Guess where ``rng`` stands after ``start`` indices below ``k``.
+
+    The guess holds when ``rng`` holds no spare 32-bit half, ``start``
+    is even and no draw was rejected: each index then takes one 32-bit
+    half of a 64-bit output.  numpy draws nothing for a single expert.
+    """
+    return _advanced(rng, start // 2 if k > 1 else 0)
+
+
+def _same_state(a: dict, b: dict) -> bool:
+    """Whether two PCG64 states give the same draws from here on."""
+    # advance() zeroes a spent spare half, so only a held spare counts.
+    return (a["state"] == b["state"] and a["has_uint32"] == b["has_uint32"]
+            and (not a["has_uint32"] or a["uinteger"] == b["uinteger"]))
+
+
+def _draw_indices(idx: np.ndarray, k: int, gen: np.random.Generator,
+                  lo: int, hi: int) -> None:
+    """Fill ``idx[lo:hi]`` with expert indices below ``k``, block by block."""
+    import numpy as np
+
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        idx[start:stop] = gen.integers(0, k, size=stop - start, dtype=np.int32)
+
+
+def _run_ranges(run, jobs: list) -> None:
+    """``run(*job)`` for every job: the first on the calling thread, each
+    other one on a thread of its own.
+
+    Returns, or raises the first error, only once every range has ended.
+    """
+    errors = []
+
+    def guarded(*job):
+        try:
+            run(*job)
+        except BaseException as exc:  # raised once every range has ended
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=job) for job in jobs[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        guarded(*jobs[0])
+    finally:
+        for thread in threads:
+            if thread.is_alive():  # one that failed to start never is
+                thread.join()  # no range may write after return
+    if errors:
+        raise errors[0]
 
 
 def _add_mixture(
@@ -239,45 +308,40 @@ def _add_mixture(
     import numpy as np
 
     n, k = samples.size, len(triangles)
-    idx = np.empty(n, np.min_scalar_type(k - 1))
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        idx[start:stop] = rng.integers(0, k, size=stop - start, dtype=np.int32)
-    table = _piece_table(triangles)
     blocks = -(-n // _BLOCK)
     ranges = min(_cpus(), blocks)
     starts = [blocks * r // ranges * _BLOCK for r in range(ranges)]
+    stops = starts[1:] + [n]
+
+    idx = np.empty(n, np.min_scalar_type(k - 1))
+    gens = [rng] + [_index_start(rng, k, start) for start in starts[1:]]
+    guesses = [gen.bit_generator.state for gen in gens[1:]]
+    _run_ranges(_draw_indices, [(idx, k, *job) for job in zip(gens, starts, stops)])
+    end = gens[-1]
+    for r, guess in enumerate(guesses, 1):
+        if not _same_state(gens[r - 1].bit_generator.state, guess):
+            # Range r started from a wrong guess: redraw from where r - 1 ended.
+            end = gens[r - 1]
+            _draw_indices(idx, k, end, starts[r], n)
+            break
+    rng.bit_generator.state = end.bit_generator.state
+
+    table = _piece_table(triangles)
     # Every range's generator is set up before the first range draws.
     gens = [rng] + [_advanced(rng, start) for start in starts[1:]]
 
-    errors = []
-
     def run(gen, lo, hi):
-        try:
-            length = min(_BLOCK, hi - lo)
-            u, buffers = np.empty(length), _buffers(length)
-            for start in range(lo, hi, _BLOCK):
-                size = min(_BLOCK, hi - start)
-                gen.random(out=u[:size])
-                x = _inverse_cdf(table, idx[start:start + size], u[:size],
-                                 [b[:size] for b in buffers])
-                x *= weight
-                samples[start:start + size] += x
-        except BaseException as exc:  # raised once every range has ended
-            errors.append(exc)
+        length = min(_BLOCK, hi - lo)
+        u, buffers = np.empty(length), _buffers(length)
+        for start in range(lo, hi, _BLOCK):
+            size = min(_BLOCK, hi - start)
+            gen.random(out=u[:size])
+            x = _inverse_cdf(table, idx[start:start + size], u[:size],
+                             [b[:size] for b in buffers])
+            x *= weight
+            samples[start:start + size] += x
 
-    jobs = list(zip(gens, starts, starts[1:] + [n]))
-    threads = [threading.Thread(target=run, args=job) for job in jobs[1:]]
-    try:
-        for thread in threads:
-            thread.start()
-        run(*jobs[0])
-    finally:
-        for thread in threads:
-            if thread.is_alive():  # one that failed to start never is
-                thread.join()  # no range may write after return
-    if errors:
-        raise errors[0]
+    _run_ranges(run, list(zip(gens, starts, stops)))
 
 
 def _terms(

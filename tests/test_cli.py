@@ -170,6 +170,11 @@ class TestPredict:
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--bundle", str(EXAMPLE_BUNDLE)])
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # The predict command's own usage, which lists the flags that fix it.
+        assert err.startswith("usage: defectcast predict ")
+        assert "needs --spec or both --size and --levels" in err
 
     @pytest.mark.parametrize("inline", [
         ("--size", "3"), ("--levels", "D1=1"), ("--size", "3", "--levels", "D1=1"),
@@ -182,7 +187,9 @@ class TestPredict:
             main(["predict", "--bundle", str(EXAMPLE_BUNDLE), "--spec", str(spec),
                   *inline])
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: defectcast predict ")
 
     def test_too_deep_spec_exits_one(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -323,7 +330,10 @@ class TestCrossval:
         with pytest.raises(SystemExit) as exc:
             main(["crossval", "--bundle", str(EXAMPLE_BUNDLE), "--test", "wilcoxon"])
         assert exc.value.code == 2
-        assert "needs --baseline" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: defectcast crossval ")
+        assert "needs --baseline" in err
 
     def test_exclude_flag(self, capsys):
         code, out, _ = run(

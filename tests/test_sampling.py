@@ -258,6 +258,18 @@ def draw_two_ranges():
                  np.random.default_rng(0))
 
 
+def spy_index_draws(monkeypatch):
+    """Record the (start, stop) of every index draw call."""
+    real, calls = sampling._draw_indices, []
+
+    def draw_indices(idx, k, gen, lo, hi):
+        calls.append((lo, hi))
+        real(idx, k, gen, lo, hi)
+
+    monkeypatch.setattr(sampling, "_draw_indices", draw_indices)
+    return calls
+
+
 # Range counts each kernel test checks: one range, and splits of 2, 3
 # and 5 that leave ranges of unequal block counts.  They run on any
 # machine, one CPU included.
@@ -380,6 +392,108 @@ class TestMixtureKernel:
                 _add_mixture(np.zeros(3 * _BLOCK), [make_triangle()], 1.0,
                              np.random.default_rng(0))
         assert not started[0].is_alive()
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_wrong_index_start_guess_is_redrawn(self, monkeypatch, workers):
+        # Every range but the first guesses where the index draw stands at
+        # its start; a guess one output off must cost a redraw, not a bit.
+        triangles = [make_triangle(a=0.1, m=0.2, b=0.4),
+                     make_triangle(a=0.0, m=0.3, b=0.3, expert="X2"),
+                     make_triangle(a=0.2, m=0.2, b=0.5, expert="X3")]
+        n = 5 * _BLOCK + 3
+
+        def draw():
+            rng = np.random.default_rng(17)
+            got = np.zeros(n)
+            with cut_into(workers):
+                _add_mixture(got, triangles, 1.0, rng)
+            return got, rng.bit_generator.state
+
+        expected, expected_state = draw()
+        real = sampling._index_start
+        monkeypatch.setattr(sampling, "_index_start",
+                            lambda *args: sampling._advanced(real(*args), 1))
+        calls = spy_index_draws(monkeypatch)
+        got, state = draw()
+        assert len(calls) == workers + 1  # every range, then the redraw
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert state == expected_state
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_example_bundle_factors_take_no_redraw(self, monkeypatch, workers):
+        # Four experts per factor: 2**32 is a multiple of 4, so no index
+        # draw is ever rejected and every guess holds.
+        bundle = load_bundle(EXAMPLE_BUNDLE)
+        calls = spy_index_draws(monkeypatch)
+        n, drawn = 10**6, 0
+        for target in Target:
+            factors = bundle.factors_for(target)
+            assert {len([t for t in bundle.quantifications
+                         if t.target == target and t.factor_id == f.id])
+                    for f in factors} == {4}
+            with cut_into(workers):
+                increase_distribution(factors, bundle.quantifications,
+                                      {f.id: 2 for f in factors}, target,
+                                      EngineOptions(n_samples=n))
+            drawn += len(factors)
+        assert len(calls) == drawn * workers
+
+    @pytest.mark.parametrize("failing", ["main", "worker"])
+    def test_index_range_error_propagates_once_every_range_ends(
+        self, monkeypatch, failing
+    ):
+        # 4 blocks in 3 ranges, each range one index draw call.
+        real = sampling._draw_indices
+        lock = threading.Lock()
+        finished = []
+
+        def draw_indices(*args):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (failing == "main"):
+                raise RuntimeError("range failed")
+            time.sleep(0.02)
+            with lock:
+                finished.append(on_main)
+            real(*args)
+
+        monkeypatch.setattr(sampling, "_draw_indices", draw_indices)
+        samples = np.zeros(4 * _BLOCK)
+        with cut_into(3):
+            with pytest.raises(RuntimeError, match="range failed"):
+                _add_mixture(samples, [make_triangle()], 1.0,
+                             np.random.default_rng(0))
+        assert len(finished) == (2 if failing == "main" else 1)
+        assert not samples.any()  # the kernel never ran
+
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "held-spare"])
+    @pytest.mark.parametrize("n", [1, _BLOCK + 1, 3 * _BLOCK + 7, 5 * _BLOCK + 4])
+    def test_caller_rng_ends_after_indices_and_first_range(self, n, spare):
+        # The caller's generator ends after the whole index draw and the
+        # first range's uniforms.  A held spare 32-bit half shifts every
+        # index range by one value, so every guess misses.
+        triangles = [make_triangle(), make_triangle(a=0.0, m=0.1, b=0.3,
+                                                    expert="X2")]
+
+        def start():
+            rng = np.random.default_rng(3)
+            if spare:
+                rng.integers(0, 2, size=1, dtype=np.int32)
+            return rng
+
+        expected = reference_mixture(triangles, n, start())
+        blocks = -(-n // _BLOCK)
+        for workers in WORKERS:
+            rng, got = start(), np.zeros(n)
+            with cut_into(workers):
+                _add_mixture(got, triangles, 1.0, rng)
+            ranges = min(workers, blocks)
+            reference = start()
+            reference.integers(0, 2, size=n)
+            reference.random(blocks // ranges * _BLOCK if ranges > 1 else n)
+            assert rng.bit_generator.state == reference.bit_generator.state, (
+                f"{workers} ranges"
+            )
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_draw_leaves_no_thread_behind(self):
         before = threading.active_count()
