@@ -75,6 +75,5 @@ from .sampling import (
     triangle_inverse_cdf,
     triangle_variance,
 )
-from .synth import make_synthetic_bundle
 
 __version__ = "0.1.0"

@@ -218,6 +218,11 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     release_ids: set[str] = set()
     for i, r in _objects(raw, "releases", "release", errors):
         entity = f"release:{r.get('id', f'#{i}')}"
+        excluded = r.get("excluded", False)
+        if not isinstance(excluded, bool):  # bool("false") would exclude
+            errors.append(ValidationIssue(
+                entity, "excluded", f"expected a boolean, got {_kind(excluded)}"
+            ))
         try:
             rec = ReleaseRecord(
                 id=str(r["id"]),
@@ -225,7 +230,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
                 defects_found=float(r["defects_found"]),
                 defects_slipped=float(r["defects_slipped"]),
                 levels={str(k): v for k, v in r.get("levels", {}).items()},
-                excluded=bool(r.get("excluded", False)),
+                excluded=excluded is True,
                 note=str(r.get("note", "")),
             )
         except (

@@ -28,9 +28,10 @@ from .model import (
 from .sampling import (
     EngineOptions,
     POINT_ANALYTIC_MEAN,
+    _draw_increase,
+    _median_sample,
     analytic_mean_increase,
     empirical_quantile,
-    increase_distribution,
 )
 
 
@@ -105,15 +106,15 @@ def calibrate(
     def increase_point(factors, levels, target):
         if not factors:
             return 0.0
-        # The analytic-mean point needs no Monte Carlo draws; the value
-        # is identical to increase_distribution(...).point.
+        # Either point is identical to increase_distribution(...).point;
+        # the analytic mean needs no Monte Carlo draws.
         if options.point == POINT_ANALYTIC_MEAN:
             return analytic_mean_increase(factors, triangles, levels, target)
         key = (target, tuple(levels.get(f.id) for f in factors))
         if key not in drawn:
-            drawn[key] = increase_distribution(
-                factors, triangles, levels, target, options
-            ).point
+            drawn[key] = _median_sample(
+                _draw_increase(factors, triangles, levels, target, options)
+            )
         return drawn[key]
 
     per_release: dict[str, ReleaseCalibration] = {}

@@ -184,15 +184,20 @@ def _parse_levels(text: str) -> dict[str, int]:
     return levels
 
 
+def _check_known(bundle, ids, source: str) -> None:
+    """A ValueError, led by ``source``, if some of ``ids`` name no factor."""
+    known = {f.id for f in bundle.factors}
+    unknown = [fid for fid in ids if fid not in known]
+    if unknown:
+        raise ValueError(f"{source}: unknown factor ids {unknown}")
+
+
 def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
     """Per-target --factors overrides; ``resolve_active`` checks each target's ids."""
     if not text:
         return {target: None for target in Target}
     ids = [fid.strip() for fid in text.split(",")]
-    known = {f.id for f in bundle.factors}
-    unknown = [fid for fid in ids if fid not in known]
-    if unknown:
-        raise ValueError(f"--factors: unknown factor ids {unknown}")
+    _check_known(bundle, ids, "--factors")
     split = {}
     for target in Target:
         of_target = {f.id for f in bundle.factors_for(target)}
@@ -255,11 +260,7 @@ def _run(args) -> None:
             spec = _load_spec(args.spec)
         else:
             spec = NewReleaseSpec(size=args.size, levels=_parse_levels(args.levels))
-        known = {f.id for f in bundle.factors}
-        unknown = [fid for fid in spec.levels if fid not in known]
-        if unknown:
-            source = "--spec" if args.spec else "--levels"
-            raise ValueError(f"{source}: unknown factor ids {unknown}")
+        _check_known(bundle, spec.levels, "--spec" if args.spec else "--levels")
         dc_active = active(Target.DEFECT_CONTENT)
         eff_active = active(Target.EFFECTIVENESS)
         ctx = calibrate(

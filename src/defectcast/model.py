@@ -25,6 +25,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_levels(levels: Mapping[str, int], context: str = "") -> None:
+    """Each level must be an integer in [0, 3]; ``context`` leads the error."""
+    for fid, lvl in levels.items():
+        if not (_is_int(lvl) and 0 <= lvl <= 3):
+            raise ValueError(
+                f"{context}level for factor {fid!r} must be an integer in "
+                f"[0, 3], got {lvl!r}"
+            )
+
+
 def _median(values):
     """``statistics.median``: the middle value, or the mean of the middle two."""
     data = sorted(values)
@@ -189,12 +199,7 @@ class ReleaseRecord(_Record):
             raise ValueError(f"release {self.id!r}: size must be positive")
         if self.defects_found < 0 or self.defects_slipped < 0:
             raise ValueError(f"release {self.id!r}: defect counts must be >= 0")
-        for fid, lvl in self.levels.items():
-            if not (_is_int(lvl) and 0 <= lvl <= 3):
-                raise ValueError(
-                    f"release {self.id!r}: level for factor {fid!r} must be "
-                    f"an integer in [0, 3], got {lvl!r}"
-                )
+        _check_levels(self.levels, f"release {self.id!r}: ")
         object.__setattr__(self, "levels", dict(self.levels))
 
 

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
-from .model import ExpertTriangle, InfluenceFactor, Target, _is_int, _Record
+from .model import ExpertTriangle, InfluenceFactor, Target, _check_levels, _Record
 from .sampling import (
     POINT_ANALYTIC_MEAN,
     EngineOptions,
@@ -40,12 +40,7 @@ class NewReleaseSpec(_Record):
             ids = [fid for fid, _ in pairs]
             repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
             raise ValueError(f"levels name a factor more than once: {repeated}")
-        for fid, lvl in self.levels.items():
-            if not (_is_int(lvl) and 0 <= lvl <= 3):
-                raise ValueError(
-                    f"level for factor {fid!r} must be an integer in [0, 3], "
-                    f"got {lvl!r}"
-                )
+        _check_levels(self.levels)
 
 
 class Prediction(_Record):

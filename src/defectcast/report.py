@@ -2,12 +2,14 @@
 
 A report renders from one payload, a dict or its ``to_payload()``, with
 floats fixed to 6 significant digits, so a fixed seed gives fixed bytes.
+A NaN or an infinity is never written: rendering it is a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 
 
 def _round6(value):
@@ -15,6 +17,8 @@ def _round6(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"report value {value} is not finite")
         return float(f"{value:.6g}")
     if isinstance(value, dict):
         return {k: _round6(v) for k, v in value.items()}

@@ -410,6 +410,17 @@ def _draw_increase(
     return samples
 
 
+def _median_sample(samples: np.ndarray) -> float:
+    """The nearest-rank median of ``empirical_quantile``, by selection.
+
+    ``samples`` need not be sorted and is left as it is.
+    """
+    import numpy as np
+
+    k = math.ceil(0.5 * samples.size) - 1
+    return float(np.partition(samples, k)[k])
+
+
 def increase_distribution(
     factors: Sequence[InfluenceFactor],
     triangles: Sequence[ExpertTriangle],
@@ -423,16 +434,12 @@ def increase_distribution(
     independent expert-mixture draw.  Identical (inputs, seed, n) yield
     bit-identical sample lists.
     """
-    import numpy as np
-
     samples = _draw_increase(factors, triangles, levels, target, options)
     mean = analytic_mean_increase(factors, triangles, levels, target)
     if options.point == POINT_ANALYTIC_MEAN:
         point = mean
     else:
-        # The nearest-rank median of empirical_quantile, by selection.
-        k = math.ceil(0.5 * samples.size) - 1
-        point = float(np.partition(samples, k)[k])
+        point = _median_sample(samples)
     samples.setflags(write=False)
     return IncreaseResult(
         target=target, samples=samples, analytic_mean=mean, point=point

@@ -10,9 +10,10 @@ from defectcast import (
     Target,
     accuracy_metrics,
     load_bundle,
-    make_synthetic_bundle,
     sampling,
 )
+
+from synth import make_synthetic_bundle
 
 EXAMPLE_BUNDLE = Path(__file__).parent.parent / "demos" / "data" / "example_bundle.json"
 

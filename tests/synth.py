@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bundle import ContextBundle
-from .model import (
+from defectcast.bundle import ContextBundle
+from defectcast.model import (
     ExpertTriangle,
     FactorRanking,
     InfluenceFactor,

@@ -27,7 +27,6 @@ from defectcast import (
     effectiveness,
     history_simulation,
     loocv,
-    make_synthetic_bundle,
     predict_defect_content,
     predict_effectiveness,
     triangle_inverse_cdf,
@@ -44,6 +43,7 @@ from conftest import (
     make_triangle,
     summarize_mres,
 )
+from synth import make_synthetic_bundle
 from test_evaluation import MRE_DC, MRE_DD, MRE_EFF, MRE_IF, MRE_IF_EFF
 
 

@@ -107,6 +107,16 @@ class TestLoadBundle:
             load_bundle(write_json(tmp_path, bad))
         assert any("True" in i.message for i in exc.value.errors)
 
+    @pytest.mark.parametrize("value", ["false", "no", 1, 0, None])
+    def test_non_boolean_excluded_rejected(self, tmp_path, value):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["releases"][0]["excluded"] = value
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, bad))
+        assert [(i.entity, i.field) for i in exc.value.errors] == [
+            ("release:A", "excluded")
+        ]
+
     def test_boolean_rank_rejected(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
         bad["rankings"] = [
@@ -316,6 +326,13 @@ class TestWriteReport:
         report = summarize_mres([1 / 3], ids=["A"])
         payload = json.loads(render_report(report, "json"))
         assert payload["mmre"] == 0.333333
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_nan_is_never_written(self, fmt):
+        # tests/test_cli.py checks -inf end to end.
+        report = {"report": "demo", "nested": {"values": [1.0, float("nan")]}}
+        with pytest.raises(ValueError, match="not finite"):
+            render_report(report, fmt)
 
 
 JSON_VALUES = st.recursive(

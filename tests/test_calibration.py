@@ -19,6 +19,7 @@ from defectcast import (
 )
 
 from conftest import make_factor, make_release, make_triangle
+from synth import make_synthetic_bundle
 
 
 class TestBaseValues:
@@ -157,7 +158,8 @@ class TestCalibrate:
 
     def test_mc_median_draws_once_per_level_vector(self, monkeypatch):
         import defectcast.calibration as calibration
-        from defectcast import increase_distribution, make_synthetic_bundle
+        from defectcast import increase_distribution
+        from defectcast.sampling import _draw_increase
 
         bundle = make_synthetic_bundle(seed=0, n_releases=60)
         dc = list(bundle.factors_for(Target.DEFECT_CONTENT))
@@ -167,9 +169,9 @@ class TestCalibrate:
 
         def counting(*args):
             calls.append(args[3])
-            return increase_distribution(*args)
+            return _draw_increase(*args)
 
-        monkeypatch.setattr(calibration, "increase_distribution", counting)
+        monkeypatch.setattr(calibration, "_draw_increase", counting)
         ctx = calibrate(bundle.releases, dc, eff, bundle.quantifications, opts)
         for target, factors in ((Target.DEFECT_CONTENT, dc),
                                 (Target.EFFECTIVENESS, eff)):

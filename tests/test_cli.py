@@ -208,6 +208,23 @@ class TestPredict:
         assert (code, out) == (1, "")
         assert err.splitlines()[-1].startswith("error: ")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_non_finite_report_exits_one(self, capsys, tmp_path, fmt):
+        # (b - a)**2 overflows in the kernel, and the quantiles would
+        # print as -Infinity.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        doc["quantifications"][0]["max"] = 1e160
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / f"report.{fmt}"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run(capsys, "predict", "--bundle", path,
+                                 "--size", "130", "--levels", self.LEVELS,
+                                 "--format", fmt, "--out", report)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: report value -inf is not finite"
+        assert not report.exists()
+
     @pytest.mark.parametrize("defect_free,levels,reason", [
         (False, "D1=1,D2=1,D3=3,D4=1,D5=0",
          "no level for active effectiveness factors ['E1', 'E2']"),

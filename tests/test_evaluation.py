@@ -17,7 +17,6 @@ from defectcast import (
     aggregate_rankings,
     history_simulation,
     loocv,
-    make_synthetic_bundle,
     wilcoxon_one_sided,
 )
 
@@ -28,6 +27,7 @@ from conftest import (
     make_triangle,
     summarize_mres,
 )
+from synth import make_synthetic_bundle
 
 # Published cross-validation MRE rows used as aggregate fixtures.
 MRE_DC = [0.17, 0.52, 0.27, 0.56, 1.33, 0.20, 0.75, 3.20]

@@ -35,13 +35,14 @@ from defectcast import (
     effectiveness,
     history_simulation,
     loocv,
-    make_synthetic_bundle,
     predict_defect_content,
     predict_effectiveness,
     render_report,
 )
 from defectcast import sampling
 from defectcast.evaluation import HistoryStep
+
+from synth import make_synthetic_bundle
 
 
 def _actual(release, target):

@@ -571,3 +571,18 @@ class TestQuantiles:
         ordered = np.sort(np.array(values))
         out = [empirical_quantile(ordered, p) for p in sorted(probs)]
         assert out == sorted(out)
+
+    # Few distinct values, so the median sits inside long runs of ties.
+    # "+ 0.0" turns -0.0, which ties with 0.0 but has other bits, into
+    # 0.0; the engine's samples are never -0.0.
+    @given(values=st.lists(
+        st.sampled_from([0.0, 0.25, 1.0, 3.5]) | st.floats(-1e6, 1e6).map(
+            lambda x: x + 0.0),
+        min_size=1, max_size=300,
+    ))
+    def test_median_sample_is_the_sorted_nearest_rank_median(self, values):
+        samples = np.array(values)
+        before = samples.copy()
+        median = sampling._median_sample(samples)
+        assert median.hex() == empirical_quantile(np.sort(samples), 0.5).hex()
+        assert np.array_equal(samples, before)
