@@ -63,6 +63,6 @@ for k in sorted(curve):
     print(f"  k={k}: MMRE={curve[k].mmre:.3f}")
 
 print("\nAccuracy as the history grows (start with 4 releases):")
-for step in history_simulation(bundle, start_m=4):
-    print(f"  {step.history_size} releases -> predict {step.predicted_release_id}: "
-          f"MRE={step.mre:.3f}")
+history = history_simulation(bundle, start_m=4)
+for j, case in enumerate(history.cases):
+    print(f"  {4 + j} releases -> predict {case.release_id}: MRE={case.mre:.3f}")

@@ -33,7 +33,6 @@ from .errors import (
 from .evaluation import (
     AccuracyCase,
     AccuracyReport,
-    HistoryStep,
     MODEL_DC_MEDIAN,
     MODEL_DD_MEDIAN,
     MODEL_EFF_MEDIAN,

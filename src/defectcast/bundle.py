@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .calibration import descriptive_stats
-from .errors import BundleValidationError
+from .errors import BundleValidationError, MissingFactorError
 from .model import (
     ExpertTriangle,
     FactorRanking,
@@ -213,16 +213,16 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
             errors.append(ValidationIssue(entity, "expert", "duplicate ranking"))
         by_expert.add((ranking.expert, ranking.target))
         rankings.append(ranking)
+    for t in Target:  # the rules every ranking command applies
+        try:
+            aggregate_rankings(rankings, t)
+        except (MissingFactorError, ValueError) as exc:
+            errors.append(ValidationIssue("rankings", t.value, str(exc)))
 
     releases: list[ReleaseRecord] = []
     release_ids: set[str] = set()
     for i, r in _objects(raw, "releases", "release", errors):
         entity = f"release:{r.get('id', f'#{i}')}"
-        excluded = r.get("excluded", False)
-        if not isinstance(excluded, bool):  # bool("false") would exclude
-            errors.append(ValidationIssue(
-                entity, "excluded", f"expected a boolean, got {_kind(excluded)}"
-            ))
         try:
             rec = ReleaseRecord(
                 id=str(r["id"]),
@@ -230,7 +230,6 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
                 defects_found=float(r["defects_found"]),
                 defects_slipped=float(r["defects_slipped"]),
                 levels={str(k): v for k, v in r.get("levels", {}).items()},
-                excluded=excluded is True,
                 note=str(r.get("note", "")),
             )
         except (
@@ -238,6 +237,11 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
         ) as exc:
             errors.append(ValidationIssue(entity, "measures/levels", str(exc)))
             continue
+        if "excluded" in r:  # ReleaseRecord owns the rule; this names the field
+            try:
+                rec = rec._replace(excluded=r["excluded"])
+            except ValueError as exc:
+                errors.append(ValidationIssue(entity, "excluded", str(exc)))
         if rec.id in release_ids:
             errors.append(ValidationIssue(entity, "id", "duplicate release id"))
         release_ids.add(rec.id)

@@ -45,16 +45,17 @@ _MODELS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, engine: bool = True) -> None:
     parser.add_argument("--bundle", required=True, help="context bundle JSON file")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=10_000)
-    parser.add_argument(
-        "--point", choices=["analytic-mean", "mc-median"], default="analytic-mean"
-    )
-    parser.add_argument(
-        "--exclude", default="", help="comma-separated release ids to exclude"
-    )
+    if engine:  # check and rank draw nothing and read every release
+        parser.add_argument("--samples", type=int, default=10_000)
+        parser.add_argument(
+            "--point", choices=["analytic-mean", "mc-median"], default="analytic-mean"
+        )
+        parser.add_argument(
+            "--exclude", default="", help="comma-separated release ids to exclude"
+        )
     parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
 
@@ -75,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a bundle and show descriptive stats")
-    _add_common(p)
+    _add_common(p, engine=False)
 
     p = sub.add_parser("rank", help="aggregate the expert factor rankings")
-    _add_common(p)
+    _add_common(p, engine=False)
     p.add_argument("--target", choices=list(_TARGETS), required=True)
 
     p = sub.add_parser("calibrate", help="derive context base values")
@@ -192,19 +193,17 @@ def _check_known(bundle, ids, source: str) -> None:
         raise ValueError(f"{source}: unknown factor ids {unknown}")
 
 
-def _split_factors(bundle, text: str | None) -> dict[Target, list[str] | None]:
-    """Per-target --factors overrides; ``resolve_active`` checks each target's ids."""
-    if not text:
-        return {target: None for target in Target}
-    ids = [fid.strip() for fid in text.split(",")]
-    _check_known(bundle, ids, "--factors")
-    split = {}
-    for target in Target:
-        of_target = {f.id for f in bundle.factors_for(target)}
-        split[target] = [fid for fid in ids if fid in of_target] or None
-        if split[target]:  # checked for both targets, even if the command uses one
-            bundle.resolve_active(target, split[target])
-    return split
+def _resolve_factors(bundle, text: str | None) -> dict[Target, list]:
+    """Each target's active factors; --factors ids are split by target."""
+    split = dict.fromkeys(Target)
+    if text:
+        ids = [fid.strip() for fid in text.split(",")]
+        _check_known(bundle, ids, "--factors")
+        for target in Target:
+            of_target = {f.id for f in bundle.factors_for(target)}
+            split[target] = [fid for fid in ids if fid in of_target] or None
+    # Resolved for both targets, even if the command uses one.
+    return {t: bundle.resolve_active(t, override) for t, override in split.items()}
 
 
 def _emit(report, args) -> None:
@@ -218,16 +217,16 @@ def _emit(report, args) -> None:
 
 
 def _run(args) -> None:
-    options = EngineOptions(n_samples=args.samples, seed=args.seed, point=args.point)
+    options = EngineOptions(seed=args.seed)  # check and rank take only the seed
+    if "samples" in args:
+        options = options._replace(n_samples=args.samples, point=args.point)
     bundle = load_bundle(args.bundle)
     for warning in bundle.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.exclude:
+    if getattr(args, "exclude", ""):
         bundle = bundle.with_excluded([rid.strip() for rid in args.exclude.split(",")])
-    overrides = _split_factors(bundle, getattr(args, "factors", None))
-
-    def active(target):
-        return bundle.resolve_active(target, overrides[target])
+    if "factors" in args:
+        active = _resolve_factors(bundle, args.factors)
 
     target = _TARGETS[args.target] if getattr(args, "target", None) else None
 
@@ -250,8 +249,8 @@ def _run(args) -> None:
     elif args.command == "calibrate":
         report = calibrate(
             bundle.included_releases(),
-            active(Target.DEFECT_CONTENT),
-            active(Target.EFFECTIVENESS),
+            active[Target.DEFECT_CONTENT],
+            active[Target.EFFECTIVENESS],
             bundle.quantifications,
             options,
         )
@@ -261,8 +260,8 @@ def _run(args) -> None:
         else:
             spec = NewReleaseSpec(size=args.size, levels=_parse_levels(args.levels))
         _check_known(bundle, spec.levels, "--spec" if args.spec else "--levels")
-        dc_active = active(Target.DEFECT_CONTENT)
-        eff_active = active(Target.EFFECTIVENESS)
+        dc_active = active[Target.DEFECT_CONTENT]
+        eff_active = active[Target.EFFECTIVENESS]
         ctx = calibrate(
             bundle.included_releases(), dc_active, eff_active,
             bundle.quantifications, options,
@@ -289,12 +288,11 @@ def _run(args) -> None:
             report["effectiveness"] = eff_pred.to_payload()
             report["expected_defects_found"] = predict_defects_found(dc_pred, eff_pred)
     elif args.command == "crossval":
-        model = loocv(bundle, _MODELS[args.model], target, options, overrides[target])
+        ids = [f.id for f in active[target]]
+        model = loocv(bundle, _MODELS[args.model], target, options, ids)
         report = {"report": "crossval", "model": model.to_payload()}
         if args.baseline:
-            baseline = loocv(
-                bundle, _MODELS[args.baseline], target, options, overrides[target]
-            )
+            baseline = loocv(bundle, _MODELS[args.baseline], target, options, ids)
             report["baseline"] = baseline.to_payload()
             if args.test == "wilcoxon":
                 model_mres = model.mres()
@@ -314,8 +312,8 @@ def _run(args) -> None:
             "mmre_by_k": {str(k): curve[k].mmre for k in sorted(curve)},
         }
     else:  # historysim
-        steps = history_simulation(
-            bundle, args.start, target, options, overrides[target]
+        history = history_simulation(
+            bundle, args.start, target, options, [f.id for f in active[target]]
         )
         report = {
             "report": "history_simulation",
@@ -323,13 +321,13 @@ def _run(args) -> None:
             "start": args.start,
             "steps": [
                 {
-                    "history_size": s.history_size,
-                    "release": s.predicted_release_id,
-                    "predicted": s.predicted,
-                    "actual": s.actual,
-                    "mre": s.mre,
+                    "history_size": args.start + j,
+                    "release": c.release_id,
+                    "predicted": c.predicted,
+                    "actual": c.actual,
+                    "mre": c.mre,
                 }
-                for s in steps
+                for j, c in enumerate(history.cases)
             ],
         }
 

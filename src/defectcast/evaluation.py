@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bundle import ContextBundle
 from .calibration import calibrate
@@ -66,6 +66,9 @@ class AccuracyReport(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "pred", dict(self.pred))
+
+    def __len__(self) -> int:
+        return len(self.cases)
 
     def mres(self) -> dict[str, float]:
         return {c.release_id: c.mre for c in self.cases}
@@ -157,10 +160,28 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
-def _actual(release: ReleaseRecord, target: Target) -> float:
-    if target == Target.DEFECT_CONTENT:
-        return defect_content(release)
-    return effectiveness(release)
+def _usable(bundle: ContextBundle, target: Target) -> list[ReleaseRecord]:
+    """The releases a validation loop predicts and learns from: the included
+    ones, and for effectiveness only those with defects (0/0 otherwise)."""
+    releases = bundle.included_releases()
+    if target == Target.EFFECTIVENESS:
+        releases = [r for r in releases if defect_content(r) > 0]
+    return releases
+
+
+def _fold_loop(
+    releases: list[ReleaseRecord], target: Target, sizes: list[float],
+    points: list[float], folds: Iterable[tuple[int, list[float]]], model_name: str,
+) -> AccuracyReport:
+    """Accuracy of predicting ``releases[i]`` for each ``(i, window)`` of
+    ``folds``, from the median of the base values in ``window``."""
+    actual = defect_content if target == Target.DEFECT_CONTENT else effectiveness
+    cases, ids = [], []
+    for i, window in folds:
+        predicted = _model_equation(target, sizes[i], _median(window), points[i])
+        cases.append((predicted, actual(releases[i])))
+        ids.append(releases[i].id)
+    return accuracy_metrics(cases, ids=ids, model_name=model_name)
 
 
 def _fitted(
@@ -211,9 +232,7 @@ def loocv(
         raise ValueError(f"unknown model {model!r}")
     if _BASELINE_TARGETS.get(model, target) != target:
         raise ValueError(f"baseline {model!r} does not predict {target.value}")
-    releases = bundle.included_releases()
-    if target == Target.EFFECTIVENESS:
-        releases = [r for r in releases if defect_content(r) > 0]
+    releases = _usable(bundle, target)
     if len(releases) < 2:
         raise InsufficientHistoryError("leave-one-out needs >= 2 usable releases")
     # Resolved for every model, so a bad override fails the same way.
@@ -227,13 +246,8 @@ def loocv(
         if model != MODEL_INFLUENCE_FACTOR:
             active = []
         points, bases = _fitted(bundle, releases, target, active, options)
-    cases = []
-    for i, release in enumerate(releases):
-        base = _median(bases[:i] + bases[i + 1:])
-        predicted = _model_equation(target, sizes[i], base, points[i])
-        cases.append((predicted, _actual(release, target)))
-    ids = [r.id for r in releases]
-    return accuracy_metrics(cases, ids=ids, model_name=model)
+    folds = ((i, bases[:i] + bases[i + 1:]) for i in range(len(releases)))
+    return _fold_loop(releases, target, sizes, points, folds, model)
 
 
 class WilcoxonResult(_Record):
@@ -356,54 +370,30 @@ def ablation_curve(
     return out
 
 
-class HistoryStep(_Record):
-    history_size: int
-    predicted_release_id: str
-    predicted: float
-    actual: float
-    mre: float
-
-
 def history_simulation(
     bundle: ContextBundle,
     start_m: int = 4,
     target: Target = Target.DEFECT_CONTENT,
     options: EngineOptions = EngineOptions(),
     active_ids: Sequence[str] | None = None,
-) -> list[HistoryStep]:
+) -> AccuracyReport:
     """Simulate model building with a growing release history.
 
     Starting from the first ``start_m`` included releases (in
     chronological = input order), each next release is predicted and
-    then folded into the history.  Excluded releases are skipped both
-    as history and as prediction targets.
+    then folded into the history, so case j was predicted from
+    ``start_m + j`` releases.  Excluded releases are skipped both as
+    history and as prediction targets.
     """
     if start_m < 2:
         raise ValueError("start_m must be >= 2")
-    releases = bundle.included_releases()
-    if target == Target.EFFECTIVENESS:
-        releases = [r for r in releases if defect_content(r) > 0]
+    releases = _usable(bundle, target)
     if len(releases) <= start_m:
         raise InsufficientHistoryError(
             f"history simulation needs more than {start_m} usable releases"
         )
     active = bundle.resolve_active(target, active_ids)
     points, bases = _fitted(bundle, releases, target, active, options)
-    steps = []
-    for m in range(start_m, len(releases)):
-        nxt = releases[m]
-        base = _median(bases[:m])
-        predicted = _model_equation(target, nxt.size, base, points[m])
-        actual = _actual(nxt, target)
-        if actual == 0:
-            raise ZeroActualError(f"release {nxt.id!r} has actual value 0")
-        steps.append(
-            HistoryStep(
-                history_size=m,
-                predicted_release_id=nxt.id,
-                predicted=predicted,
-                actual=actual,
-                mre=abs(predicted - actual) / actual,
-            )
-        )
-    return steps
+    sizes = [r.size for r in releases]
+    folds = ((m, bases[:m]) for m in range(start_m, len(releases)))
+    return _fold_loop(releases, target, sizes, points, folds, MODEL_INFLUENCE_FACTOR)

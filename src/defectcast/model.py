@@ -201,6 +201,11 @@ class ReleaseRecord(_Record):
             raise ValueError(f"release {self.id!r}: defect counts must be >= 0")
         _check_levels(self.levels, f"release {self.id!r}: ")
         object.__setattr__(self, "levels", dict(self.levels))
+        if not isinstance(self.excluded, bool):  # bool("false") would exclude
+            raise ValueError(
+                f"release {self.id!r}: excluded must be a boolean, got "
+                f"{self.excluded!r}"
+            )
 
 
 def defect_content(release: ReleaseRecord) -> float:

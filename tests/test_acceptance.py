@@ -224,9 +224,10 @@ def test_criterion_7_rq2_rq3():
     import inspect
 
     assert inspect.signature(history_simulation).parameters["start_m"].default == 4
-    steps = history_simulation(constant)
-    assert steps[0].history_size == 4
-    assert all(s.mre == pytest.approx(0, abs=1e-12) for s in steps)
+    history = history_simulation(constant)
+    # The first case is predicted from the first 4 releases.
+    assert history.cases[0].release_id == constant.included_releases()[4].id
+    assert all(c.mre == pytest.approx(0, abs=1e-12) for c in history.cases)
 
 
 @criterion("8. every CLI command is byte-deterministic at a fixed seed")

@@ -15,7 +15,7 @@ from defectcast import (
 )
 from defectcast.bundle import _build_bundle
 
-from conftest import summarize_mres
+from conftest import EXAMPLE_BUNDLE, summarize_mres
 
 
 MINIMAL = {
@@ -225,6 +225,25 @@ class TestLoadBundle:
         assert exc.value.errors == [
             ValidationIssue("ranking:X1", "expert", "duplicate ranking")
         ]
+
+    # Each edit breaks a rule of aggregate_rankings, which every ranking
+    # command applies: ranks in [1, k], one factor set per target.
+    @pytest.mark.parametrize("index,edit,target,message", [
+        (1, lambda ranks: ranks.update(D1=9), "defect_content",
+         "ranking by 'X2': rank for 'D1' must be an integer in [1, 5], got 9"),
+        (1, lambda ranks: ranks.pop("D5"), "defect_content",
+         "ranking by 'X2' disagrees on the factor set: ['D5']"),
+        (4, lambda ranks: ranks.pop("E5"), "effectiveness",
+         "ranking by 'X2' disagrees on the factor set: ['E5']"),
+    ], ids=["rank-above-k", "missing-factor", "effectiveness-missing-factor"])
+    def test_rankings_follow_the_aggregation_rules(
+        self, tmp_path, index, edit, target, message
+    ):
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        edit(doc["rankings"][index]["ranks"])
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [ValidationIssue("rankings", target, message)]
 
     def test_loaded_records_are_immutable(self, example_bundle):
         with pytest.raises(AttributeError):

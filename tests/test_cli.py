@@ -64,6 +64,45 @@ class TestRank:
         assert [e["factor_id"] for e in payload["order"]] == \
             ["D1", "D2", "D3", "D4", "D5"]
 
+    @pytest.mark.parametrize("index,edit,entity", [
+        (1, lambda ranks: ranks.update(D1=9), "rankings.defect_content"),
+        (1, lambda ranks: ranks.pop("D5"), "rankings.defect_content"),
+        (4, lambda ranks: ranks.pop("E5"), "rankings.effectiveness"),
+    ], ids=["rank-above-k", "missing-factor", "effectiveness-missing-factor"])
+    @pytest.mark.parametrize("command", [
+        ("check",), ("rank", "--target", "defect-content"), ("ablate",),
+        ("calibrate",),
+    ], ids=lambda c: c[0])
+    def test_ranking_that_cannot_aggregate_exits_one(
+        self, capsys, tmp_path, command, index, edit, entity
+    ):
+        # check used to pass these bundles that rank and ablate reject.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        edit(doc["rankings"][index]["ranks"])
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], "--bundle", bundle, *command[1:])
+        assert (code, out) == (1, "")
+        assert f"  {entity}: ranking by 'X2'" in err
+
+
+class TestDrawFreeCommands:
+    @pytest.mark.parametrize("flag", [
+        ("--samples", "7"), ("--point", "mc-median"), ("--exclude", "A,H"),
+    ], ids=lambda f: f[0])
+    @pytest.mark.parametrize("command", [
+        ("check",), ("rank", "--target", "defect-content"),
+    ], ids=lambda c: c[0])
+    def test_engine_flags_are_usage_errors(self, capsys, command, flag):
+        # check and rank draw nothing and read every release, so these
+        # flags would change nothing.
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--bundle", str(EXAMPLE_BUNDLE), *command[1:], *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag[0]}" in captured.err
+
 
 class TestPredict:
     LEVELS = "D1=1,D2=1,D3=3,D4=1,D5=0,E1=2,E2=2,E3=3,E4=2,E5=2"
@@ -536,30 +575,32 @@ _LEVEL = st.builds(
 )
 _COMMON = {
     "--seed": st.integers(-1, 2**64).map(str),
+    "--format": st.sampled_from(["json", "csv", "text"]),
+}
+_ENGINE = {  # every command but check and rank
     "--samples": _valid_or("2000", "1", "0", "-1"),
     "--point": st.sampled_from(["analytic-mean", "mc-median"]),
     "--exclude": _joined(st.sampled_from(list("ABCDEFGHIJ") + ["NOPE", ""])),
-    "--format": st.sampled_from(["json", "csv", "text"]),
 }
 _FACTORS = _joined(st.sampled_from(FACTOR_IDS + ["X9", ""]))
 _OPTIONS = {  # each command's options beyond the common ones
     "check": {},
     "rank": {"--target": _TARGET},
-    "calibrate": {"--factors": _FACTORS},
+    "calibrate": {**_ENGINE, "--factors": _FACTORS},
     "predict": {
-        "--factors": _FACTORS,
+        **_ENGINE, "--factors": _FACTORS,
         "--quantiles": _joined(_valid_or("0.5", "0", "1", "1.5", "x")),
     },
     "crossval": {
-        "--factors": _FACTORS, "--target": _TARGET, "--model": _MODEL,
+        **_ENGINE, "--factors": _FACTORS, "--target": _TARGET, "--model": _MODEL,
         "--baseline": _MODEL, "--test": st.sampled_from(["wilcoxon", "none"]),
     },
     "ablate": {
-        "--target": _TARGET,
+        **_ENGINE, "--target": _TARGET,
         "--ks": _joined(st.sampled_from(["0", "1", "3", "5", "6", "-1", "x"])),
     },
     "historysim": {
-        "--factors": _FACTORS, "--target": _TARGET,
+        **_ENGINE, "--factors": _FACTORS, "--target": _TARGET,
         "--start": st.integers(-1, 12).map(str),
     },
 }

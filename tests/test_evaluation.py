@@ -277,18 +277,23 @@ class TestAblation:
 class TestHistorySimulation:
     def test_constant_history_predicts_exactly(self):
         bundle = make_synthetic_bundle(seed=0, constant=True)
-        steps = history_simulation(bundle, start_m=4)
-        assert len(steps) == 6
-        assert [s.history_size for s in steps] == [4, 5, 6, 7, 8, 9]
-        assert all(s.mre == pytest.approx(0, abs=1e-12) for s in steps)
+        report = history_simulation(bundle, start_m=4)
+        # Case j is predicted from the first 4 + j releases.
+        assert [c.release_id for c in report.cases] == [
+            r.id for r in bundle.releases[4:]
+        ]
+        assert len(report) == 6
+        assert all(c.mre == pytest.approx(0, abs=1e-12) for c in report.cases)
+        assert report.mmre == pytest.approx(0, abs=1e-12)
+        assert report.model_name == MODEL_INFLUENCE_FACTOR
 
     def test_excluded_releases_skipped(self):
         base = make_synthetic_bundle(seed=4)
         excluded_id = base.releases[5].id
         bundle = base.with_excluded([excluded_id])
-        steps = history_simulation(bundle, start_m=4)
-        assert excluded_id not in [s.predicted_release_id for s in steps]
-        assert len(steps) == 5
+        report = history_simulation(bundle, start_m=4)
+        assert excluded_id not in [c.release_id for c in report.cases]
+        assert len(report.cases) == 5
 
     def test_too_short_history_rejected(self):
         bundle = make_synthetic_bundle(seed=0, n_releases=4)
@@ -297,5 +302,5 @@ class TestHistorySimulation:
 
     def test_synthetic_exact_data_recovers_every_step(self):
         bundle = make_synthetic_bundle(seed=9)
-        steps = history_simulation(bundle, start_m=4)
-        assert all(s.mre < 1e-9 for s in steps)
+        report = history_simulation(bundle, start_m=4)
+        assert all(c.mre < 1e-9 for c in report.cases)

@@ -40,7 +40,6 @@ from defectcast import (
     render_report,
 )
 from defectcast import sampling
-from defectcast.evaluation import HistoryStep
 
 from synth import make_synthetic_bundle
 
@@ -131,7 +130,7 @@ def reference_history(bundle, start_m, target, options, active_ids):
     if len(releases) <= start_m:
         raise InsufficientHistoryError("too short")
     active = bundle.resolve_active(target, active_ids)
-    steps = []
+    cases, ids = [], []
     for m in range(start_m, len(releases)):
         nxt = releases[m]
         predicted = reference_point(
@@ -140,10 +139,9 @@ def reference_history(bundle, start_m, target, options, active_ids):
         actual = _actual(nxt, target)
         if actual == 0:
             raise ZeroActualError(f"release {nxt.id!r} has actual value 0")
-        steps.append(
-            HistoryStep(m, nxt.id, predicted, actual, abs(predicted - actual) / actual)
-        )
-    return steps
+        cases.append((predicted, actual))
+        ids.append(nxt.id)
+    return accuracy_metrics(cases, ids=ids, model_name=MODEL_INFLUENCE_FACTOR)
 
 
 def outcome(fn, *args):
@@ -241,8 +239,19 @@ def rendered(kind, target, options):
         curve = ablation_curve(bundle, target, order, [0, 1, 2, 3], options)
         return "".join(render_report(curve[k]) for k in sorted(curve))
     if kind == "history":
-        steps = history_simulation(bundle, 4, target, options)
-        return render_report({"steps": [{n: getattr(s, n) for n in s._fields} for s in steps]})
+        # The dict the digests were recorded from: one step per case, the
+        # j-th predicted from 4 + j releases.
+        history = history_simulation(bundle, 4, target, options)
+        return render_report({"steps": [
+            {
+                "history_size": 4 + j,
+                "predicted_release_id": c.release_id,
+                "predicted": c.predicted,
+                "actual": c.actual,
+                "mre": c.mre,
+            }
+            for j, c in enumerate(history.cases)
+        ]})
     model = MODEL_INFLUENCE_FACTOR if kind == "loocv" else kind
     return render_report(loocv(bundle, model, target, options))
 

@@ -73,6 +73,14 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             make_release(levels={"D1": -1})
 
+    @pytest.mark.parametrize("value", ["false", "no", 1, 0, None])
+    def test_release_excluded_must_be_boolean(self, value):
+        # bool("false") is True: a truthy non-boolean would exclude the release.
+        with pytest.raises(ValueError, match="excluded must be a boolean"):
+            make_release(excluded=value)
+        with pytest.raises(ValueError, match="excluded must be a boolean"):
+            make_release()._replace(excluded=value)
+
     def test_factor_needs_four_levels(self):
         with pytest.raises(ValueError):
             InfluenceFactor("D1", "f", Target.DEFECT_CONTENT, ("a", "b", "c"))
