@@ -103,25 +103,63 @@ def _kind(value) -> str:
     return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
-def _objects(raw: dict, section: str, entity: str, errors: list[ValidationIssue]):
-    """(index, item) of each object in a list section; the rest are issues."""
-    items = raw.get(section, [])
-    if not isinstance(items, list):
-        errors.append(
-            ValidationIssue(
-                "document", section, f"expected an array, got {_kind(items)}"
-            )
-        )
+class _FieldError(ValueError):
+    """A missing field or one of the wrong JSON type; ``field`` is its key."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+_REQUIRED = object()
+
+
+def _field(obj, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]`` if it has the JSON type ``kind``; nothing is coerced.
+
+    ``kind`` is str, bool, list, dict or float, and float takes any JSON
+    number but never a boolean.  An absent key (a non-object has none)
+    gives ``default``, or a _FieldError without one.  An int too large
+    for a float is a plain ValueError: its type is right, its value not.
+    """
+    value = obj.get(key, _REQUIRED) if isinstance(obj, dict) else _REQUIRED
+    if value is _REQUIRED and default is not _REQUIRED:
+        return default
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(str(exc)) from None
+    if type(value) is not kind:
+        raise _FieldError(key, "missing" if value is _REQUIRED else
+                          f"expected {_JSON_KINDS[kind]}, got {_kind(value)}")
+    return value
+
+
+def _issue(entity: str, exc: ValueError, field: str) -> ValidationIssue:
+    """The issue of ``exc``: a _FieldError names its key, the rest ``field``."""
+    return ValidationIssue(entity, getattr(exc, "field", field), str(exc))
+
+
+def _objects(raw: dict, section: str, entity: str, keys: tuple, errors: list):
+    """(entity, item) of each object in a list section; the rest are issues.
+
+    The entity label joins the item's ``keys``, each where it is a string
+    and the item's index otherwise: ``release:A``, ``release:#0``.
+    """
+    try:
+        items = _field(raw, section, list, [])
+    except ValueError as exc:
+        errors.append(_issue("document", exc, section))
         items = []
     for i, item in enumerate(items):
         if isinstance(item, dict):
-            yield i, item
+            names = [item.get(key) for key in keys]
+            label = "/".join(n if isinstance(n, str) else f"#{i}" for n in names)
+            yield f"{entity}:{label}", item
         else:
-            errors.append(
-                ValidationIssue(
-                    f"{entity}:#{i}", "type", f"expected an object, got {_kind(item)}"
-                )
-            )
+            message = f"expected an object, got {_kind(item)}"
+            errors.append(ValidationIssue(f"{entity}:#{i}", "type", message))
 
 
 def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
@@ -134,29 +172,23 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
         ]
     errors: list[ValidationIssue] = []
     factors: list[InfluenceFactor] = []
-    for i, f in _objects(raw, "factors", "factor", errors):
-        entity = f"factor:{f.get('id', f'#{i}')}"
+    seen: set[tuple[str, Target]] = set()
+    for entity, f in _objects(raw, "factors", "factor", ("id",), errors):
         try:
-            factors.append(
-                InfluenceFactor(
-                    id=str(f["id"]),
-                    name=str(f.get("name", f["id"])),
-                    target=Target(f["target"]),
-                    levels=tuple(f["levels"]),
-                    description=str(f.get("description", "")),
-                )
+            factor = InfluenceFactor(
+                id=_field(f, "id", str),
+                name=_field(f, "name", str, f["id"]),  # the id is a string here
+                target=Target(_field(f, "target", str)),
+                levels=_field(f, "levels", list),
+                description=_field(f, "description", str, ""),
             )
-        except (KeyError, ValueError, TypeError) as exc:
-            errors.append(ValidationIssue(entity, "levels/target", str(exc)))
-
-    seen: set[tuple[str, str]] = set()
-    for f in factors:
-        key = (f.id, f.target.value)
-        if key in seen:
-            errors.append(
-                ValidationIssue(f"factor:{f.id}", "id", "duplicate id for target")
-            )
-        seen.add(key)
+        except ValueError as exc:
+            errors.append(_issue(entity, exc, "levels/target"))
+            continue
+        if (factor.id, factor.target) in seen:
+            errors.append(ValidationIssue(entity, "id", "duplicate id for target"))
+        seen.add((factor.id, factor.target))
+        factors.append(factor)
     factor_ids = {f.id for f in factors}
     ids_by_target = {
         t: {f.id for f in factors if f.target == t} for t in Target
@@ -165,27 +197,23 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     # A second estimate or ranking by one expert would double their weight.
     triangles: list[ExpertTriangle] = []
     by_expert: set[tuple] = set()
-    for i, q in _objects(raw, "quantifications", "quantification", errors):
-        entity = f"quantification:{q.get('expert', '?')}/{q.get('factor_id', f'#{i}')}"
+    pair = ("expert", "factor_id")
+    for entity, q in _objects(raw, "quantifications", "quantification", pair, errors):
         try:
             tri = ExpertTriangle(
-                expert=str(q["expert"]),
-                factor_id=str(q["factor_id"]),
-                target=Target(q["target"]),
-                minimum=float(q["min"]),
-                most_likely=float(q["most_likely"]),
-                maximum=float(q["max"]),
+                expert=_field(q, "expert", str),
+                factor_id=_field(q, "factor_id", str),
+                target=Target(_field(q, "target", str)),
+                minimum=_field(q, "min", float),
+                most_likely=_field(q, "most_likely", float),
+                maximum=_field(q, "max", float),
             )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            errors.append(ValidationIssue(entity, "min/most_likely/max", str(exc)))
+        except ValueError as exc:
+            errors.append(_issue(entity, exc, "min/most_likely/max"))
             continue
         if tri.factor_id not in ids_by_target[tri.target]:
-            errors.append(
-                ValidationIssue(
-                    entity, "factor_id",
-                    f"unknown factor {tri.factor_id!r} for target {tri.target.value}",
-                )
-            )
+            message = f"unknown factor {tri.factor_id!r} for target {tri.target.value}"
+            errors.append(ValidationIssue(entity, "factor_id", message))
         key = (tri.expert, tri.factor_id, tri.target)
         if key in by_expert:
             errors.append(ValidationIssue(entity, "expert", "duplicate estimate"))
@@ -193,22 +221,20 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
         triangles.append(tri)
 
     rankings: list[FactorRanking] = []
-    for i, r in _objects(raw, "rankings", "ranking", errors):
-        entity = f"ranking:{r.get('expert', f'#{i}')}"
+    for entity, r in _objects(raw, "rankings", "ranking", ("expert",), errors):
         try:
             ranking = FactorRanking(
-                expert=str(r["expert"]),
-                target=Target(r["target"]),
-                ranks={str(k): v for k, v in r["ranks"].items()},
+                expert=_field(r, "expert", str),
+                target=Target(_field(r, "target", str)),
+                ranks=_field(r, "ranks", dict),
             )
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            errors.append(ValidationIssue(entity, "ranks", str(exc)))
+        except ValueError as exc:
+            errors.append(_issue(entity, exc, "ranks"))
             continue
         for fid in ranking.ranks:
             if fid not in ids_by_target[ranking.target]:
-                errors.append(
-                    ValidationIssue(entity, "ranks", f"unknown factor {fid!r}")
-                )
+                message = f"unknown factor {fid!r}"
+                errors.append(ValidationIssue(entity, "ranks", message))
         if (ranking.expert, ranking.target) in by_expert:
             errors.append(ValidationIssue(entity, "expert", "duplicate ranking"))
         by_expert.add((ranking.expert, ranking.target))
@@ -221,91 +247,63 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
 
     releases: list[ReleaseRecord] = []
     release_ids: set[str] = set()
-    for i, r in _objects(raw, "releases", "release", errors):
-        entity = f"release:{r.get('id', f'#{i}')}"
+    for entity, r in _objects(raw, "releases", "release", ("id",), errors):
         try:
             rec = ReleaseRecord(
-                id=str(r["id"]),
-                size=float(r["size"]),
-                defects_found=float(r["defects_found"]),
-                defects_slipped=float(r["defects_slipped"]),
-                levels={str(k): v for k, v in r.get("levels", {}).items()},
-                note=str(r.get("note", "")),
+                id=_field(r, "id", str),
+                size=_field(r, "size", float),
+                defects_found=_field(r, "defects_found", float),
+                defects_slipped=_field(r, "defects_slipped", float),
+                levels=_field(r, "levels", dict, {}),
+                excluded=_field(r, "excluded", bool, False),
+                note=_field(r, "note", str, ""),
             )
-        except (
-            KeyError, ValueError, TypeError, AttributeError, OverflowError
-        ) as exc:
-            errors.append(ValidationIssue(entity, "measures/levels", str(exc)))
+        except ValueError as exc:
+            errors.append(_issue(entity, exc, "measures/levels"))
             continue
-        if "excluded" in r:  # ReleaseRecord owns the rule; this names the field
-            try:
-                rec = rec._replace(excluded=r["excluded"])
-            except ValueError as exc:
-                errors.append(ValidationIssue(entity, "excluded", str(exc)))
         if rec.id in release_ids:
             errors.append(ValidationIssue(entity, "id", "duplicate release id"))
         release_ids.add(rec.id)
-        for fid in factor_ids:
-            if fid not in rec.levels:
-                errors.append(
-                    ValidationIssue(entity, "levels", f"missing level for factor {fid!r}")
-                )
-        for fid in rec.levels:
-            if fid not in factor_ids:
-                errors.append(
-                    ValidationIssue(entity, "levels", f"unknown factor {fid!r}")
-                )
+        for fid in sorted(factor_ids ^ rec.levels.keys()):
+            what = "unknown factor" if fid in rec.levels else "missing level for factor"
+            errors.append(ValidationIssue(entity, "levels", f"{what} {fid!r}"))
         releases.append(rec)
 
     for t in Target:
         quantified = {q.factor_id for q in triangles if q.target == t}
         for fid in sorted(ids_by_target[t] - quantified):
-            errors.append(
-                ValidationIssue(
-                    f"factor:{fid}", "quantifications",
-                    f"no impact estimate for target {t.value}",
-                )
-            )
+            message = f"no impact estimate for target {t.value}"
+            errors.append(ValidationIssue(f"factor:{fid}", "quantifications", message))
 
-    active_raw = raw.get("active_factors")
-    active = None
-    if active_raw is not None and not isinstance(active_raw, dict):
-        errors.append(
-            ValidationIssue(
-                "document", "active_factors",
-                f"expected an object, got {_kind(active_raw)}",
-            )
-        )
-    elif active_raw is not None:
-        active = {}
-        for tname, fids in active_raw.items():
-            try:
-                t = Target(tname)
-            except ValueError:
-                errors.append(
-                    ValidationIssue("active_factors", tname, "unknown target")
-                )
+    try:
+        active_raw = _field(raw, "active_factors", dict, None)
+    except ValueError as exc:
+        errors.append(_issue("document", exc, "active_factors"))
+        active_raw = None
+    active = None if active_raw is None else {}
+    for tname in active_raw or ():
+        try:
+            t = Target(tname)
+        except ValueError:
+            errors.append(ValidationIssue("active_factors", tname, "unknown target"))
+            continue
+        try:
+            fids = _field(active_raw, tname, list)
+        except ValueError as exc:
+            errors.append(_issue("active_factors", exc, tname))
+            continue
+        listed: set[str] = set()
+        for fid in fids:
+            if not isinstance(fid, str) or fid not in ids_by_target[t]:
+                message = f"unknown factor {fid!r}"
+            elif fid in listed:
+                # A repeated factor would count twice in every draw.
+                message = f"duplicate factor {fid!r}"
+            else:
+                listed.add(fid)
                 continue
-            if not isinstance(fids, list):
-                errors.append(
-                    ValidationIssue(
-                        "active_factors", tname,
-                        f"expected an array of factor ids, got {_kind(fids)}",
-                    )
-                )
-                continue
-            listed: set[str] = set()
-            for fid in fids:
-                if not isinstance(fid, str) or fid not in ids_by_target[t]:
-                    message = f"unknown factor {fid!r}"
-                elif fid in listed:
-                    # A repeated factor would count twice in every draw.
-                    message = f"duplicate factor {fid!r}"
-                else:
-                    listed.add(fid)
-                    continue
-                errors.append(ValidationIssue("active_factors", tname, message))
-            active[t.value] = tuple(fids)
+            errors.append(ValidationIssue("active_factors", tname, message))
+        active[t.value] = tuple(fids)
 
     if errors:
         return None, errors

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bundle import load_bundle, read_json
+from .bundle import _field, load_bundle, read_json
 from .errors import BundleValidationError, EstimationError
 from .evaluation import (
     MODEL_DC_MEDIAN,
@@ -156,15 +156,11 @@ def _load_spec(path: str) -> NewReleaseSpec:
     except ValueError as exc:
         raise ValueError(f"--spec: {exc}") from exc
     try:
-        # An array of pairs would pass dict() and skip the repeated-key check.
-        if not isinstance(raw["levels"], dict):
-            raise TypeError("'levels' is not an object")
-        return NewReleaseSpec(size=float(raw["size"]), levels=raw["levels"])
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(
-            f"spec file {path}: need an object with a numeric 'size' and a "
-            f"'levels' object"
-        ) from exc
+        size, levels = _field(raw, "size", float), _field(raw, "levels", dict)
+    except ValueError as exc:
+        need = "need an object with a numeric 'size' and a 'levels' object"
+        raise ValueError(f"spec file {path}: {need}") from exc
+    return NewReleaseSpec(size=size, levels=levels)
 
 
 def _parse_levels(text: str) -> dict[str, int]:

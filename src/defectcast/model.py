@@ -113,6 +113,8 @@ class InfluenceFactor(_Record):
                 f"got {len(self.levels)}"
             )
         object.__setattr__(self, "levels", tuple(self.levels))
+        if not all(isinstance(level, str) for level in self.levels):
+            raise ValueError(f"factor {self.id!r}: level descriptions must be strings")
         object.__setattr__(self, "target", Target(self.target))
 
 

@@ -100,6 +100,19 @@ class TestLoadBundle:
             load_bundle(write_json(tmp_path, bad))
         assert any("finite" in i.message for i in exc.value.errors)
 
+    def test_level_issues_come_in_factor_id_order(self, tmp_path):
+        # A set's order would change with the string hash seed between runs.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        doc["releases"][0]["levels"] = {"ZZ": 1, "AA": 2}
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        missing = ["D1", "D2", "D3", "D4", "D5", "E1", "E2", "E3", "E4", "E5"]
+        assert [i.message for i in exc.value.errors] == [
+            "unknown factor 'AA'",
+            *(f"missing level for factor {fid!r}" for fid in missing),
+            "unknown factor 'ZZ'",
+        ]
+
     def test_boolean_level_rejected(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
         bad["releases"][0]["levels"] = {"D1": True}
@@ -416,3 +429,121 @@ class TestLoaderFuzz:
             assert exc.errors
         else:
             assert isinstance(bundle.releases, tuple)
+
+    @settings(deadline=None)
+    @given(doc=near_valid_documents())
+    def test_loaded_fields_have_their_json_types(self, tmp_path_factory, doc):
+        # Whatever loads was read as its JSON type, not converted to it.
+        path = tmp_path_factory.getbasetemp() / "typed_bundle.json"
+        path.write_text(json.dumps(doc))
+        try:
+            bundle = load_bundle(path)
+        except BundleValidationError:
+            return
+
+        def types(*values):
+            return {type(v) for v in values}
+
+        for f in bundle.factors:
+            assert len(f.levels) == 4
+            assert types(f.id, f.name, f.description, *f.levels) == {str}
+        for q in bundle.quantifications:
+            assert types(q.expert, q.factor_id) == {str}
+            assert types(q.minimum, q.most_likely, q.maximum) == {float}
+        for r in bundle.rankings:
+            assert types(r.expert, *r.ranks) == {str}
+            assert types(*r.ranks.values()) <= {int}
+        for r in bundle.releases:
+            assert types(r.id, r.note) == {str}
+            assert types(r.size, r.defects_found, r.defects_slipped) == {float}
+            assert type(r.excluded) is bool
+            assert types(*r.levels.values()) <= {int}
+
+
+def typed_document():
+    """full_document() with a note and a description, so every field occurs."""
+    doc = full_document()
+    doc["factors"][0]["description"] = "Changed interfaces"
+    doc["releases"][0]["note"] = "first release"
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutations():
+    """(path, value): each leaf of typed_document() swapped for a wrong type."""
+    doc = typed_document()
+    for path in _paths(doc):
+        value = _at(doc, path)
+        if isinstance(value, bool):
+            wrong = ("true", 1)
+        elif isinstance(value, (int, float)):
+            wrong = (str(value), True)
+        elif isinstance(value, str):
+            wrong = (5, None)
+        else:
+            continue
+        for w in wrong:
+            yield pytest.param(path, w, id="/".join(map(str, path)) + f"={w!r}")
+
+
+def _entity_of(doc, path):
+    """The entity a loader issue names once the value at ``path`` is mutated.
+
+    An object's label is its id (expert and factor_id) while that is a
+    string; a mutated one falls back to the object's index.
+    """
+    section = path[0]
+    if section == "active_factors":
+        return "active_factors"
+    i, key = path[1], path[2]
+    item = doc[section][i]
+
+    def label(field, fallback):
+        return fallback if key == field else item[field]
+
+    if section == "quantifications":
+        expert, fid = label("expert", f"#{i}"), label("factor_id", f"#{i}")
+        return f"quantification:{expert}/{fid}"
+    noun, field = {
+        "factors": ("factor", "id"),
+        "rankings": ("ranking", "expert"),
+        "releases": ("release", "id"),
+    }[section]
+    return f"{noun}:{label(field, f'#{i}')}"
+
+
+class TestFieldTypes:
+    """Each outside field has one JSON type, and no other type is coerced."""
+
+    @pytest.mark.parametrize("path,value", list(_mutations()))
+    def test_wrong_type_names_its_entity(self, tmp_path, path, value):
+        doc = typed_document()
+        entity = _entity_of(doc, path)
+        _at(doc, path[:-1])[path[-1]] = value
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        issues = [(i.entity, i.field) for i in exc.value.errors]
+        assert entity in [e for e, _ in issues]
+        if len(path) == 3 and path[0] != "active_factors":
+            # A record's own field: the issue names its JSON key.
+            assert (entity, path[2]) in issues
+
+    @pytest.mark.parametrize("section,key", [
+        ("factors", "id"), ("factors", "target"), ("factors", "levels"),
+        ("quantifications", "expert"), ("quantifications", "factor_id"),
+        ("quantifications", "min"), ("quantifications", "max"),
+        ("rankings", "target"), ("rankings", "ranks"),
+        ("releases", "id"), ("releases", "size"), ("releases", "defects_slipped"),
+    ])
+    def test_missing_required_field_names_its_key(self, tmp_path, section, key):
+        doc = typed_document()
+        entity = _entity_of(doc, (section, 0, key))
+        del doc[section][0][key]
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert ValidationIssue(entity, key, "missing") in exc.value.errors

@@ -145,6 +145,16 @@ class TestPredict:
         assert code == 1
         assert "'size'" in err and "'levels'" in err
 
+    @pytest.mark.parametrize("size", [True, "130"], ids=["boolean", "string"])
+    def test_spec_size_must_be_a_json_number(self, capsys, tmp_path, size):
+        # float() would read true as a release of size 1.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"size": size, "levels": {"D1": 1}}))
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                             "--spec", path)
+        assert (code, out) == (1, "")
+        assert "need an object with a numeric 'size'" in err
+
     @pytest.mark.parametrize("size", ["nan", "inf", "0"])
     def test_non_finite_or_zero_size_exits_one(self, capsys, size):
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,

@@ -1,8 +1,10 @@
 """Each demo runs in a fresh process and prints what it printed when
 its stdout digest was recorded, so the demos follow every API change.
-The README's table of entry points names only what the package has."""
+The README's table of entry points names only what the package has, and
+its field types are the ones the example bundle uses."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -52,3 +54,44 @@ def test_readme_entry_points_exist():
     # A row anywhere else would name entry points that go unchecked.
     rows = [line for line in readme.splitlines() if line.startswith("|")]
     assert rows == table.splitlines()
+
+
+JSON_TYPES = {
+    "string": (str,), "number": (int, float), "boolean": (bool,),
+    "array": (list,), "object": (dict,),
+}
+SECTIONS = {
+    "factor": "factors", "quantification": "quantifications",
+    "ranking": "rankings", "release": "releases",
+}
+
+
+def documented_field_types():
+    """(section, key) -> JSON types, from the README's field-type paragraph."""
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Every field has one JSON type", 1)[1].split("\n\n")[0]
+    text = " ".join(paragraph.split())
+    types = {}
+    for noun, sentence in re.findall(r"A (\w+)'s ([^.]*)\.", text):
+        for names, word in re.findall(
+            r"((?:`\w+`(?:, | and )?)+) (?:is|are) (?:an? )?"
+            r"(string|number|boolean|array|object)", sentence,
+        ):
+            for name in re.findall(r"`(\w+)`", names):
+                types[SECTIONS[noun], name] = JSON_TYPES[word]
+    return types
+
+
+def test_example_bundle_fields_have_documented_types():
+    types = documented_field_types()
+    assert len(types) == 21  # every field of the four record sections
+    doc = json.loads((DEMOS / "data" / "example_bundle.json").read_text())
+    for section in SECTIONS.values():
+        for item in doc[section]:
+            for key, value in item.items():
+                # type(), not isinstance(): a JSON true is no number.
+                assert type(value) in types[section, key], (section, key, value)
+                if type(value) is list:  # a factor's level descriptions
+                    assert [type(v) for v in value] == [str] * 4
+                if type(value) is dict:  # ranks and levels
+                    assert {type(v) for v in value.values()} == {int}

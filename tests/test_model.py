@@ -85,6 +85,11 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             InfluenceFactor("D1", "f", Target.DEFECT_CONTENT, ("a", "b", "c"))
 
+    @pytest.mark.parametrize("levels", [[1, 2, 3, 4], ["a", "b", "c", None]])
+    def test_factor_levels_must_be_strings(self, levels):
+        with pytest.raises(ValueError, match="level descriptions must be strings"):
+            InfluenceFactor("D1", "f", Target.DEFECT_CONTENT, levels)
+
     def test_triangle_ordering_enforced(self):
         with pytest.raises(ValueError):
             ExpertTriangle("X", "D1", Target.DEFECT_CONTENT, 0.2, 0.1, 0.3)
