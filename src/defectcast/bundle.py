@@ -23,7 +23,10 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _FieldError,
+    _kind,
     _Record,
+    _typed,
     aggregate_rankings,
 )
 # Reports are written by .report; bench/spans.py still traces this name.
@@ -93,47 +96,17 @@ class ContextBundle(_Record):
         return self._replace(releases=releases)
 
 
-_JSON_KINDS = {
-    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-    int: "a number", float: "a number", type(None): "null",
-}
-
-
-def _kind(value) -> str:
-    return _JSON_KINDS.get(type(value), type(value).__name__)
-
-
-class _FieldError(ValueError):
-    """A missing field or one of the wrong JSON type; ``field`` is its key."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 _REQUIRED = object()
 
 
 def _field(obj, key: str, kind: type, default=_REQUIRED):
-    """``obj[key]`` if it has the JSON type ``kind``; nothing is coerced.
-
-    ``kind`` is str, bool, list, dict or float, and float takes any JSON
-    number but never a boolean.  An absent key (a non-object has none)
-    gives ``default``, or a _FieldError without one.  An int too large
-    for a float is a plain ValueError: its type is right, its value not.
-    """
+    """``obj[key]`` checked by ``_typed``; if absent, ``default`` or a _FieldError."""
     value = obj.get(key, _REQUIRED) if isinstance(obj, dict) else _REQUIRED
-    if value is _REQUIRED and default is not _REQUIRED:
-        return default
-    if kind is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise ValueError(str(exc)) from None
-    if type(value) is not kind:
-        raise _FieldError(key, "missing" if value is _REQUIRED else
-                          f"expected {_JSON_KINDS[kind]}, got {_kind(value)}")
-    return value
+    if value is not _REQUIRED:
+        return _typed(value, kind, key)
+    if default is _REQUIRED:
+        raise _FieldError(key, "missing")
+    return default
 
 
 def _issue(entity: str, exc: ValueError, field: str) -> ValidationIssue:
@@ -211,6 +184,8 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
         except ValueError as exc:
             errors.append(_issue(entity, exc, "min/most_likely/max"))
             continue
+        if tri.maximum > 1e6:  # a million-fold increase keeps (max - min)**2 finite
+            errors.append(ValidationIssue(entity, "max", "max must be at most 1e6"))
         if tri.factor_id not in ids_by_target[tri.target]:
             message = f"unknown factor {tri.factor_id!r} for target {tri.target.value}"
             errors.append(ValidationIssue(entity, "factor_id", message))

@@ -49,9 +49,6 @@ class CalibratedContext(_Record):
     eff_base_median: float | None
     included_ids: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_release", dict(self.per_release))
-
     def to_payload(self) -> dict:
         return {
             "report": "calibration",
@@ -146,9 +143,6 @@ def calibrate(
 class DescriptiveStats(_Record):
     per_release: Mapping[str, dict]
     flagged: tuple[tuple[str, str, str], ...]  # (release_id, measure, reason)
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_release", dict(self.per_release))
 
     def to_payload(self) -> dict:
         return {

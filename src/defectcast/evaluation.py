@@ -64,9 +64,6 @@ class AccuracyReport(_Record):
     mmre: float
     pred: Mapping[float, float]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pred", dict(self.pred))
-
     def __len__(self) -> int:
         return len(self.cases)
 

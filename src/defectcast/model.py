@@ -42,18 +42,69 @@ def _median(values):
     return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
 
 
+_JSON_KINDS = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+class _FieldError(ValueError):
+    """A missing field or one of the wrong type; ``field`` is its name."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _typed(value, kind: type, field: str):
+    """``value`` if its type is ``kind``: str, bool, list, dict or float.
+
+    float takes any int or float, never a bool or a numpy integer, and
+    returns a float.  Another type is a _FieldError that names ``field``;
+    an int too large for a float is a plain ValueError.
+    """
+    if kind is float and isinstance(value, (int, float)) and type(value) is not bool:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{field}: {exc}") from None
+    if type(value) is not kind:
+        message = f"{field} must be {_JSON_KINDS[kind]}, got {_kind(value)}"
+        raise _FieldError(field, message)
+    return value
+
+
 class _Record:
-    """Immutable record of the annotated fields; a class attribute is a default."""
+    """Immutable record of the annotated fields; a class attribute is a default.
+
+    A field annotated ``str``, ``float`` or ``bool`` is checked by
+    ``_typed``; a ``Mapping[...]`` one must be a dict, and a copy is kept.
+    """
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        hints = cls.__dict__.get("__annotations__", {})
+        cls._fields, cls._field_set = tuple(hints), frozenset(hints)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        kinds = {"str": str, "float": float, "bool": bool}
+        kinds.update((a, dict) for a in hints.values()
+                     if a.startswith("Mapping[") and a.endswith("]"))
+        cls._checked = tuple((n, kinds[a]) for n, a in hints.items() if a in kinds)
+        cls._copied = tuple(n for n, kind in cls._checked if kind is dict)
 
     def __init__(self, *args, **kwargs):
         given = dict(zip(self._fields, args), **kwargs)
         values = {**self._defaults, **given}
-        if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
+        if len(given) < len(args) + len(kwargs) or values.keys() != self._field_set:
             raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, kind in self._checked:
+            if type(values[name]) is not kind:
+                values[name] = _typed(values[name], kind, name)
+        for name in self._copied:
+            values[name] = dict(values[name])
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -166,7 +217,6 @@ class FactorRanking(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "target", Target(self.target))
-        object.__setattr__(self, "ranks", dict(self.ranks))
         for fid, rank in self.ranks.items():
             if not (_is_int(rank) and rank >= 1):
                 raise ValueError(
@@ -202,12 +252,6 @@ class ReleaseRecord(_Record):
         if self.defects_found < 0 or self.defects_slipped < 0:
             raise ValueError(f"release {self.id!r}: defect counts must be >= 0")
         _check_levels(self.levels, f"release {self.id!r}: ")
-        object.__setattr__(self, "levels", dict(self.levels))
-        if not isinstance(self.excluded, bool):  # bool("false") would exclude
-            raise ValueError(
-                f"release {self.id!r}: excluded must be a boolean, got "
-                f"{self.excluded!r}"
-            )
 
 
 def defect_content(release: ReleaseRecord) -> float:

@@ -33,13 +33,6 @@ class NewReleaseSpec(_Record):
     def __post_init__(self):
         if not (math.isfinite(self.size) and self.size > 0):
             raise ValueError(f"size must be positive and finite, got {self.size!r}")
-        pairs = list(self.levels.items() if isinstance(self.levels, Mapping)
-                     else self.levels)
-        object.__setattr__(self, "levels", dict(pairs))
-        if len(self.levels) < len(pairs):
-            ids = [fid for fid, _ in pairs]
-            repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
-            raise ValueError(f"levels name a factor more than once: {repeated}")
         _check_levels(self.levels)
 
 
@@ -49,9 +42,6 @@ class Prediction(_Record):
     quantiles: Mapping[float, float]
     n_samples: int
     seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "quantiles", dict(self.quantiles))
 
     def to_payload(self) -> dict:
         return {

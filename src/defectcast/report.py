@@ -14,8 +14,6 @@ import math
 
 def _round6(value):
     """Fix floats to 6 significant digits so output bytes are stable."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"report value {value} is not finite")

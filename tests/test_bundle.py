@@ -100,6 +100,22 @@ class TestLoadBundle:
             load_bundle(write_json(tmp_path, bad))
         assert any("finite" in i.message for i in exc.value.errors)
 
+    @pytest.mark.parametrize("value", [1e160, 1.5e6])
+    def test_triangle_value_above_the_cap_rejected(self, tmp_path, value):
+        # Above a million-fold increase (max - min)**2 could overflow.
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["quantifications"][0]["max"] = value
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, bad))
+        assert [(i.entity, i.field) for i in exc.value.errors] == [
+            ("quantification:X1/D1", "max")
+        ]
+
+    def test_triangle_value_at_the_cap_loads(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["quantifications"][0]["max"] = 1e6
+        assert load_bundle(write_json(tmp_path, doc)).quantifications[0].maximum == 1e6
+
     def test_level_issues_come_in_factor_id_order(self, tmp_path):
         # A set's order would change with the string hash seed between runs.
         doc = json.loads(EXAMPLE_BUNDLE.read_text())

@@ -258,16 +258,18 @@ class TestPredict:
         assert err.splitlines()[-1].startswith("error: ")
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-    def test_non_finite_report_exits_one(self, capsys, tmp_path, fmt):
+    def test_non_finite_report_exits_one(self, capsys, monkeypatch, tmp_path, fmt):
         # (b - a)**2 overflows in the kernel, and the quantiles would
-        # print as -Infinity.
-        doc = json.loads(EXAMPLE_BUNDLE.read_text())
-        doc["quantifications"][0]["max"] = 1e160
-        path = tmp_path / "bundle.json"
-        path.write_text(json.dumps(doc))
+        # print as -Infinity.  The loader caps triangle values at 1e6, so
+        # the triangle is built through the library.
+        bundle = defectcast.load_bundle(EXAMPLE_BUNDLE)
+        first, *rest = bundle.quantifications
+        huge = (first._replace(maximum=1e160), *rest)
+        bundle = bundle._replace(quantifications=huge)
+        monkeypatch.setattr(defectcast.cli, "load_bundle", lambda path: bundle)
         report = tmp_path / f"report.{fmt}"
         with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out, err = run(capsys, "predict", "--bundle", path,
+            code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
                                  "--size", "130", "--levels", self.LEVELS,
                                  "--format", fmt, "--out", report)
         assert (code, out) == (1, "")

@@ -1,16 +1,21 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from defectcast import (
+    EngineOptions,
     ExpertTriangle,
     FactorRanking,
     InfluenceFactor,
     MissingFactorError,
+    NewReleaseSpec,
+    Prediction,
     RankedFactor,
+    ReleaseRecord,
     Target,
     UndefinedEffectivenessError,
     aggregate_rankings,
@@ -21,7 +26,7 @@ from defectcast import (
 
 from defectcast.model import _median
 
-from conftest import make_release
+from conftest import GENERIC_LEVELS, make_release
 
 
 class TestDefectMeasures:
@@ -95,6 +100,75 @@ class TestTypeInvariants:
             ExpertTriangle("X", "D1", Target.DEFECT_CONTENT, 0.2, 0.1, 0.3)
         with pytest.raises(ValueError):
             ExpertTriangle("X", "D1", Target.DEFECT_CONTENT, -0.1, 0.1, 0.3)
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: ReleaseRecord(5, True, 40, 10, {}), "id"),
+        (lambda: ReleaseRecord("A", True, 40, 10, {}), "size"),
+        (lambda: make_release(size=np.int64(100)), "size"),
+        (lambda: make_release(levels=[("D1", 1)]), "levels"),
+        (lambda: make_release(note=None), "note"),
+        (lambda: make_release()._replace(note=None), "note"),
+        (lambda: ExpertTriangle("X", "D1", "defect_content", False, True, True),
+         "minimum"),
+        (lambda: InfluenceFactor(7, "f", Target.DEFECT_CONTENT, GENERIC_LEVELS), "id"),
+        (lambda: FactorRanking("X1", Target.DEFECT_CONTENT, [("D1", 1), ("D1", 2)]),
+         "ranks"),
+        (lambda: FactorRanking(5, Target.DEFECT_CONTENT, {"D1": 1}), "expert"),
+        (lambda: NewReleaseSpec(size=True, levels={"D1": 1}), "size"),
+        (lambda: NewReleaseSpec(size="130", levels={"D1": 1}), "size"),
+    ], ids=["release-id", "release-size-bool", "release-size-numpy-int",
+            "release-level-pairs", "release-note-none", "replace-note-none",
+            "triangle-bools", "factor-id-int", "ranking-pairs", "ranking-expert-int",
+            "spec-size-bool", "spec-size-str"])
+    def test_field_of_the_wrong_type_is_named(self, build, field):
+        # Each of these constructed before, and a boolean size predicted a
+        # release of size 1.
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            build()
+
+    def test_int_for_a_float_field_is_stored_as_float(self):
+        release = make_release(size=100, found=40, slipped=10)
+        tri = ExpertTriangle("X", "D1", Target.DEFECT_CONTENT, 0, 1, 2)
+        values = (release.size, release.defects_found, release.defects_slipped,
+                  tri.minimum, tri.most_likely, tri.maximum,
+                  NewReleaseSpec(size=130, levels={}).size)
+        assert [type(v) for v in values] == [float] * 7
+        assert values == (100.0, 40.0, 10.0, 0.0, 1.0, 2.0, 130.0)
+
+    def test_mapping_fields_are_copies(self):
+        levels, ranks, quantiles = {"D1": 1}, {"D1": 1}, {0.5: 1.0}
+        release = make_release(levels=levels)
+        spec = NewReleaseSpec(size=1, levels=levels)
+        ranking = FactorRanking("X1", Target.DEFECT_CONTENT, ranks)
+        prediction = Prediction(Target.DEFECT_CONTENT, 1.0, quantiles, 10, 0)
+        levels["D1"] = 3
+        ranks["D2"] = 2
+        quantiles[0.9] = 2.0
+        assert release.levels == spec.levels == ranking.ranks == {"D1": 1}
+        assert prediction.quantiles == {0.5: 1.0}
+
+
+# _Record reads these rules from the annotation strings, so an edited
+# annotation (``float | None``, or ``dict[str, int]`` for a mapping) would
+# drop a check without a word; this table would not.
+FIELD_RULES = {
+    ReleaseRecord: ({"id": str, "size": float, "defects_found": float,
+                     "defects_slipped": float, "levels": dict, "excluded": bool,
+                     "note": str}, ("levels",)),
+    ExpertTriangle: ({"expert": str, "factor_id": str, "minimum": float,
+                      "most_likely": float, "maximum": float}, ()),
+    InfluenceFactor: ({"id": str, "name": str, "description": str}, ()),
+    FactorRanking: ({"expert": str, "ranks": dict}, ("ranks",)),
+    NewReleaseSpec: ({"size": float, "levels": dict}, ("levels",)),
+    EngineOptions: ({"point": str}, ()),
+}
+
+
+@pytest.mark.parametrize("record", FIELD_RULES, ids=lambda r: r.__name__)
+def test_record_field_rules_are_pinned(record):
+    checked, copied = FIELD_RULES[record]
+    assert dict(record._checked) == checked
+    assert record._copied == copied
 
 
 def ranking(expert, ranks, target=Target.DEFECT_CONTENT):
