@@ -49,6 +49,11 @@ class ContextBundle(_Record):
     active_factors: Mapping[str, tuple[str, ...]] | None = None
     warnings: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if self.active_factors is not None:
+            active = {t: tuple(ids) for t, ids in self.active_factors.items()}
+            object.__setattr__(self, "active_factors", active)
+
     def factors_for(self, target: Target) -> list[InfluenceFactor]:
         return [f for f in self.factors if f.target == target]
 
@@ -64,10 +69,13 @@ class ContextBundle(_Record):
         entry, then (for effectiveness) the two top-ranked factors when
         rankings exist, then all factors of the target.  The top-2
         effectiveness default exists because extra effectiveness factors
-        did not improve accuracy in practice.  An override id that names
-        no factor of the target, or that repeats, is a ``ValueError``.
+        did not improve accuracy in practice.  An override or
+        ``active_factors`` id that names no factor of the target, or that
+        repeats, is a ``ValueError``.
         """
         by_id = {f.id: f for f in self.factors_for(target)}
+        if override_ids is None and self.active_factors:
+            override_ids = self.active_factors.get(target.value)
         if override_ids is not None:
             unknown = [fid for fid in override_ids if fid not in by_id]
             if unknown:
@@ -76,8 +84,6 @@ class ContextBundle(_Record):
             if repeated:
                 raise ValueError(f"duplicate factor ids {sorted(repeated)}")
             return [by_id[fid] for fid in override_ids]
-        if self.active_factors and target.value in self.active_factors:
-            return [by_id[fid] for fid in self.active_factors[target.value]]
         if target == Target.EFFECTIVENESS and self.rankings:
             ranked = aggregate_rankings(list(self.rankings), target)
             if ranked:

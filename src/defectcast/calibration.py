@@ -11,6 +11,7 @@ values are the medians over the included releases.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, Sequence
 
 from .errors import NoUsableHistoryError, UndefinedEffectivenessError
@@ -91,6 +92,11 @@ def calibrate(
     effectiveness.  The median of an even-count list is the mean of the
     two central order statistics.
     """
+    # Base values are keyed by release id, so a repeated id would drop one.
+    counts = Counter(r.id for r in releases)
+    repeated = sorted(rid for rid, n in counts.items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated release ids {repeated}")
     included = [r for r in releases if not r.excluded]
     if not included:
         raise NoUsableHistoryError("all releases are excluded")

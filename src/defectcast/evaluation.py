@@ -20,6 +20,7 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _mean,
     _median,
     _Record,
     defect_content,
@@ -64,6 +65,7 @@ class AccuracyReport(_Record):
     mmre: float
     pred: Mapping[float, float]
 
+    # bench/spans.py counts history_simulation's folds with len() (ROADMAP 1d).
     def __len__(self) -> int:
         return len(self.cases)
 
@@ -124,37 +126,9 @@ def accuracy_metrics(
     return AccuracyReport(
         model_name=model_name,
         cases=tuple(out),
-        mmre=_pairwise_sum(mres) / len(mres),
+        mmre=_mean(mres),
         pred=pred,
     )
-
-
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Sum in numpy's float64 ``add.reduce`` order, so means keep their bits.
-
-    Below 8 values a plain loop; up to 128, eight interleaved accumulators
-    combined as a tree, then the tail; above that, split at an even
-    multiple of 8 and recurse.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        r = list(values[:8])
-        body = n - n % 8
-        for i in range(8, body, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in values[body:]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _usable(bundle: ContextBundle, target: Target) -> list[ReleaseRecord]:

@@ -36,10 +36,24 @@ def _check_levels(levels: Mapping[str, int], context: str = "") -> None:
 
 
 def _median(values):
-    """``statistics.median``: the middle value, or the mean of the middle two."""
+    """``statistics.median``: the middle value, or the mean of the middle
+    two, halved before they are added only where their sum overflows."""
     data = sorted(values)
     i = len(data) // 2
-    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
+    if len(data) % 2:
+        return data[i]
+    middle = (data[i - 1] + data[i]) / 2
+    return data[i - 1] / 2 + data[i] / 2 if math.isinf(middle) else middle
+
+
+def _mean(values):
+    """The exactly rounded sum of ``values`` over their count; an overflowing
+    sum is taken at a power-of-two scale, so finite values keep a finite mean."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / len(values), k)
 
 
 _JSON_KINDS = {
@@ -83,16 +97,19 @@ class _Record:
 
     A field annotated ``str``, ``float`` or ``bool`` is checked by
     ``_typed``; a ``Mapping[...]`` one must be a dict, and a copy is kept.
+    ``X | None`` takes None, or what the rule for ``X`` takes.
     """
 
     def __init_subclass__(cls):
         hints = cls.__dict__.get("__annotations__", {})
         cls._fields, cls._field_set = tuple(hints), frozenset(hints)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        rules = {n: a.removesuffix(" | None") for n, a in hints.items()}
+        cls._optional = frozenset(n for n, a in hints.items() if a != rules[n])
         kinds = {"str": str, "float": float, "bool": bool}
-        kinds.update((a, dict) for a in hints.values()
+        kinds.update((a, dict) for a in rules.values()
                      if a.startswith("Mapping[") and a.endswith("]"))
-        cls._checked = tuple((n, kinds[a]) for n, a in hints.items() if a in kinds)
+        cls._checked = tuple((n, kinds[a]) for n, a in rules.items() if a in kinds)
         cls._copied = tuple(n for n, kind in cls._checked if kind is dict)
 
     def __init__(self, *args, **kwargs):
@@ -101,10 +118,14 @@ class _Record:
         if len(given) < len(args) + len(kwargs) or values.keys() != self._field_set:
             raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
         for name, kind in self._checked:
-            if type(values[name]) is not kind:
-                values[name] = _typed(values[name], kind, name)
+            value = values[name]
+            if value is None and name in self._optional:
+                continue
+            if type(value) is not kind:
+                values[name] = _typed(value, kind, name)
         for name in self._copied:
-            values[name] = dict(values[name])
+            if values[name] is not None:
+                values[name] = dict(values[name])
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -251,6 +272,11 @@ class ReleaseRecord(_Record):
             raise ValueError(f"release {self.id!r}: size must be positive")
         if self.defects_found < 0 or self.defects_slipped < 0:
             raise ValueError(f"release {self.id!r}: defect counts must be >= 0")
+        # Finite counts can add up, or divide by a tiny size, past the float range.
+        if not math.isfinite(defect_content(self)):
+            raise ValueError(f"release {self.id!r}: defect content must be finite")
+        if not math.isfinite(defect_density(self)):
+            raise ValueError(f"release {self.id!r}: defect density must be finite")
         _check_levels(self.levels, f"release {self.id!r}: ")
 
 
@@ -318,7 +344,7 @@ def aggregate_rankings(
         out.append(
             RankedFactor(
                 factor_id=fid,
-                mean_rank=math.fsum(values) / len(values),
+                mean_rank=_mean(values),
                 median_rank=float(_median(values)),
             )
         )

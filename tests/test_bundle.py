@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,16 @@ from hypothesis import strategies as st
 
 from defectcast import (
     BundleValidationError,
+    EngineOptions,
+    EstimationError,
     Target,
     ValidationIssue,
+    calibrate,
     load_bundle,
     render_report,
 )
 from defectcast.bundle import _build_bundle
+from defectcast.cli import main
 
 from conftest import EXAMPLE_BUNDLE, summarize_mres
 
@@ -110,6 +116,24 @@ class TestLoadBundle:
         assert [(i.entity, i.field) for i in exc.value.errors] == [
             ("quantification:X1/D1", "max")
         ]
+
+    @pytest.mark.parametrize("edit,measure", [
+        ({"size": 1e-310}, "density"),
+        ({"defects_found": 1.5e308, "defects_slipped": 1.5e308}, "content"),
+    ], ids=["subnormal-size", "overflowing-sum"])
+    def test_measure_past_the_float_range_names_the_release(
+        self, tmp_path, edit, measure
+    ):
+        # Each number is finite, but A's defect density (43 / 1e-310) or
+        # content (found + slipped) is not; both used to load.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        next(r for r in doc["releases"] if r["id"] == "A").update(edit)
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [ValidationIssue(
+            "release:A", "measures/levels",
+            f"release 'A': defect {measure} must be finite",
+        )]
 
     def test_triangle_value_at_the_cap_loads(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
@@ -328,6 +352,27 @@ class TestResolveActive:
         with pytest.raises(ValueError, match=message):
             example_bundle.resolve_active(Target.DEFECT_CONTENT, ids)
 
+    def test_active_factors_are_a_checked_copy(self, example_bundle):
+        act = {"defect_content": ["D1"]}
+        bundle = example_bundle._replace(active_factors=act)
+        act["defect_content"] = ("D2",)
+        assert [f.id for f in bundle.resolve_active(Target.DEFECT_CONTENT)] == ["D1"]
+        assert bundle.active_factors == {"defect_content": ("D1",)}
+        assert example_bundle._replace(active_factors=None).active_factors is None
+        with pytest.raises(ValueError, match="^active_factors must be an object"):
+            example_bundle._replace(active_factors=["x"])
+
+    @pytest.mark.parametrize("ids,message", [
+        (["NOPE"], r"ids \['NOPE'\] name no defect_content factor"),
+        (["D1", "D1"], r"duplicate factor ids \['D1'\]"),
+    ], ids=["unknown", "repeated"])
+    def test_bad_active_factors_rejected(self, example_bundle, ids, message):
+        # The loader rejects these; a library-built bundle used to raise
+        # KeyError, or to count D1 twice in every draw.
+        bundle = example_bundle._replace(active_factors={"defect_content": ids})
+        with pytest.raises(ValueError, match=message):
+            bundle.resolve_active(Target.DEFECT_CONTENT)
+
     def test_excluding_unknown_release_rejected(self, example_bundle):
         with pytest.raises(ValueError, match=r"unknown release ids \['NOPE', 'X'\]"):
             example_bundle.with_excluded(["X", "A", "NOPE"])
@@ -433,6 +478,40 @@ def near_valid_documents(draw):
     return doc
 
 
+# Subnormal and the smallest normal numbers, numbers near the largest
+# float (two of them overflow when added), and ordinary ones.
+EXTREME_NUMBERS = st.one_of(
+    st.floats(5e-324, 2.3e-308),
+    st.floats(1e307, 1.7976931348623157e308),
+    st.floats(0, 1e3),
+)
+
+
+@st.composite
+def extreme_documents(draw):
+    """full_document() with extreme release measures and triangle values;
+    release B, excluded there, may be included."""
+    doc = full_document()
+    for release in doc["releases"]:
+        for key in ("size", "defects_found", "defects_slipped"):
+            release[key] = draw(EXTREME_NUMBERS)
+    doc["releases"][1]["excluded"] = draw(st.booleans())
+    for q in doc["quantifications"]:
+        q["min"], q["most_likely"], q["max"] = sorted(
+            draw(st.floats(0, 1e6)) for _ in range(3)
+        )
+    return doc
+
+
+def _numbers(node):
+    """Every float in a report payload."""
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _numbers(child)
+
+
 class TestLoaderFuzz:
     @settings(deadline=None)
     @given(doc=JSON_VALUES | near_valid_documents())
@@ -445,6 +524,29 @@ class TestLoaderFuzz:
             assert exc.errors
         else:
             assert isinstance(bundle.releases, tuple)
+
+    @settings(deadline=None)
+    @given(doc=extreme_documents() | near_valid_documents())
+    def test_loaded_bundle_checks_and_calibrates_finite(self, tmp_path_factory, doc):
+        # What loads never reaches the report's last finiteness check.
+        path = tmp_path_factory.getbasetemp() / "extreme_bundle.json"
+        path.write_text(json.dumps(doc))
+        try:
+            bundle = load_bundle(path)
+        except BundleValidationError:
+            return
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["check", "--bundle", str(path)]) == 0, err.getvalue()
+        dc, eff = (bundle.resolve_active(t) for t in Target)
+        for point in ("analytic-mean", "mc-median"):
+            options = EngineOptions(n_samples=64, point=point)
+            try:
+                ctx = calibrate(bundle.included_releases(), dc, eff,
+                                bundle.quantifications, options)
+            except EstimationError:
+                continue
+            assert all(math.isfinite(v) for v in _numbers(ctx.to_payload()))
 
     @settings(deadline=None)
     @given(doc=near_valid_documents())

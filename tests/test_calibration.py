@@ -122,6 +122,26 @@ class TestCalibrate:
         assert "B" not in ctx.per_release
         assert ctx.included_ids == ("A",)
 
+    def test_repeated_release_id_rejected(self):
+        # Base values are keyed by id: the second A used to replace the
+        # first, giving included_ids ('A', 'B') and dd_base_median 0.175.
+        releases = [
+            make_release("A", found=40, slipped=10),
+            make_release("A", found=4, slipped=1),
+            make_release("B", found=20, slipped=10),
+            make_release("B", excluded=True),
+        ]
+        with pytest.raises(ValueError, match=r"^repeated release ids \['A', 'B'\]$"):
+            calibrate(releases, [], [], [])
+
+    def test_huge_densities_keep_a_finite_median(self):
+        # The middle two sum past the float range; their mean does not.
+        releases = [
+            make_release("A", size=1, found=1.5e308, slipped=0),
+            make_release("B", size=1, found=1.6e308, slipped=0),
+        ]
+        assert calibrate(releases, [], [], []).dd_base_median == 1.55e308
+
     def test_all_excluded_rejected(self):
         with pytest.raises(NoUsableHistoryError):
             calibrate([make_release(excluded=True)], [], [], [])

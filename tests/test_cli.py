@@ -49,6 +49,24 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert "  document.json: duplicate keys ['size']" in err
 
+    @pytest.mark.parametrize("edit", [
+        {"size": 1e-310},
+        {"defects_found": 1.5e308, "defects_slipped": 1.5e308},
+    ], ids=["subnormal-size", "overflowing-sum"])
+    @pytest.mark.parametrize("command", ["check", "calibrate", "crossval"])
+    def test_measure_past_the_float_range_exits_one(
+        self, capsys, tmp_path, command, edit
+    ):
+        # These used to fail on "report value inf is not finite", or,
+        # for crossval with the tiny size, to exit 0.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        next(r for r in doc["releases"] if r["id"] == "A").update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--bundle", bad)
+        assert (code, out) == (1, "")
+        assert err.startswith("bundle validation failed:\n  release:A.")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["check"])  # missing --bundle

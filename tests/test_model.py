@@ -7,24 +7,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from defectcast import (
+    AccuracyCase,
+    AccuracyReport,
+    CalibratedContext,
+    ContextBundle,
+    DescriptiveStats,
     EngineOptions,
     ExpertTriangle,
     FactorRanking,
+    IncreaseResult,
     InfluenceFactor,
     MissingFactorError,
     NewReleaseSpec,
     Prediction,
     RankedFactor,
+    ReleaseCalibration,
     ReleaseRecord,
     Target,
     UndefinedEffectivenessError,
+    ValidationIssue,
+    WilcoxonResult,
     aggregate_rankings,
     defect_content,
     defect_density,
     effectiveness,
 )
 
-from defectcast.model import _median
+from defectcast.model import _mean, _median, _Record
 
 from conftest import GENERIC_LEVELS, make_release
 
@@ -77,6 +86,21 @@ class TestTypeInvariants:
             make_release(levels={"D1": 4})
         with pytest.raises(ValueError):
             make_release(levels={"D1": -1})
+
+    @pytest.mark.parametrize("kw,measure", [
+        ({"size": 1e-310}, "density"),
+        ({"size": 1e-300, "found": 1e10}, "density"),
+        ({"found": 1.5e308, "slipped": 1.5e308}, "content"),
+    ])
+    def test_release_measures_must_be_finite(self, kw, measure):
+        # Finite numbers whose sum, or whose quotient by a tiny size, is not.
+        with pytest.raises(ValueError, match=f"^release 'R': defect {measure} must "):
+            make_release(**kw)
+
+    def test_tiny_size_with_finite_density_constructs(self):
+        for found, density in [(0, 0.0), (1e-10, 1e-10 / 1e-310)]:
+            release = make_release(size=1e-310, found=found, slipped=0)
+            assert defect_density(release) == density
 
     @pytest.mark.parametrize("value", ["false", "no", 1, 0, None])
     def test_release_excluded_must_be_boolean(self, value):
@@ -149,8 +173,9 @@ class TestTypeInvariants:
 
 
 # _Record reads these rules from the annotation strings, so an edited
-# annotation (``float | None``, or ``dict[str, int]`` for a mapping) would
-# drop a check without a word; this table would not.
+# annotation (``Optional[float]``, or ``dict[str, int]`` for a mapping)
+# would drop a check without a word; this table would not.  ``X | None``
+# marks a field that also takes None.
 FIELD_RULES = {
     ReleaseRecord: ({"id": str, "size": float, "defects_found": float,
                      "defects_slipped": float, "levels": dict, "excluded": bool,
@@ -159,16 +184,39 @@ FIELD_RULES = {
                       "most_likely": float, "maximum": float}, ()),
     InfluenceFactor: ({"id": str, "name": str, "description": str}, ()),
     FactorRanking: ({"expert": str, "ranks": dict}, ("ranks",)),
+    RankedFactor: ({"factor_id": str, "mean_rank": float, "median_rank": float}, ()),
     NewReleaseSpec: ({"size": float, "levels": dict}, ("levels",)),
+    Prediction: ({"point": float, "quantiles": dict}, ("quantiles",)),
     EngineOptions: ({"point": str}, ()),
+    IncreaseResult: ({"analytic_mean": float, "point": float}, ()),
+    ReleaseCalibration: ({"release_id": str, "ddif_point": float, "eif_point": float,
+                          "dd_base": float, "eff_base": float | None}, ()),
+    CalibratedContext: ({"per_release": dict, "dd_base_median": float,
+                         "eff_base_median": float | None}, ("per_release",)),
+    DescriptiveStats: ({"per_release": dict}, ("per_release",)),
+    ValidationIssue: ({"entity": str, "field": str, "message": str}, ()),
+    ContextBundle: ({"active_factors": dict | None}, ("active_factors",)),
+    AccuracyCase: ({"release_id": str, "predicted": float, "actual": float,
+                    "re": float, "mre": float}, ()),
+    AccuracyReport: ({"model_name": str, "mmre": float, "pred": dict}, ("pred",)),
+    WilcoxonResult: ({"w_plus": float, "w_minus": float, "p_one_sided": float,
+                      "method": str}, ()),
 }
 
 
 @pytest.mark.parametrize("record", FIELD_RULES, ids=lambda r: r.__name__)
 def test_record_field_rules_are_pinned(record):
     checked, copied = FIELD_RULES[record]
-    assert dict(record._checked) == checked
+    rules = {n: kind | None if n in record._optional else kind
+             for n, kind in record._checked}
+    assert rules == checked
     assert record._copied == copied
+
+
+def test_every_record_has_pinned_field_rules():
+    records = {r for r in _Record.__subclasses__()
+               if r.__module__.startswith("defectcast.")}
+    assert records == set(FIELD_RULES)
 
 
 def ranking(expert, ranks, target=Target.DEFECT_CONTENT):
@@ -306,7 +354,14 @@ class TestMedianOracle:
 
     @given(values=_TIE_HEAVY)
     def test_fsum_mean_matches_fmean_bit_for_bit(self, values):
-        assert (math.fsum(values) / len(values)).hex() == statistics.fmean(values).hex()
+        assert _mean(values).hex() == statistics.fmean(values).hex()
+
+    @given(values=st.lists(st.floats(1, 2, exclude_max=True), min_size=2, max_size=300))
+    def test_mean_past_the_float_range_keeps_its_bits(self, values):
+        # 2**1023 * values sums past the float range; its mean is the mean
+        # of ``values`` scaled by 2**1023, as with an unbounded exponent.
+        huge = [math.ldexp(v, 1023) for v in values]
+        assert _mean(huge).hex() == math.ldexp(_mean(values), 1023).hex()
 
     @given(votes=st.lists(st.permutations([1, 2, 3, 4]), min_size=1, max_size=40))
     def test_aggregate_rankings_matches_statistics(self, votes):
