@@ -13,6 +13,7 @@ from .bundle import ContextBundle
 from .calibration import calibrate
 from .errors import (
     AllZeroDifferencesError,
+    EstimationError,
     InsufficientHistoryError,
     ZeroActualError,
 )
@@ -112,6 +113,11 @@ def accuracy_metrics(
         if actual == 0:
             raise ZeroActualError(f"case {rid!r} has actual value 0")
         re = (predicted - actual) / actual
+        if not math.isfinite(re):  # also when the prediction is not finite
+            raise EstimationError(
+                f"case {rid!r}: predicted {predicted!r} against actual "
+                f"{actual!r} has no finite relative error"
+            )
         out.append(
             AccuracyCase(
                 release_id=rid, predicted=predicted, actual=actual,

@@ -40,13 +40,19 @@ pass starts and joins, since numpy releases the interpreter lock in the
 random fills and the ufuncs.  The draws stay those of one full-length
 ``integers(0, k, n)`` call followed by one full-length ``random(n)``.
 
-The indices are drawn as int32, block by block: bounded integers below
-2**32 take the same 32-bit Lemire draws whatever the dtype, and the
-generator keeps its spare 32-bit half between calls, so the blocks give
-the values, and leave the state, of one full-length call.  A Lemire
-draw rejects a value only when its product's low word falls below
-2**32 mod k, which is 0 when k is a power of two and has probability
-below k / 2**32 otherwise.  Without a rejection each index takes one
+The indices are drawn block by block, with the values, and the end
+state, of one full-length ``integers(0, k, n)`` call: bounded integers
+below 2**32 take the same 32-bit Lemire draws whatever the dtype.  A
+Lemire draw rejects a value only when its product's low word falls
+below 2**32 mod k, which is 0 when k is a power of two and has
+probability below k / 2**32 otherwise.  With a power-of-two k, each
+index is the top bits of one raw 32-bit half, low half first, so the
+blocks read 64-bit outputs in bulk with ``random_raw`` and carry the
+spare half themselves: a held spare gives the first index, an odd block
+hands its last high half to the next one, and the generator is left
+holding the spare half as numpy leaves it.  Every other k draws each
+block as int32 with ``integers``, and the generator keeps its spare
+half between calls.  Without a rejection each index takes one
 32-bit half of a 64-bit output, so every range but the first starts
 from a guess: a copy of the generator advanced by ``start // 2``
 outputs (by none for one expert, for which numpy draws nothing).  After
@@ -259,12 +265,43 @@ def _same_state(a: dict, b: dict) -> bool:
 
 def _draw_indices(idx: np.ndarray, k: int, gen: np.random.Generator,
                   lo: int, hi: int) -> None:
-    """Fill ``idx[lo:hi]`` with expert indices below ``k``, block by block."""
+    """Fill ``idx[lo:hi]`` with expert indices below ``k``, block by block.
+
+    The values, and ``gen``'s end state, are those of one
+    ``gen.integers(0, k, hi - lo)`` call.
+    """
     import numpy as np
 
+    if k < 2 or k & (k - 1):
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            idx[start:stop] = gen.integers(0, k, size=stop - start, dtype=np.int32)
+        return
+    # Lemire's index below k = 2**b is the top b bits of a 32-bit half,
+    # and it is never rejected.  numpy takes an output's low half first
+    # and holds its high half as the spare for the next draw; the
+    # little-endian view puts each low half first on any host.
+    shift = 33 - k.bit_length()
+    bits = gen.bit_generator
+    state = bits.state
+    spare = state["uinteger"] if state["has_uint32"] else None
+    high = state["uinteger"]
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
-        idx[start:stop] = gen.integers(0, k, size=stop - start, dtype=np.int32)
+        if spare is not None:
+            idx[start] = spare >> shift
+            start, spare = start + 1, None
+        if start == stop:
+            continue
+        raw = bits.random_raw(-(-(stop - start) // 2))
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        np.right_shift(halves[:stop - start], shift, out=idx[start:stop])
+        high = int(halves[-1])
+        if (stop - start) % 2:
+            spare = high
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = int(spare is not None), high
+    bits.state = state
 
 
 def _run_ranges(run, jobs: list) -> None:

@@ -67,6 +67,24 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err.startswith("bundle validation failed:\n  release:A.")
 
+    @pytest.mark.parametrize("command", ["crossval", "ablate"])
+    def test_overflowing_fold_prediction_names_its_release(
+        self, capsys, tmp_path, command
+    ):
+        # The bundle loads, checks and calibrates, but A's held-out
+        # prediction, 1.7e308 times a median density above 1, is inf.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        for release in doc["releases"]:
+            release["size"] = 1
+        next(r for r in doc["releases"] if r["id"] == "A").update(
+            {"size": 1.7e308, "defects_found": 1, "defects_slipped": 0})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, "check", "--bundle", bad)[0] == 0
+        code, out, err = run(capsys, command, "--bundle", bad)
+        assert (code, out) == (1, "")
+        assert "error: case 'A': predicted inf " in err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["check"])  # missing --bundle

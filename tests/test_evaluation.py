@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from defectcast import (
     ContextBundle,
+    EstimationError,
     InsufficientHistoryError,
     MODEL_DC_MEDIAN,
     MODEL_DD_MEDIAN,
@@ -110,6 +112,13 @@ class TestAccuracyMetrics:
     def test_zero_actual_rejected(self):
         with pytest.raises(ZeroActualError):
             accuracy_metrics([(1.0, 0.0)])
+
+    @pytest.mark.parametrize("case", [
+        (math.inf, 1.0), (math.nan, 1.0), (1e308, 1e-10), (-1e308, 1e-300),
+    ], ids=["inf-prediction", "nan-prediction", "re-overflows", "re-overflows-below"])
+    def test_non_finite_relative_error_names_its_case(self, case):
+        with pytest.raises(EstimationError, match="^case 'B': predicted "):
+            accuracy_metrics([(1.0, 1.0), case], ids=["A", "B"])
 
     def test_mmre_permutation_invariant_and_pred_monotone(self):
         mres = [0.1, 0.7, 0.3, 0.05]

@@ -551,6 +551,31 @@ class TestMixtureKernel:
                 )
 
 
+class TestIndexDraw:
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "held-spare"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 256, 257, 2**16, 2**31])
+    def test_matches_one_integers_call(self, monkeypatch, k, spare):
+        # Powers of two read raw 32-bit halves: an odd block must hand its
+        # last high half to the next block, and the generator must end as
+        # numpy's does, spare half included.
+        dtype = np.min_scalar_type(k - 1)
+        for block in (7, 8, _BLOCK):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            for lo, hi in [(0, 1), (0, 2), (3, 4), (2, 17), (5, 40), (1, 45)]:
+                gen, reference = np.random.default_rng(k), np.random.default_rng(k)
+                if spare:
+                    for g in (gen, reference):
+                        g.integers(0, 2, size=1, dtype=np.int32)
+                idx = np.full(hi + 3, np.iinfo(dtype).max, dtype)
+                sampling._draw_indices(idx, k, gen, lo, hi)
+                expected = reference.integers(0, k, hi - lo, dtype=np.int64)
+                where = f"block {block}, [{lo}, {hi})"
+                assert np.array_equal(idx[lo:hi], expected), where
+                assert (idx[:lo] == np.iinfo(dtype).max).all(), where
+                assert (idx[hi:] == np.iinfo(dtype).max).all(), where
+                assert gen.bit_generator.state == reference.bit_generator.state, where
+
+
 class TestQuantiles:
     def test_nearest_rank_median(self):
         assert empirical_quantile(np.arange(1, 101, dtype=float), 0.5) == 50
