@@ -24,8 +24,10 @@ from .model import (
     ReleaseRecord,
     Target,
     _FieldError,
+    _FrozenDict,
     _kind,
     _Record,
+    _stored,
     _typed,
     aggregate_rankings,
 )
@@ -50,9 +52,18 @@ class ContextBundle(_Record):
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # Each key must be a target's value and each entry a list or tuple of
+        # ids; ``resolve_active`` checks the ids themselves.
         if self.active_factors is not None:
-            active = {t: tuple(ids) for t, ids in self.active_factors.items()}
-            object.__setattr__(self, "active_factors", active)
+            active = {}
+            for key, ids in self.active_factors.items():
+                try:
+                    key = Target(key).value
+                except ValueError:
+                    message = f"active_factors: unknown target {key!r}"
+                    raise ValueError(message) from None
+                active[key] = _stored(ids, tuple, f"active_factors[{key!r}]")
+            object.__setattr__(self, "active_factors", _FrozenDict(active))
 
     def factors_for(self, target: Target) -> list[InfluenceFactor]:
         return [f for f in self.factors if f.target == target]
@@ -96,10 +107,9 @@ class ContextBundle(_Record):
         unknown = sorted(ids - {r.id for r in self.releases})
         if unknown:
             raise ValueError(f"unknown release ids {unknown}")
-        releases = tuple(
+        return self._replace(releases=[
             r._replace(excluded=r.excluded or r.id in ids) for r in self.releases
-        )
-        return self._replace(releases=releases)
+        ])
 
 
 _REQUIRED = object()
@@ -257,19 +267,18 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
             errors.append(ValidationIssue(f"factor:{fid}", "quantifications", message))
 
     try:
-        active_raw = _field(raw, "active_factors", dict, None)
+        active = _field(raw, "active_factors", dict, None)
     except ValueError as exc:
         errors.append(_issue("document", exc, "active_factors"))
-        active_raw = None
-    active = None if active_raw is None else {}
-    for tname in active_raw or ():
+        active = None
+    for tname in active or ():
         try:
             t = Target(tname)
         except ValueError:
             errors.append(ValidationIssue("active_factors", tname, "unknown target"))
             continue
         try:
-            fids = _field(active_raw, tname, list)
+            fids = _field(active, tname, list)
         except ValueError as exc:
             errors.append(_issue("active_factors", exc, tname))
             continue
@@ -284,7 +293,6 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
                 listed.add(fid)
                 continue
             errors.append(ValidationIssue("active_factors", tname, message))
-        active[t.value] = tuple(fids)
 
     if errors:
         return None, errors
@@ -305,12 +313,12 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
             warnings.append(f"release {rid!r}: {measure} outlier ({reason})")
 
     bundle = ContextBundle(
-        factors=tuple(factors),
-        quantifications=tuple(triangles),
-        rankings=tuple(rankings),
-        releases=tuple(releases),
+        factors=factors,
+        quantifications=triangles,
+        rankings=rankings,
+        releases=releases,
         active_factors=active,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
     return bundle, []
 

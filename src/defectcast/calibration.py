@@ -20,6 +20,7 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _FrozenDict,
     _median,
     _Record,
     defect_content,
@@ -142,12 +143,12 @@ def calibrate(
         per_release=per_release,
         dd_base_median=dd_median,
         eff_base_median=eff_median,
-        included_ids=tuple(c.release_id for c in ordered),
+        included_ids=[c.release_id for c in ordered],
     )
 
 
 class DescriptiveStats(_Record):
-    per_release: Mapping[str, dict]
+    per_release: Mapping[str, Mapping[str, float | None]]
     flagged: tuple[tuple[str, str, str], ...]  # (release_id, measure, reason)
 
     def to_payload(self) -> dict:
@@ -183,7 +184,7 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
     flagged.  Flags are advisory only: whether to exclude a release
     stays a judgment call for whoever knows the history.
     """
-    per_release: dict[str, dict] = {}
+    per_release: dict[str, _FrozenDict] = {}
     dd_values: dict[str, float] = {}
     eff_values: dict[str, float] = {}
     for r in releases:
@@ -192,10 +193,10 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
             eff = effectiveness(r)
         except UndefinedEffectivenessError:
             eff = None
-        per_release[r.id] = {"defect_density": dd, "effectiveness": eff}
+        per_release[r.id] = _FrozenDict(defect_density=dd, effectiveness=eff)
         dd_values[r.id] = dd
         if eff is not None:
             eff_values[r.id] = eff
     flagged = list(_iqr_flags(dd_values, "defect_density"))
     flagged += list(_iqr_flags(eff_values, "effectiveness"))
-    return DescriptiveStats(per_release=per_release, flagged=tuple(flagged))
+    return DescriptiveStats(per_release=per_release, flagged=flagged)

@@ -131,7 +131,7 @@ def accuracy_metrics(
     }
     return AccuracyReport(
         model_name=model_name,
-        cases=tuple(out),
+        cases=out,
         mmre=_mean(mres),
         pred=pred,
     )

@@ -92,12 +92,47 @@ def _typed(value, kind: type, field: str):
     return value
 
 
+class _FrozenDict(dict):
+    """A record's mapping: read-only, and hashed by its items."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a record's mapping is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        # Unpickling a dict subclass would refill it through __setitem__.
+        return type(self), (dict(self),)
+
+
+def _stored(value, kind: type, field: str):
+    """``value`` as a field of ``kind`` stores it: a dict as a _FrozenDict,
+    a list or tuple as a tuple, a Target's value as the Target, and the
+    rest checked by ``_typed``."""
+    if kind is _FrozenDict:
+        return _FrozenDict(_typed(value, dict, field))
+    if kind is tuple:
+        if type(value) not in (list, tuple):
+            message = f"{field} must be a list or a tuple, got {_kind(value)}"
+            raise _FieldError(field, message)
+        return tuple(value)
+    if kind is Target:
+        return Target(value)
+    return _typed(value, kind, field)
+
+
 class _Record:
     """Immutable record of the annotated fields; a class attribute is a default.
 
-    A field annotated ``str``, ``float`` or ``bool`` is checked by
-    ``_typed``; a ``Mapping[...]`` one must be a dict, and a copy is kept.
-    ``X | None`` takes None, or what the rule for ``X`` takes.
+    Each field annotated ``str``, ``float``, ``bool``, ``Target``,
+    ``tuple[...]`` or ``Mapping[...]`` holds exactly one type, listed in
+    ``_checked``; ``_stored`` turns any other value into it or refuses it.
+    A mapping is kept as a read-only copy, so a record is immutable all
+    the way down.  ``X | None`` takes None, or what the rule for ``X`` takes.
     """
 
     def __init_subclass__(cls):
@@ -106,11 +141,13 @@ class _Record:
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
         rules = {n: a.removesuffix(" | None") for n, a in hints.items()}
         cls._optional = frozenset(n for n, a in hints.items() if a != rules[n])
-        kinds = {"str": str, "float": float, "bool": bool}
-        kinds.update((a, dict) for a in rules.values()
-                     if a.startswith("Mapping[") and a.endswith("]"))
+        kinds = {"str": str, "float": float, "bool": bool, "Target": Target}
+        for a in rules.values():
+            for prefix, kind in (("Mapping[", _FrozenDict), ("tuple[", tuple)):
+                if a.startswith(prefix) and a.endswith("]"):
+                    kinds[a] = kind
         cls._checked = tuple((n, kinds[a]) for n, a in rules.items() if a in kinds)
-        cls._copied = tuple(n for n, kind in cls._checked if kind is dict)
+        cls._copied = tuple(n for n, kind in cls._checked if kind is _FrozenDict)
 
     def __init__(self, *args, **kwargs):
         given = dict(zip(self._fields, args), **kwargs)
@@ -122,10 +159,7 @@ class _Record:
             if value is None and name in self._optional:
                 continue
             if type(value) is not kind:
-                values[name] = _typed(value, kind, name)
-        for name in self._copied:
-            if values[name] is not None:
-                values[name] = dict(values[name])
+                values[name] = _stored(value, kind, name)
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -184,10 +218,8 @@ class InfluenceFactor(_Record):
                 f"factor {self.id!r} needs exactly 4 level descriptions, "
                 f"got {len(self.levels)}"
             )
-        object.__setattr__(self, "levels", tuple(self.levels))
         if not all(isinstance(level, str) for level in self.levels):
             raise ValueError(f"factor {self.id!r}: level descriptions must be strings")
-        object.__setattr__(self, "target", Target(self.target))
 
 
 class ExpertTriangle(_Record):
@@ -206,7 +238,6 @@ class ExpertTriangle(_Record):
     maximum: float
 
     def __post_init__(self):
-        object.__setattr__(self, "target", Target(self.target))
         values = (self.minimum, self.most_likely, self.maximum)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(
@@ -237,7 +268,6 @@ class FactorRanking(_Record):
     ranks: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "target", Target(self.target))
         for fid, rank in self.ranks.items():
             if not (_is_int(rank) and rank >= 1):
                 raise ValueError(

@@ -362,6 +362,25 @@ class TestResolveActive:
         with pytest.raises(ValueError, match="^active_factors must be an object"):
             example_bundle._replace(active_factors=["x"])
 
+    @pytest.mark.parametrize("active,message", [
+        ({"defect-content": ["D1"]},
+         r"^active_factors: unknown target 'defect-content'$"),
+        ({"defect_content": "D1"},
+         r"^active_factors\['defect_content'\] must be a list or a tuple, got a str"),
+    ], ids=["unknown-target", "ids-str"])
+    def test_active_factors_shape_checked_when_built(self, example_bundle, active,
+                                                      message):
+        # The first used to be ignored (all five factors stayed active), the
+        # second to be stored as ('D', '1').
+        with pytest.raises(ValueError, match=message):
+            example_bundle._replace(active_factors=active)
+
+    def test_active_factors_keyed_by_target_store_its_value(self, example_bundle):
+        bundle = example_bundle._replace(active_factors={Target.DEFECT_CONTENT: ["D2"]})
+        assert bundle.active_factors == {"defect_content": ("D2",)}
+        assert [type(k) for k in bundle.active_factors] == [str]
+        assert [f.id for f in bundle.resolve_active(Target.DEFECT_CONTENT)] == ["D2"]
+
     @pytest.mark.parametrize("ids,message", [
         (["NOPE"], r"ids \['NOPE'\] name no defect_content factor"),
         (["D1", "D1"], r"duplicate factor ids \['D1'\]"),

@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+import pickle
 import statistics
 
 import numpy as np
@@ -17,6 +20,7 @@ from defectcast import (
     FactorRanking,
     IncreaseResult,
     InfluenceFactor,
+    MODEL_INFLUENCE_FACTOR,
     MissingFactorError,
     NewReleaseSpec,
     Prediction,
@@ -28,14 +32,21 @@ from defectcast import (
     ValidationIssue,
     WilcoxonResult,
     aggregate_rankings,
+    calibrate,
     defect_content,
     defect_density,
+    descriptive_stats,
     effectiveness,
+    increase_distribution,
+    loocv,
+    predict_defect_content,
+    render_report,
+    wilcoxon_one_sided,
 )
 
-from defectcast.model import _mean, _median, _Record
+from defectcast.model import _FrozenDict, _mean, _median, _Record
 
-from conftest import GENERIC_LEVELS, make_release
+from conftest import GENERIC_LEVELS, make_factor, make_release, make_triangle
 
 
 class TestDefectMeasures:
@@ -140,10 +151,16 @@ class TestTypeInvariants:
         (lambda: FactorRanking(5, Target.DEFECT_CONTENT, {"D1": 1}), "expert"),
         (lambda: NewReleaseSpec(size=True, levels={"D1": 1}), "size"),
         (lambda: NewReleaseSpec(size="130", levels={"D1": 1}), "size"),
+        # "abcd" made a factor with four one-letter levels.
+        (lambda: InfluenceFactor("D1", "n", Target.DEFECT_CONTENT, "abcd"), "levels"),
+        (lambda: make_factor()._replace(levels="abcd"), "levels"),
+        (lambda: ContextBundle(factors="D1", quantifications=()), "factors"),
+        (lambda: DescriptiveStats(per_release={}, flagged=iter(())), "flagged"),
     ], ids=["release-id", "release-size-bool", "release-size-numpy-int",
             "release-level-pairs", "release-note-none", "replace-note-none",
             "triangle-bools", "factor-id-int", "ranking-pairs", "ranking-expert-int",
-            "spec-size-bool", "spec-size-str"])
+            "spec-size-bool", "spec-size-str", "factor-levels-str",
+            "replace-levels-str", "bundle-factors-str", "stats-flagged-iterator"])
     def test_field_of_the_wrong_type_is_named(self, build, field):
         # Each of these constructed before, and a boolean size predicted a
         # release of size 1.
@@ -170,35 +187,173 @@ class TestTypeInvariants:
         quantiles[0.9] = 2.0
         assert release.levels == spec.levels == ranking.ranks == {"D1": 1}
         assert prediction.quantiles == {0.5: 1.0}
+        # _replace hands the frozen copy back, which is kept as it is.
+        assert release._replace().levels is release.levels
+
+    def test_loaded_bundle_is_frozen_all_the_way_down(self, example_bundle):
+        release = example_bundle.releases[0]
+        with pytest.raises(TypeError, match="read-only"):
+            release.levels["D1"] = 3
+        stats = descriptive_stats(example_bundle.releases)
+        with pytest.raises(TypeError, match="read-only"):
+            stats.per_release[release.id]["defect_density"] = 0.0
+
+    def test_prediction_stores_a_target_value_as_the_target(self):
+        prediction = Prediction("defect_content", 1.0, {0.5: 1.0}, 10, 0)
+        assert prediction.target is Target.DEFECT_CONTENT
+        # A string target used to reach render_report and fail on .value.
+        assert json.loads(render_report(prediction))["target"] == "defect_content"
+
+
+# Each way to change a dict in place.
+MUTATIONS = (
+    lambda m: m.__setitem__("new", 1),
+    lambda m: m.__delitem__(next(iter(m), "new")),
+    lambda m: m.__ior__({"new": 1}),
+    lambda m: m.clear(),
+    lambda m: m.pop(next(iter(m), "new"), None),
+    lambda m: m.popitem(),
+    lambda m: m.setdefault("new", 1),
+    lambda m: m.update(new=1),
+)
+
+IDS = st.sampled_from(["A", "B", "C", "D1", "E1"])
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _mapping_records():
+    """One strategy per record with a mapping field."""
+    levels = st.dictionaries(IDS, st.integers(0, 3), max_size=4)
+    quantiles = st.dictionaries(st.floats(0, 1), FLOATS, max_size=4)
+    calibration = st.builds(lambda rid, x: ReleaseCalibration(rid, x, x, 1.0, None),
+                            IDS, FLOATS)
+    active = st.none() | st.dictionaries(
+        st.sampled_from(list(Target)), st.lists(IDS, max_size=3), max_size=2)
+    return {
+        ReleaseRecord: st.builds(lambda lv: make_release(levels=lv), levels),
+        FactorRanking: st.builds(lambda r: ranking("X1", r),
+                                 st.dictionaries(IDS, st.integers(1, 5), max_size=4)),
+        NewReleaseSpec: st.builds(lambda lv: NewReleaseSpec(size=2, levels=lv), levels),
+        Prediction: st.builds(lambda q: Prediction("effectiveness", 0.5, q, 10, 0),
+                              quantiles),
+        CalibratedContext: st.builds(
+            lambda cs: CalibratedContext({c.release_id: c for c in cs}, 1.0, None,
+                                         sorted({c.release_id for c in cs})),
+            st.lists(calibration, max_size=4)),
+        DescriptiveStats: st.builds(
+            lambda rs: descriptive_stats([make_release(str(i), found=f)
+                                          for i, f in enumerate(rs)]),
+            st.lists(st.integers(0, 50), max_size=5)),
+        ContextBundle: st.builds(
+            lambda act: ContextBundle(factors=[make_factor()],
+                                      quantifications=[make_triangle()],
+                                      active_factors=act),
+            active),
+        AccuracyReport: st.builds(lambda q: AccuracyReport("m", [], 0.0, q), quantiles),
+    }
+
+
+MAPPING_RECORDS = _mapping_records()
+
+
+def test_every_record_with_a_mapping_is_fuzzed():
+    with_mapping = {r for r, (_, copied) in FIELD_RULES.items() if copied}
+    assert set(MAPPING_RECORDS) == with_mapping
+
+
+@given(record=st.one_of(*MAPPING_RECORDS.values()))
+def test_mapping_fields_are_read_only_and_hash_by_value(record):
+    for name in record._copied:
+        mapping = getattr(record, name)
+        if mapping is None:
+            continue
+        before = dict(mapping)
+        for mutate in MUTATIONS:
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(mapping)
+        assert mapping == before
+    again = record._replace()
+    assert record == again
+    assert hash(record) == hash(again)
+
+
+def test_every_record_but_increase_result_hashes(example_bundle):
+    bundle = example_bundle
+    dc = bundle.factors_for(Target.DEFECT_CONTENT)
+    eff = bundle.factors_for(Target.EFFECTIVENESS)
+    ctx = calibrate(bundle.releases, dc, eff, bundle.quantifications)
+    spec = NewReleaseSpec(size=100, levels=bundle.releases[0].levels)
+    report = loocv(bundle, MODEL_INFLUENCE_FACTOR)
+    records = [
+        bundle, bundle.releases[0], bundle.factors[0], bundle.quantifications[0],
+        bundle.rankings[0], ctx, next(iter(ctx.per_release.values())), spec,
+        predict_defect_content(ctx, spec, dc, bundle.quantifications),
+        report, report.cases[0], EngineOptions(),
+        descriptive_stats(bundle.releases),
+        aggregate_rankings(bundle.rankings, Target.EFFECTIVENESS)[0],
+        wilcoxon_one_sided([(1.0, 2.0), (3.0, 1.0)]),
+        ValidationIssue("document", "json", "bad"),
+        bundle._replace(active_factors={"defect_content": ["D1"]}),
+    ]
+    assert {type(r) for r in records} == set(FIELD_RULES) - {IncreaseResult}
+    for record in records:
+        assert hash(record) == hash(record._replace())
+    # An ndarray field has no hash.
+    result = increase_distribution(dc, bundle.quantifications, spec.levels,
+                                   Target.DEFECT_CONTENT)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(result)
+
+
+def test_records_round_trip_through_pickle_and_deepcopy(example_bundle):
+    # Unpickling a dict subclass refills it through __setitem__, which a
+    # _FrozenDict refuses; its __reduce__ rebuilds it from a plain dict.
+    dc = example_bundle.factors_for(Target.DEFECT_CONTENT)
+    ctx = calibrate(example_bundle.releases, dc, [], example_bundle.quantifications)
+    spec = NewReleaseSpec(size=100, levels=example_bundle.releases[0].levels)
+    prediction = predict_defect_content(ctx, spec, dc, example_bundle.quantifications)
+    for record in (example_bundle, ctx, prediction):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert copied == record
+            assert hash(copied) == hash(record)
 
 
 # _Record reads these rules from the annotation strings, so an edited
 # annotation (``Optional[float]``, or ``dict[str, int]`` for a mapping)
 # would drop a check without a word; this table would not.  ``X | None``
-# marks a field that also takes None.
+# marks a field that also takes None.  Each kind is the type the field
+# stores: a mapping is a read-only _FrozenDict, a ``tuple[...]`` a tuple.
 FIELD_RULES = {
     ReleaseRecord: ({"id": str, "size": float, "defects_found": float,
-                     "defects_slipped": float, "levels": dict, "excluded": bool,
+                     "defects_slipped": float, "levels": _FrozenDict, "excluded": bool,
                      "note": str}, ("levels",)),
-    ExpertTriangle: ({"expert": str, "factor_id": str, "minimum": float,
-                      "most_likely": float, "maximum": float}, ()),
-    InfluenceFactor: ({"id": str, "name": str, "description": str}, ()),
-    FactorRanking: ({"expert": str, "ranks": dict}, ("ranks",)),
+    ExpertTriangle: ({"expert": str, "factor_id": str, "target": Target,
+                      "minimum": float, "most_likely": float, "maximum": float}, ()),
+    InfluenceFactor: ({"id": str, "name": str, "target": Target, "levels": tuple,
+                       "description": str}, ()),
+    FactorRanking: ({"expert": str, "target": Target, "ranks": _FrozenDict},
+                    ("ranks",)),
     RankedFactor: ({"factor_id": str, "mean_rank": float, "median_rank": float}, ()),
-    NewReleaseSpec: ({"size": float, "levels": dict}, ("levels",)),
-    Prediction: ({"point": float, "quantiles": dict}, ("quantiles",)),
+    NewReleaseSpec: ({"size": float, "levels": _FrozenDict}, ("levels",)),
+    Prediction: ({"target": Target, "point": float, "quantiles": _FrozenDict},
+                 ("quantiles",)),
     EngineOptions: ({"point": str}, ()),
-    IncreaseResult: ({"analytic_mean": float, "point": float}, ()),
+    IncreaseResult: ({"target": Target, "analytic_mean": float, "point": float}, ()),
     ReleaseCalibration: ({"release_id": str, "ddif_point": float, "eif_point": float,
                           "dd_base": float, "eff_base": float | None}, ()),
-    CalibratedContext: ({"per_release": dict, "dd_base_median": float,
-                         "eff_base_median": float | None}, ("per_release",)),
-    DescriptiveStats: ({"per_release": dict}, ("per_release",)),
+    CalibratedContext: ({"per_release": _FrozenDict, "dd_base_median": float,
+                         "eff_base_median": float | None, "included_ids": tuple},
+                        ("per_release",)),
+    DescriptiveStats: ({"per_release": _FrozenDict, "flagged": tuple},
+                       ("per_release",)),
     ValidationIssue: ({"entity": str, "field": str, "message": str}, ()),
-    ContextBundle: ({"active_factors": dict | None}, ("active_factors",)),
+    ContextBundle: ({"factors": tuple, "quantifications": tuple, "rankings": tuple,
+                     "releases": tuple, "active_factors": _FrozenDict | None,
+                     "warnings": tuple}, ("active_factors",)),
     AccuracyCase: ({"release_id": str, "predicted": float, "actual": float,
                     "re": float, "mre": float}, ()),
-    AccuracyReport: ({"model_name": str, "mmre": float, "pred": dict}, ("pred",)),
+    AccuracyReport: ({"model_name": str, "cases": tuple, "mmre": float,
+                      "pred": _FrozenDict}, ("pred",)),
     WilcoxonResult: ({"w_plus": float, "w_minus": float, "p_one_sided": float,
                       "method": str}, ()),
 }
@@ -290,7 +445,7 @@ class TestRecord:
             id="D1", name="f", target=Target.DEFECT_CONTENT,
             levels=("a", "b", "c", "d"), description="",
         )
-        # __post_init__ ran: the target and levels were coerced.
+        # The field rules stored the target and the levels tuple.
         assert by_position.target is Target.DEFECT_CONTENT
         assert by_position.levels == ("a", "b", "c", "d")
         assert InfluenceFactor._fields == ("id", "name", "target", "levels", "description")
