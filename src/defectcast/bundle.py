@@ -24,10 +24,8 @@ from .model import (
     ReleaseRecord,
     Target,
     _FieldError,
-    _FrozenDict,
     _kind,
     _Record,
-    _stored,
     _typed,
     aggregate_rankings,
 )
@@ -52,18 +50,9 @@ class ContextBundle(_Record):
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # Each key must be a target's value and each entry a list or tuple of
-        # ids; ``resolve_active`` checks the ids themselves.
-        if self.active_factors is not None:
-            active = {}
-            for key, ids in self.active_factors.items():
-                try:
-                    key = Target(key).value
-                except ValueError:
-                    message = f"active_factors: unknown target {key!r}"
-                    raise ValueError(message) from None
-                active[key] = _stored(ids, tuple, f"active_factors[{key!r}]")
-            object.__setattr__(self, "active_factors", _FrozenDict(active))
+        for key in self.active_factors or ():  # resolve_active checks the ids
+            if key not in list(Target):
+                raise ValueError(f"active_factors: unknown target {key!r}")
 
     def factors_for(self, target: Target) -> list[InfluenceFactor]:
         return [f for f in self.factors if f.target == target]

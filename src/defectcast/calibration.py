@@ -20,7 +20,6 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
-    _FrozenDict,
     _median,
     _Record,
     defect_content,
@@ -184,7 +183,7 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
     flagged.  Flags are advisory only: whether to exclude a release
     stays a judgment call for whoever knows the history.
     """
-    per_release: dict[str, _FrozenDict] = {}
+    per_release: dict[str, dict] = {}
     dd_values: dict[str, float] = {}
     eff_values: dict[str, float] = {}
     for r in releases:
@@ -193,7 +192,7 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
             eff = effectiveness(r)
         except UndefinedEffectivenessError:
             eff = None
-        per_release[r.id] = _FrozenDict(defect_density=dd, effectiveness=eff)
+        per_release[r.id] = dict(defect_density=dd, effectiveness=eff)
         dd_values[r.id] = dd
         if eff is not None:
             eff_values[r.id] = eff

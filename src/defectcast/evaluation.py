@@ -102,14 +102,18 @@ def accuracy_metrics(
 
     RE = (predicted - actual) / actual, MRE = |RE|, MMRE is the mean
     MRE, and Pred(q) counts MREs at or below q (boundary inclusive,
-    with a relative float guard so an MRE of exactly q counts).
+    with a relative float guard so an MRE of exactly q counts).  ``ids``
+    name the cases, one distinct id each.
     """
     if not cases:
         raise ValueError("no cases")
     if ids is None:
         ids = [str(i) for i in range(len(cases))]
+    repeated = sorted(rid for rid, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated case ids {repeated}")
     out = []
-    for rid, (predicted, actual) in zip(ids, cases):
+    for rid, (predicted, actual) in zip(ids, cases, strict=True):
         if actual == 0:
             raise ZeroActualError(f"case {rid!r} has actual value 0")
         re = (predicted - actual) / actual

@@ -20,19 +20,12 @@ from typing import Mapping, Sequence
 from .errors import MissingFactorError, UndefinedEffectivenessError
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not levels or ranks.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_levels(levels: Mapping[str, int], context: str = "") -> None:
-    """Each level must be an integer in [0, 3]; ``context`` leads the error."""
+    """Each level must be in [0, 3]; ``context`` leads the error."""
     for fid, lvl in levels.items():
-        if not (_is_int(lvl) and 0 <= lvl <= 3):
-            raise ValueError(
-                f"{context}level for factor {fid!r} must be an integer in "
-                f"[0, 3], got {lvl!r}"
-            )
+        if not 0 <= lvl <= 3:
+            raise ValueError(f"{context}level for factor {fid!r} must be an "
+                             f"integer in [0, 3], got {lvl!r}")
 
 
 def _median(values):
@@ -56,10 +49,19 @@ def _mean(values):
         return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / len(values), k)
 
 
+class Target(str, Enum):
+    """What an influence factor (or an estimate) acts on."""
+
+    DEFECT_CONTENT = "defect_content"
+    EFFECTIVENESS = "effectiveness"
+
+
 _JSON_KINDS = {
     dict: "an object", list: "an array", str: "a string", bool: "a boolean",
     int: "a number", float: "a number", type(None): "null",
 }
+_WANTED = {**_JSON_KINDS, int: "an integer", tuple: "a list or a tuple",
+           Target: "a target value"}
 
 
 def _kind(value) -> str:
@@ -74,22 +76,31 @@ class _FieldError(ValueError):
         self.field = field
 
 
-def _typed(value, kind: type, field: str):
-    """``value`` if its type is ``kind``: str, bool, list, dict or float.
+def _place(where) -> str:
+    """``where`` as text: a field's name, or (container, format, key)."""
+    return where if type(where) is str else where[1].format(_place(where[0]), where[2])
 
-    float takes any int or float, never a bool or a numpy integer, and
-    returns a float.  Another type is a _FieldError that names ``field``;
-    an int too large for a float is a plain ValueError.
-    """
+
+def _typed(value, kind: type, field: str, where=None):
+    """``value`` as a field of ``kind`` holds it, else a _FieldError of ``field``
+    naming ``where`` (see ``_rule``).  An int is no bool; a float takes an int
+    (a ValueError past the float range), never a bool or a numpy integer; a
+    str takes a Target as its value, a Target its value, and a tuple a list."""
+    if type(value) is kind:
+        return value
     if kind is float and isinstance(value, (int, float)) and type(value) is not bool:
         try:
             return float(value)
         except OverflowError as exc:
-            raise ValueError(f"{field}: {exc}") from None
-    if type(value) is not kind:
-        message = f"{field} must be {_JSON_KINDS[kind]}, got {_kind(value)}"
-        raise _FieldError(field, message)
-    return value
+            raise ValueError(f"{_place(where or field)}: {exc}") from None
+    if kind is str and isinstance(value, Target):
+        return value.value
+    if (kind, type(value)) in ((tuple, list), (dict, _FrozenDict)) or (
+            kind is Target and value in list(Target)):
+        return kind(value)
+    wanted = _WANTED.get(kind, kind.__name__)
+    message = f"{_place(where or field)} must be {wanted}, got {_kind(value)}"
+    raise _FieldError(field, message)
 
 
 class _FrozenDict(dict):
@@ -109,57 +120,77 @@ class _FrozenDict(dict):
         return type(self), (dict(self),)
 
 
-def _stored(value, kind: type, field: str):
-    """``value`` as a field of ``kind`` stores it: a dict as a _FrozenDict,
-    a list or tuple as a tuple, a Target's value as the Target, and the
-    rest checked by ``_typed``."""
-    if kind is _FrozenDict:
-        return _FrozenDict(_typed(value, dict, field))
-    if kind is tuple:
-        if type(value) not in (list, tuple):
-            message = f"{field} must be a list or a tuple, got {_kind(value)}"
+# The leaf kinds by name; each record class adds itself.
+_KINDS = {"str": str, "int": int, "float": float, "bool": bool, "Target": Target}
+
+
+def _rule(annotation: str):
+    """The rule of a field annotated ``annotation``: it takes (value, field,
+    where), ``where`` being the field or (container, format, key), and returns
+    what the field holds.  ``_typed`` checks a name in ``_KINDS``; another name
+    leaves the field unchecked (None).  ``Mapping[K, V]`` holds a _FrozenDict
+    of keys checked by K and values by V, ``tuple[T, ...]`` a tuple of T and
+    ``tuple[A, B]`` one of A and B; K, A, B are names.  ``X | None`` takes None."""
+    if annotation.endswith(" | None"):
+        rule = _rule(annotation.removesuffix(" | None"))
+        return rule and (lambda value, field, where:
+                         None if value is None else rule(value, field, where))
+    kind = _KINDS.get(annotation)
+    if kind:
+        return lambda value, field, where: (
+            value if type(value) is kind else _typed(value, kind, field, where))
+    name, _, args = annotation.removesuffix("]").partition("[")
+    if name not in ("Mapping", "tuple"):
+        return None
+    fixed = not args.endswith(", ...")
+    parts = args.split(", ", 1) if name == "Mapping" else (
+        args.split(", ") if fixed else [args.removesuffix(", ...")])
+    rules = [_rule(part) for part in parts]
+    if not all(rules):
+        return None
+    if name == "tuple":
+        return _sequence(rules, fixed)
+    key_rule, value_rule = rules
+    return lambda value, field, where: _FrozenDict(
+        (key_rule(k, field, (where, "{} key {!r}", k)),
+         value_rule(v, field, (where, "{}[{!r}]", k)))
+        for k, v in _typed(value, dict, field, where).items())
+
+
+def _sequence(rules: list, fixed: bool):
+    def check(value, field, where):
+        value = _typed(value, tuple, field, where)
+        each = rules if fixed else rules * len(value)
+        if len(value) != len(each):
+            message = f"{_place(where)} must hold {len(each)} entries, got {len(value)}"
             raise _FieldError(field, message)
-        return tuple(value)
-    if kind is Target:
-        return Target(value)
-    return _typed(value, kind, field)
+        return tuple(rule(v, field, (where, "{}[{!r}]", i))
+                     for i, (rule, v) in enumerate(zip(each, value)))
+    return check
 
 
 class _Record:
     """Immutable record of the annotated fields; a class attribute is a default.
 
-    Each field annotated ``str``, ``float``, ``bool``, ``Target``,
-    ``tuple[...]`` or ``Mapping[...]`` holds exactly one type, listed in
-    ``_checked``; ``_stored`` turns any other value into it or refuses it.
-    A mapping is kept as a read-only copy, so a record is immutable all
-    the way down.  ``X | None`` takes None, or what the rule for ``X`` takes.
-    """
+    Each annotation is its field's rule (see ``_rule``), so a record is of its
+    fields' types and immutable down to each entry; ``__post_init__`` checks
+    what a type cannot say."""
 
     def __init_subclass__(cls):
         hints = cls.__dict__.get("__annotations__", {})
         cls._fields, cls._field_set = tuple(hints), frozenset(hints)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
-        rules = {n: a.removesuffix(" | None") for n, a in hints.items()}
-        cls._optional = frozenset(n for n, a in hints.items() if a != rules[n])
-        kinds = {"str": str, "float": float, "bool": bool, "Target": Target}
-        for a in rules.values():
-            for prefix, kind in (("Mapping[", _FrozenDict), ("tuple[", tuple)):
-                if a.startswith(prefix) and a.endswith("]"):
-                    kinds[a] = kind
-        cls._checked = tuple((n, kinds[a]) for n, a in rules.items() if a in kinds)
-        cls._copied = tuple(n for n, kind in cls._checked if kind is _FrozenDict)
+        rules = zip(hints, map(_rule, hints.values()))
+        cls._rules = tuple((name, rule) for name, rule in rules if rule)
+        _KINDS[cls.__name__] = cls
 
     def __init__(self, *args, **kwargs):
         given = dict(zip(self._fields, args), **kwargs)
         values = {**self._defaults, **given}
         if len(given) < len(args) + len(kwargs) or values.keys() != self._field_set:
             raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
-        for name, kind in self._checked:
-            value = values[name]
-            if value is None and name in self._optional:
-                continue
-            if type(value) is not kind:
-                values[name] = _stored(value, kind, name)
+        for name, rule in self._rules:
+            values[name] = rule(values[name], name, name)
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -190,13 +221,6 @@ class _Record:
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
 
-class Target(str, Enum):
-    """What an influence factor (or an estimate) acts on."""
-
-    DEFECT_CONTENT = "defect_content"
-    EFFECTIVENESS = "effectiveness"
-
-
 class InfluenceFactor(_Record):
     """A named driver of defect content or QA effectiveness.
 
@@ -211,15 +235,6 @@ class InfluenceFactor(_Record):
     target: Target
     levels: tuple[str, str, str, str]
     description: str = ""
-
-    def __post_init__(self):
-        if len(self.levels) != 4:
-            raise ValueError(
-                f"factor {self.id!r} needs exactly 4 level descriptions, "
-                f"got {len(self.levels)}"
-            )
-        if not all(isinstance(level, str) for level in self.levels):
-            raise ValueError(f"factor {self.id!r}: level descriptions must be strings")
 
 
 class ExpertTriangle(_Record):
@@ -269,11 +284,9 @@ class FactorRanking(_Record):
 
     def __post_init__(self):
         for fid, rank in self.ranks.items():
-            if not (_is_int(rank) and rank >= 1):
-                raise ValueError(
-                    f"ranking by {self.expert!r}: rank for {fid!r} must be a "
-                    f"positive integer, got {rank!r}"
-                )
+            if rank < 1:
+                raise ValueError(f"ranking by {self.expert!r}: rank for {fid!r} "
+                                 f"must be a positive integer, got {rank!r}")
 
 
 class ReleaseRecord(_Record):
@@ -363,11 +376,9 @@ def aggregate_rankings(
     k = len(factor_ids)
     for r in relevant:
         for fid, rank in r.ranks.items():
-            if not (_is_int(rank) and 1 <= rank <= k):
-                raise ValueError(
-                    f"ranking by {r.expert!r}: rank for {fid!r} must be an "
-                    f"integer in [1, {k}], got {rank!r}"
-                )
+            if not 1 <= rank <= k:
+                raise ValueError(f"ranking by {r.expert!r}: rank for {fid!r} "
+                                 f"must be an integer in [1, {k}], got {rank!r}")
     out = []
     for fid in factor_ids:
         values = [r.ranks[fid] for r in relevant]

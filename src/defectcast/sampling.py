@@ -88,7 +88,7 @@ from .errors import (
     MissingLevelError,
     MissingQuantificationError,
 )
-from .model import ExpertTriangle, InfluenceFactor, Target, _is_int, _Record
+from .model import ExpertTriangle, InfluenceFactor, Target, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,14 +105,10 @@ class EngineOptions(_Record):
     point: str = POINT_ANALYTIC_MEAN
 
     def __post_init__(self):
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not (_is_int(self.n_samples) and self.n_samples >= 1):
-            raise ValueError(
-                f"n_samples must be an integer >= 1, got {self.n_samples!r}"
-            )
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples}")
         if self.point not in (POINT_ANALYTIC_MEAN, POINT_MC_MEDIAN):
             raise ValueError(f"unknown point strategy {self.point!r}")
 
@@ -484,9 +480,10 @@ def increase_distribution(
 
 
 def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
-    """Nearest-rank quantile of an ascending-sorted sample sequence."""
+    """Nearest-rank ``p``-quantile, ``p`` in [0, 1], of ascending-sorted samples."""
+    if not 0 <= p <= 1:  # NaN too
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
     n = len(sorted_samples)
     if n == 0:
         raise EmptyDistributionError("no samples")
-    k = math.ceil(p * n) - 1
-    return float(sorted_samples[min(max(k, 0), n - 1)])
+    return float(sorted_samples[max(math.ceil(p * n) - 1, 0)])

@@ -158,7 +158,8 @@ class TestLoadBundle:
         bad["releases"][0]["levels"] = {"D1": True}
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, bad))
-        assert any("True" in i.message for i in exc.value.errors)
+        assert exc.value.errors == [ValidationIssue(
+            "release:A", "levels", "levels['D1'] must be an integer, got a boolean")]
 
     @pytest.mark.parametrize("value", ["false", "no", 1, 0, None])
     def test_non_boolean_excluded_rejected(self, tmp_path, value):
@@ -177,7 +178,8 @@ class TestLoadBundle:
         ]
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, bad))
-        assert any("True" in i.message for i in exc.value.errors)
+        assert exc.value.errors == [ValidationIssue(
+            "ranking:X1", "ranks", "ranks['D1'] must be an integer, got a boolean")]
 
     def test_unquantified_factor_rejected(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))

@@ -206,14 +206,19 @@ class TestPredict:
         assert exc.value.code == 2
         assert "--quantiles" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("level", [True, 9, -1, 1.5])
-    def test_bad_spec_level_exits_one(self, capsys, tmp_path, level):
+    @pytest.mark.parametrize("level,message", [
+        (True, "levels['D1'] must be an integer, got a boolean"),
+        (9, "level for factor 'D1'"),
+        (-1, "level for factor 'D1'"),
+        (1.5, "levels['D1'] must be an integer, got a number"),
+    ], ids=["True", "9", "-1", "1.5"])
+    def test_bad_spec_level_exits_one(self, capsys, tmp_path, level, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"size": 130, "levels": {"D1": level}}))
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
                            "--spec", path)
         assert code == 1
-        assert "level for factor 'D1'" in err
+        assert message in err
 
     @pytest.mark.parametrize("level", ["true", "9", "-1", "1.5"])
     def test_bad_inline_level_exits_one(self, capsys, level):

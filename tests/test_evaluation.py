@@ -120,6 +120,16 @@ class TestAccuracyMetrics:
         with pytest.raises(EstimationError, match="^case 'B': predicted "):
             accuracy_metrics([(1.0, 1.0), case], ids=["A", "B"])
 
+    @pytest.mark.parametrize("ids,message", [
+        (["a"], "zip"),
+        (["a", "b", "c"], "zip"),
+        (["a", "a"], r"^repeated case ids \['a'\]$"),
+    ], ids=["fewer-ids", "more-ids", "repeated-id"])
+    def test_ids_name_each_case_once(self, ids, message):
+        # Fewer ids used to drop the second case: 1 case, MMRE 0.5.
+        with pytest.raises(ValueError, match=message):
+            accuracy_metrics([(1.0, 2.0), (3.0, 1.0)], ids=ids)
+
     def test_mmre_permutation_invariant_and_pred_monotone(self):
         mres = [0.1, 0.7, 0.3, 0.05]
         a = summarize_mres(mres, thresholds=[0.1, 0.25, 0.5, 10.0])
@@ -138,6 +148,16 @@ def bundle_of(*releases):
         quantifications=(make_triangle("D1"),),
         releases=tuple(r._replace(levels={"D1": 0}) for r in releases),
     )
+
+
+@pytest.mark.parametrize("model", [MODEL_DC_MEDIAN, MODEL_DD_MEDIAN,
+                                   MODEL_INFLUENCE_FACTOR])
+def test_repeated_release_id_rejected_by_every_model(model):
+    # dc_median used to report 3 cases, but mres() kept 2 of them.
+    bundle = bundle_of(make_release("A"), make_release("B", found=30),
+                       make_release("A", found=20))
+    with pytest.raises(ValueError, match=r"^repeated (case|release) ids \['A'\]$"):
+        loocv(bundle, model)
 
 
 class TestLoocv:

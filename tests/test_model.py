@@ -6,7 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from defectcast import (
@@ -127,7 +127,7 @@ class TestTypeInvariants:
 
     @pytest.mark.parametrize("levels", [[1, 2, 3, 4], ["a", "b", "c", None]])
     def test_factor_levels_must_be_strings(self, levels):
-        with pytest.raises(ValueError, match="level descriptions must be strings"):
+        with pytest.raises(ValueError, match=r"^levels\[[03]\] must be a string, got "):
             InfluenceFactor("D1", "f", Target.DEFECT_CONTENT, levels)
 
     def test_triangle_ordering_enforced(self):
@@ -187,8 +187,16 @@ class TestTypeInvariants:
         quantiles[0.9] = 2.0
         assert release.levels == spec.levels == ranking.ranks == {"D1": 1}
         assert prediction.quantiles == {0.5: 1.0}
-        # _replace hands the frozen copy back, which is kept as it is.
-        assert release._replace().levels is release.levels
+        # _replace checks the frozen copy's entries again and stores an equal copy.
+        again = release._replace().levels
+        assert again == release.levels and type(again) is _FrozenDict
+
+    def test_a_mapping_frozen_by_another_rule_is_checked_again(self):
+        # Only the rule that froze a mapping may skip its entries.
+        stats = descriptive_stats([make_release("A")])
+        with pytest.raises(ValueError, match=r"^levels\['defect_density'\] must be an "
+                                             r"integer, got a number$"):
+            NewReleaseSpec(size=1, levels=stats.per_release["A"])
 
     def test_loaded_bundle_is_frozen_all_the_way_down(self, example_bundle):
         release = example_bundle.releases[0]
@@ -257,13 +265,13 @@ MAPPING_RECORDS = _mapping_records()
 
 
 def test_every_record_with_a_mapping_is_fuzzed():
-    with_mapping = {r for r, (_, copied) in FIELD_RULES.items() if copied}
+    with_mapping = {r for r in FIELD_RULES if _fields_of(r, "Mapping[")}
     assert set(MAPPING_RECORDS) == with_mapping
 
 
 @given(record=st.one_of(*MAPPING_RECORDS.values()))
 def test_mapping_fields_are_read_only_and_hash_by_value(record):
-    for name in record._copied:
+    for name in _fields_of(type(record), "Mapping["):
         mapping = getattr(record, name)
         if mapping is None:
             continue
@@ -320,58 +328,151 @@ def test_records_round_trip_through_pickle_and_deepcopy(example_bundle):
 
 # _Record reads these rules from the annotation strings, so an edited
 # annotation (``Optional[float]``, or ``dict[str, int]`` for a mapping)
-# would drop a check without a word; this table would not.  ``X | None``
-# marks a field that also takes None.  Each kind is the type the field
-# stores: a mapping is a read-only _FrozenDict, a ``tuple[...]`` a tuple.
+# would drop a check without a word; this table would not.  It lists each
+# field that has a rule, by the annotation the rule was read from; every
+# field but IncreaseResult's ndarray has one.
 FIELD_RULES = {
-    ReleaseRecord: ({"id": str, "size": float, "defects_found": float,
-                     "defects_slipped": float, "levels": _FrozenDict, "excluded": bool,
-                     "note": str}, ("levels",)),
-    ExpertTriangle: ({"expert": str, "factor_id": str, "target": Target,
-                      "minimum": float, "most_likely": float, "maximum": float}, ()),
-    InfluenceFactor: ({"id": str, "name": str, "target": Target, "levels": tuple,
-                       "description": str}, ()),
-    FactorRanking: ({"expert": str, "target": Target, "ranks": _FrozenDict},
-                    ("ranks",)),
-    RankedFactor: ({"factor_id": str, "mean_rank": float, "median_rank": float}, ()),
-    NewReleaseSpec: ({"size": float, "levels": _FrozenDict}, ("levels",)),
-    Prediction: ({"target": Target, "point": float, "quantiles": _FrozenDict},
-                 ("quantiles",)),
-    EngineOptions: ({"point": str}, ()),
-    IncreaseResult: ({"target": Target, "analytic_mean": float, "point": float}, ()),
-    ReleaseCalibration: ({"release_id": str, "ddif_point": float, "eif_point": float,
-                          "dd_base": float, "eff_base": float | None}, ()),
-    CalibratedContext: ({"per_release": _FrozenDict, "dd_base_median": float,
-                         "eff_base_median": float | None, "included_ids": tuple},
-                        ("per_release",)),
-    DescriptiveStats: ({"per_release": _FrozenDict, "flagged": tuple},
-                       ("per_release",)),
-    ValidationIssue: ({"entity": str, "field": str, "message": str}, ()),
-    ContextBundle: ({"factors": tuple, "quantifications": tuple, "rankings": tuple,
-                     "releases": tuple, "active_factors": _FrozenDict | None,
-                     "warnings": tuple}, ("active_factors",)),
-    AccuracyCase: ({"release_id": str, "predicted": float, "actual": float,
-                    "re": float, "mre": float}, ()),
-    AccuracyReport: ({"model_name": str, "cases": tuple, "mmre": float,
-                      "pred": _FrozenDict}, ("pred",)),
-    WilcoxonResult: ({"w_plus": float, "w_minus": float, "p_one_sided": float,
-                      "method": str}, ()),
+    ReleaseRecord: {"id": "str", "size": "float", "defects_found": "float",
+                    "defects_slipped": "float", "levels": "Mapping[str, int]",
+                    "excluded": "bool", "note": "str"},
+    ExpertTriangle: {"expert": "str", "factor_id": "str", "target": "Target",
+                     "minimum": "float", "most_likely": "float", "maximum": "float"},
+    InfluenceFactor: {"id": "str", "name": "str", "target": "Target",
+                      "levels": "tuple[str, str, str, str]", "description": "str"},
+    FactorRanking: {"expert": "str", "target": "Target", "ranks": "Mapping[str, int]"},
+    RankedFactor: {"factor_id": "str", "mean_rank": "float", "median_rank": "float"},
+    NewReleaseSpec: {"size": "float", "levels": "Mapping[str, int]"},
+    Prediction: {"target": "Target", "point": "float",
+                 "quantiles": "Mapping[float, float]", "n_samples": "int",
+                 "seed": "int"},
+    EngineOptions: {"n_samples": "int", "seed": "int", "point": "str"},
+    IncreaseResult: {"target": "Target", "analytic_mean": "float", "point": "float"},
+    ReleaseCalibration: {"release_id": "str", "ddif_point": "float",
+                         "eif_point": "float", "dd_base": "float",
+                         "eff_base": "float | None"},
+    CalibratedContext: {"per_release": "Mapping[str, ReleaseCalibration]",
+                        "dd_base_median": "float", "eff_base_median": "float | None",
+                        "included_ids": "tuple[str, ...]"},
+    DescriptiveStats: {"per_release": "Mapping[str, Mapping[str, float | None]]",
+                       "flagged": "tuple[tuple[str, str, str], ...]"},
+    ValidationIssue: {"entity": "str", "field": "str", "message": "str"},
+    ContextBundle: {"factors": "tuple[InfluenceFactor, ...]",
+                    "quantifications": "tuple[ExpertTriangle, ...]",
+                    "rankings": "tuple[FactorRanking, ...]",
+                    "releases": "tuple[ReleaseRecord, ...]",
+                    "active_factors": "Mapping[str, tuple[str, ...]] | None",
+                    "warnings": "tuple[str, ...]"},
+    AccuracyCase: {"release_id": "str", "predicted": "float", "actual": "float",
+                   "re": "float", "mre": "float"},
+    AccuracyReport: {"model_name": "str", "cases": "tuple[AccuracyCase, ...]",
+                     "mmre": "float", "pred": "Mapping[float, float]"},
+    WilcoxonResult: {"w_plus": "float", "w_minus": "float", "n_effective": "int",
+                     "p_one_sided": "float", "method": "str"},
 }
+
+
+def _fields_of(record, prefix):
+    return [n for n, a in FIELD_RULES[record].items() if a.startswith(prefix)]
 
 
 @pytest.mark.parametrize("record", FIELD_RULES, ids=lambda r: r.__name__)
 def test_record_field_rules_are_pinned(record):
-    checked, copied = FIELD_RULES[record]
-    rules = {n: kind | None if n in record._optional else kind
-             for n, kind in record._checked}
-    assert rules == checked
-    assert record._copied == copied
+    rules = {name: record.__annotations__[name] for name, _ in record._rules}
+    assert rules == FIELD_RULES[record]
 
 
 def test_every_record_has_pinned_field_rules():
     records = {r for r in _Record.__subclasses__()
                if r.__module__.startswith("defectcast.")}
     assert records == set(FIELD_RULES)
+
+
+# Each reproduction built a record that failed late or rendered a wrong type.
+@pytest.mark.parametrize("build,field,message", [
+    (lambda: Prediction("defect_content", 1.0, {0.5: 1.0}, "ten", True),
+     "n_samples", "n_samples must be an integer, got a string"),
+    (lambda: WilcoxonResult(1.0, 2.0, 2.5, 0.3, "x"),
+     "n_effective", "n_effective must be an integer, got a number"),
+    (lambda: Prediction("defect_content", 1.0, {"a": "b"}, 10, 0),
+     "quantiles", "quantiles key 'a' must be a number, got a string"),
+    (lambda: CalibratedContext({"A": "x"}, 1.0, None, ["A"]),
+     "per_release", "per_release['A'] must be ReleaseCalibration, got a string"),
+    (lambda: ReleaseRecord("A", 1, 1, 1, {1: 2}),
+     "levels", "levels key 1 must be a string, got a number"),
+    (lambda: ContextBundle(factors=("D1",), quantifications=()),
+     "factors", "factors[0] must be InfluenceFactor, got a string"),
+], ids=["prediction-n-samples-str", "wilcoxon-n-effective-float",
+        "prediction-quantile-str", "context-calibration-str", "release-level-key-int",
+        "bundle-factor-str"])
+def test_wrong_entry_types_fail_when_built(build, field, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert (exc.value.field, str(exc.value)) == (field, message)
+
+
+def _valid_records():
+    """One valid record of each class, each mapping and tuple non-empty."""
+    case = AccuracyCase("A", 1.0, 1.0, 0.0, 0.0)
+    calibration = ReleaseCalibration("A", 0.0, 0.0, 1.0, None)
+    return {
+        ReleaseRecord: make_release(levels={"D1": 1}),
+        ExpertTriangle: make_triangle(),
+        InfluenceFactor: make_factor(),
+        FactorRanking: FactorRanking("X1", Target.DEFECT_CONTENT, {"D1": 1}),
+        RankedFactor: RankedFactor("D1", 1.0, 1.0),
+        NewReleaseSpec: NewReleaseSpec(size=2, levels={"D1": 0}),
+        Prediction: Prediction("effectiveness", 0.5, {0.5: 0.5}, 10, 0),
+        EngineOptions: EngineOptions(),
+        IncreaseResult: IncreaseResult(Target.DEFECT_CONTENT, np.zeros(1), 0.0, 0.0),
+        ReleaseCalibration: calibration,
+        CalibratedContext: CalibratedContext({"A": calibration}, 1.0, None, ["A"]),
+        DescriptiveStats: DescriptiveStats(
+            {"A": {"defect_density": 0.5, "effectiveness": None}},
+            [("A", "defect_density", "above Q3 + 1.5*IQR")]),
+        ValidationIssue: ValidationIssue("document", "json", "bad"),
+        ContextBundle: ContextBundle(
+            factors=[make_factor()], quantifications=[make_triangle()],
+            rankings=[FactorRanking("X1", Target.DEFECT_CONTENT, {"D1": 1})],
+            releases=[make_release()],
+            active_factors={"defect_content": ["D1"]}, warnings=["w"]),
+        AccuracyCase: case,
+        AccuracyReport: AccuracyReport("m", [case], 0.0, {0.25: 1.0}),
+        WilcoxonResult: WilcoxonResult(1.0, 2.0, 2, 0.3, "exact_enumeration"),
+    }
+
+
+VALID_RECORDS = _valid_records()
+# Hashable values that no field rule takes, nor any entry rule.
+NO_RULE_TAKES = st.one_of(st.binary(), st.complex_numbers(), st.just(np.int64(1)),
+                          st.frozensets(st.integers(), max_size=2))
+NOT_AN_INT = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                       NO_RULE_TAKES)
+CHECKED_SLOTS = [(record, name) for record in FIELD_RULES
+                 for name in _fields_of(record, "int") + _fields_of(record, "Mapping[")
+                 + _fields_of(record, "tuple[")]
+
+
+@given(data=st.data())
+def test_wrong_typed_entry_is_named_by_its_field(data):
+    record, name = data.draw(st.sampled_from(CHECKED_SLOTS))
+    valid = VALID_RECORDS[record]
+    value = getattr(valid, name)
+    if FIELD_RULES[record][name] == "int":
+        value = data.draw(NOT_AN_INT)
+    elif isinstance(value, dict):
+        value, wrong = dict(value), data.draw(NO_RULE_TAKES)
+        if data.draw(st.booleans()):  # a wrong key, with a valid value
+            assume(wrong not in value)
+            value[wrong] = next(iter(value.values()))
+        else:
+            value[data.draw(st.sampled_from(list(value)))] = wrong
+    else:  # a tuple with one wrong element
+        value = list(value)
+        value[data.draw(st.integers(0, len(value) - 1))] = data.draw(NO_RULE_TAKES)
+    with pytest.raises(ValueError) as exc:
+        valid._replace(**{name: value})
+    assert exc.value.field == name
+    assert str(exc.value).startswith(name)
 
 
 def ranking(expert, ranks, target=Target.DEFECT_CONTENT):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,14 @@ class TestPredictDefectContent:
             ctx, NewReleaseSpec(size=200, levels={"D1": 0}), [DC_F], TRIS
         )
         assert pred.point == pytest.approx(200 * ctx.dd_base_median)
+
+    @pytest.mark.parametrize("probs", [[1.5, -2.0, 0.5], [math.nan]])
+    def test_quantile_outside_the_unit_interval_rejected(self, probs):
+        # 1.5 used to be reported as the maximum sample and -2 as the minimum.
+        ctx, _ = simple_context()
+        spec = NewReleaseSpec(size=200, levels={"D1": 0})
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
+            predict_defect_content(ctx, spec, [DC_F], TRIS, probs=probs)
 
     def test_analytic_mean_composition(self):
         # dd_base_median 0.4 needs ddif 0.25 on the history: use a

@@ -124,7 +124,7 @@ class TestEngineOptions:
 
     @pytest.mark.parametrize("n", [0, -1, True, False, 1.5, 1e6, "10", None])
     def test_n_samples_must_be_a_positive_int(self, n):
-        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+        with pytest.raises(ValueError, match="^n_samples must be an integer"):
             EngineOptions(n_samples=n)
 
 
@@ -583,6 +583,12 @@ class TestQuantiles:
     def test_extremes(self):
         ordered = np.arange(1, 101, dtype=float)
         assert [empirical_quantile(ordered, p) for p in (0.0, 1.0)] == [1, 100]
+
+    @pytest.mark.parametrize("p", [1.5, -2.0, math.nan, math.inf, 1 + 2**-52])
+    def test_p_outside_the_unit_interval_rejected(self, p):
+        # 1.5 used to give the maximum sample and -2 the minimum.
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
+            empirical_quantile(np.arange(1, 101, dtype=float), p)
 
     def test_sorting_independence(self):
         ordered = np.sort(np.array([3.0, 1.0, 2.0]))
