@@ -69,13 +69,16 @@ class ContextBundle(_Record):
         entry, then (for effectiveness) the two top-ranked factors when
         rankings exist, then all factors of the target.  The top-2
         effectiveness default exists because extra effectiveness factors
-        did not improve accuracy in practice.  An override or
-        ``active_factors`` id that names no factor of the target, or that
+        did not improve accuracy in practice.  An override, ``active_factors``
+        or top-ranked id that names no factor of the target, or that
         repeats, is a ``ValueError``.
         """
         by_id = {f.id: f for f in self.factors_for(target)}
         if override_ids is None and self.active_factors:
             override_ids = self.active_factors.get(target.value)
+        if override_ids is None and target == Target.EFFECTIVENESS and self.rankings:
+            ranked = aggregate_rankings(list(self.rankings), target)
+            override_ids = [rf.factor_id for rf in ranked[:2]] or None
         if override_ids is not None:
             unknown = [fid for fid in override_ids if fid not in by_id]
             if unknown:
@@ -84,10 +87,6 @@ class ContextBundle(_Record):
             if repeated:
                 raise ValueError(f"duplicate factor ids {sorted(repeated)}")
             return [by_id[fid] for fid in override_ids]
-        if target == Target.EFFECTIVENESS and self.rankings:
-            ranked = aggregate_rankings(list(self.rankings), target)
-            if ranked:
-                return [by_id[rf.factor_id] for rf in ranked[:2]]
         return sorted(by_id.values(), key=lambda f: f.id)
 
     def with_excluded(self, ids: Sequence[str]) -> "ContextBundle":
@@ -101,17 +100,25 @@ class ContextBundle(_Record):
         ])
 
 
-_REQUIRED = object()
+def _read(cls, obj, keys={}, **defaults):
+    """A ``cls`` record from the JSON object ``obj`` (a non-object has no keys).
 
-
-def _field(obj, key: str, kind: type, default=_REQUIRED):
-    """``obj[key]`` checked by ``_typed``; if absent, ``default`` or a _FieldError."""
-    value = obj.get(key, _REQUIRED) if isinstance(obj, dict) else _REQUIRED
-    if value is not _REQUIRED:
-        return _typed(value, kind, key)
-    if default is _REQUIRED:
-        raise _FieldError(key, "missing")
-    return default
+    Each field is read from its JSON key, the field's name unless ``keys``
+    renames it, and checked by its rule under that key, so an issue names the
+    key the author wrote.  An absent key takes its value from ``defaults``,
+    then the record's default; otherwise it is a _FieldError.
+    """
+    obj = obj if isinstance(obj, dict) else {}
+    rules, values = dict(cls._rules), {}
+    for name in cls._fields:
+        key = keys.get(name, name)
+        if key in obj:
+            values[name] = rules[name](obj[key], key, key)
+        elif name in defaults:
+            values[name] = defaults[name]
+        elif name not in cls._defaults:
+            raise _FieldError(key, "missing")
+    return cls(**values)
 
 
 def _issue(entity: str, exc: ValueError, field: str) -> ValidationIssue:
@@ -126,7 +133,7 @@ def _objects(raw: dict, section: str, entity: str, keys: tuple, errors: list):
     and the item's index otherwise: ``release:A``, ``release:#0``.
     """
     try:
-        items = _field(raw, section, list, [])
+        items = _typed(raw.get(section, []), list, section)
     except ValueError as exc:
         errors.append(_issue("document", exc, section))
         items = []
@@ -153,13 +160,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     seen: set[tuple[str, Target]] = set()
     for entity, f in _objects(raw, "factors", "factor", ("id",), errors):
         try:
-            factor = InfluenceFactor(
-                id=_field(f, "id", str),
-                name=_field(f, "name", str, f["id"]),  # the id is a string here
-                target=Target(_field(f, "target", str)),
-                levels=_field(f, "levels", list),
-                description=_field(f, "description", str, ""),
-            )
+            factor = _read(InfluenceFactor, f, name=f.get("id"))
         except ValueError as exc:
             errors.append(_issue(entity, exc, "levels/target"))
             continue
@@ -178,14 +179,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     pair = ("expert", "factor_id")
     for entity, q in _objects(raw, "quantifications", "quantification", pair, errors):
         try:
-            tri = ExpertTriangle(
-                expert=_field(q, "expert", str),
-                factor_id=_field(q, "factor_id", str),
-                target=Target(_field(q, "target", str)),
-                minimum=_field(q, "min", float),
-                most_likely=_field(q, "most_likely", float),
-                maximum=_field(q, "max", float),
-            )
+            tri = _read(ExpertTriangle, q, {"minimum": "min", "maximum": "max"})
         except ValueError as exc:
             errors.append(_issue(entity, exc, "min/most_likely/max"))
             continue
@@ -203,11 +197,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     rankings: list[FactorRanking] = []
     for entity, r in _objects(raw, "rankings", "ranking", ("expert",), errors):
         try:
-            ranking = FactorRanking(
-                expert=_field(r, "expert", str),
-                target=Target(_field(r, "target", str)),
-                ranks=_field(r, "ranks", dict),
-            )
+            ranking = _read(FactorRanking, r)
         except ValueError as exc:
             errors.append(_issue(entity, exc, "ranks"))
             continue
@@ -229,15 +219,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     release_ids: set[str] = set()
     for entity, r in _objects(raw, "releases", "release", ("id",), errors):
         try:
-            rec = ReleaseRecord(
-                id=_field(r, "id", str),
-                size=_field(r, "size", float),
-                defects_found=_field(r, "defects_found", float),
-                defects_slipped=_field(r, "defects_slipped", float),
-                levels=_field(r, "levels", dict, {}),
-                excluded=_field(r, "excluded", bool, False),
-                note=_field(r, "note", str, ""),
-            )
+            rec = _read(ReleaseRecord, r, levels={})
         except ValueError as exc:
             errors.append(_issue(entity, exc, "measures/levels"))
             continue
@@ -256,7 +238,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
             errors.append(ValidationIssue(f"factor:{fid}", "quantifications", message))
 
     try:
-        active = _field(raw, "active_factors", dict, None)
+        active = _typed(raw.get("active_factors", {}), dict, "active_factors") or None
     except ValueError as exc:
         errors.append(_issue("document", exc, "active_factors"))
         active = None
@@ -267,7 +249,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
             errors.append(ValidationIssue("active_factors", tname, "unknown target"))
             continue
         try:
-            fids = _field(active, tname, list)
+            fids = _typed(active[tname], list, tname)
         except ValueError as exc:
             errors.append(_issue("active_factors", exc, tname))
             continue

@@ -78,6 +78,14 @@ def base_effectiveness(release: ReleaseRecord, eif_point: float) -> float:
     return effectiveness(release) / (1.0 + eif_point)
 
 
+def _check_unique_ids(releases: Sequence[ReleaseRecord]) -> None:
+    """Results are keyed by release id, so a repeated id would drop a release."""
+    counts = Counter(r.id for r in releases)
+    repeated = sorted(rid for rid, n in counts.items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated release ids {repeated}")
+
+
 def calibrate(
     releases: Sequence[ReleaseRecord],
     dc_factors: Sequence[InfluenceFactor],
@@ -92,11 +100,7 @@ def calibrate(
     effectiveness.  The median of an even-count list is the mean of the
     two central order statistics.
     """
-    # Base values are keyed by release id, so a repeated id would drop one.
-    counts = Counter(r.id for r in releases)
-    repeated = sorted(rid for rid, n in counts.items() if n > 1)
-    if repeated:
-        raise ValueError(f"repeated release ids {repeated}")
+    _check_unique_ids(releases)
     included = [r for r in releases if not r.excluded]
     if not included:
         raise NoUsableHistoryError("all releases are excluded")
@@ -181,8 +185,10 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
 
     Values outside the 1.5*IQR fences (nearest-rank quartiles) are
     flagged.  Flags are advisory only: whether to exclude a release
-    stays a judgment call for whoever knows the history.
+    stays a judgment call for whoever knows the history.  A repeated
+    release id is a ValueError.
     """
+    _check_unique_ids(releases)
     per_release: dict[str, dict] = {}
     dd_values: dict[str, float] = {}
     eff_values: dict[str, float] = {}

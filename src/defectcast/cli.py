@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bundle import _field, load_bundle, read_json
+from .bundle import _read, load_bundle, read_json
 from .errors import BundleValidationError, EstimationError
 from .evaluation import (
     MODEL_DC_MEDIAN,
@@ -156,11 +156,11 @@ def _load_spec(path: str) -> NewReleaseSpec:
     except ValueError as exc:
         raise ValueError(f"--spec: {exc}") from exc
     try:
-        size, levels = _field(raw, "size", float), _field(raw, "levels", dict)
+        return _read(NewReleaseSpec, raw)
     except ValueError as exc:
         need = "need an object with a numeric 'size' and a 'levels' object"
-        raise ValueError(f"spec file {path}: {need}") from exc
-    return NewReleaseSpec(size=size, levels=levels)
+        cause = f"{exc.field} {exc}" if str(exc) == "missing" else exc
+        raise ValueError(f"spec file {path}: {need} ({cause})") from exc
 
 
 def _parse_levels(text: str) -> dict[str, int]:

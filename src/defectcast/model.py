@@ -61,7 +61,7 @@ _JSON_KINDS = {
     int: "a number", float: "a number", type(None): "null",
 }
 _WANTED = {**_JSON_KINDS, int: "an integer", tuple: "a list or a tuple",
-           Target: "a target value"}
+           Target: " or ".join(repr(t.value) for t in Target)}
 
 
 def _kind(value) -> str:

@@ -12,6 +12,7 @@ from defectcast import (
     BundleValidationError,
     EngineOptions,
     EstimationError,
+    FactorRanking,
     Target,
     ValidationIssue,
     calibrate,
@@ -394,6 +395,13 @@ class TestResolveActive:
         with pytest.raises(ValueError, match=message):
             bundle.resolve_active(Target.DEFECT_CONTENT)
 
+    def test_ranking_of_unknown_factor_rejected(self, example_bundle):
+        # The loader rejects this; a library-built bundle used to raise KeyError.
+        ranking = FactorRanking("X9", Target.EFFECTIVENESS, {"E9": 1})
+        bundle = example_bundle._replace(rankings=[ranking])
+        with pytest.raises(ValueError, match=r"ids \['E9'\] name no effectiveness"):
+            bundle.resolve_active(Target.EFFECTIVENESS)
+
     def test_excluding_unknown_release_rejected(self, example_bundle):
         with pytest.raises(ValueError, match=r"unknown release ids \['NOPE', 'X'\]"):
             example_bundle.with_excluded(["X", "A", "NOPE"])
@@ -686,3 +694,17 @@ class TestFieldTypes:
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, doc))
         assert ValidationIssue(entity, key, "missing") in exc.value.errors
+
+    @pytest.mark.parametrize("section", ["factors", "quantifications", "rankings"])
+    def test_unknown_target_value_names_target(self, tmp_path, section):
+        # The loader used to convert the target itself and file the error
+        # under the entity's catch-all field.
+        doc = typed_document()
+        entity = _entity_of(doc, (section, 0, "target"))
+        doc[section][0]["target"] = "bogus"
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        message = "target must be 'defect_content' or 'effectiveness', got a string"
+        assert [i for i in exc.value.errors if i.entity == entity] == [
+            ValidationIssue(entity, "target", message)
+        ]

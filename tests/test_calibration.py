@@ -235,6 +235,14 @@ class TestDescriptiveStats:
     def test_single_release_not_flagged(self):
         assert descriptive_stats([make_release()]).flagged == ()
 
+    def test_repeated_release_id_rejected(self):
+        # Per-release values are keyed by id: the second A used to replace
+        # the first, and the fences came from the survivor.
+        releases = [make_release("A", found=5, slipped=5),
+                    make_release("A", found=1, slipped=1)]
+        with pytest.raises(ValueError, match=r"^repeated release ids \['A'\]$"):
+            descriptive_stats(releases)
+
     def test_defect_free_release_has_no_effectiveness(self):
         stats = descriptive_stats([make_release(found=0, slipped=0)])
         assert stats.per_release["R"]["effectiveness"] is None

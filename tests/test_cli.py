@@ -191,6 +191,19 @@ class TestPredict:
         assert (code, out) == (1, "")
         assert "need an object with a numeric 'size'" in err
 
+    @pytest.mark.parametrize("spec,cause", [
+        ({"levels": {"D1": 1}}, "(size missing)"),
+        ({"size": "130", "levels": {}}, "(size must be a number, got a string)"),
+        ({"size": 130, "levels": []}, "(levels must be an object, got an array)"),
+    ], ids=["no-size", "string-size", "levels-array"])
+    def test_spec_error_names_its_cause(self, capsys, tmp_path, spec, cause):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                             "--spec", path)
+        assert (code, out) == (1, "")
+        assert err.rstrip().endswith(f"'levels' object {cause}")
+
     @pytest.mark.parametrize("size", ["nan", "inf", "0"])
     def test_non_finite_or_zero_size_exits_one(self, capsys, size):
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
