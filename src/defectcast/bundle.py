@@ -90,7 +90,9 @@ class ContextBundle(_Record):
         return sorted(by_id.values(), key=lambda f: f.id)
 
     def with_excluded(self, ids: Sequence[str]) -> "ContextBundle":
-        """Copy with the given releases excluded; an unknown id is a ValueError."""
+        """Copy excluding the listed releases; a str or unknown id is a ValueError."""
+        if isinstance(ids, str):
+            raise ValueError(f"expected a list of release ids, got the string {ids!r}")
         ids = set(ids)
         unknown = sorted(ids - {r.id for r in self.releases})
         if unknown:
@@ -104,30 +106,35 @@ def _read(cls, obj, keys={}, **defaults):
     """A ``cls`` record from the JSON object ``obj`` (a non-object has no keys).
 
     Each field is read from its JSON key, the field's name unless ``keys``
-    renames it, and checked by its rule under that key, so an issue names the
-    key the author wrote.  An absent key takes its value from ``defaults``,
-    then the record's default; otherwise it is a _FieldError.
+    renames it, and the record's rule checks it under that key, so an issue
+    names the key the author wrote.  An absent key takes its value from
+    ``defaults``, then the record's default; otherwise its value is the
+    _FieldError that its rule raises.
     """
     obj = obj if isinstance(obj, dict) else {}
-    rules, values = dict(cls._rules), {}
+    values = dict(defaults)
     for name in cls._fields:
         key = keys.get(name, name)
         if key in obj:
-            values[name] = rules[name](obj[key], key, key)
-        elif name in defaults:
-            values[name] = defaults[name]
-        elif name not in cls._defaults:
-            raise _FieldError(key, "missing")
-    return cls(**values)
+            values[name] = obj[key]
+        elif name not in values and name not in cls._defaults:
+            values[name] = _FieldError(key, "missing")
+    return cls(**values, _keys=keys)
 
 
-def _issue(entity: str, exc: ValueError, field: str) -> ValidationIssue:
-    """The issue of ``exc``: a _FieldError names its key, the rest ``field``."""
-    return ValidationIssue(entity, getattr(exc, "field", field), str(exc))
+# How an item of each list section becomes a record.
+_READERS = {
+    "factors": lambda f: _read(InfluenceFactor, f, name=f.get("id")),
+    "quantifications": lambda q: _read(
+        ExpertTriangle, q, {"minimum": "min", "maximum": "max"}),
+    "rankings": lambda r: _read(FactorRanking, r),
+    "releases": lambda r: _read(ReleaseRecord, r, levels={}),
+}
 
 
-def _objects(raw: dict, section: str, entity: str, keys: tuple, errors: list):
-    """(entity, item) of each object in a list section; the rest are issues.
+def _section(raw: dict, section: str, keys: tuple, errors: list, catch_all=None):
+    """(entity, record) of each item of a list section that reads as a record;
+    the rest are issues, under their error's JSON key or else ``catch_all``.
 
     The entity label joins the item's ``keys``, each where it is a string
     and the item's index otherwise: ``release:A``, ``release:#0``.
@@ -135,16 +142,24 @@ def _objects(raw: dict, section: str, entity: str, keys: tuple, errors: list):
     try:
         items = _typed(raw.get(section, []), list, section)
     except ValueError as exc:
-        errors.append(_issue("document", exc, section))
+        errors.append(ValidationIssue("document", section, str(exc)))
         items = []
+    noun = section.removesuffix("s")
     for i, item in enumerate(items):
-        if isinstance(item, dict):
-            names = [item.get(key) for key in keys]
-            label = "/".join(n if isinstance(n, str) else f"#{i}" for n in names)
-            yield f"{entity}:{label}", item
-        else:
+        if not isinstance(item, dict):
             message = f"expected an object, got {_kind(item)}"
-            errors.append(ValidationIssue(f"{entity}:#{i}", "type", message))
+            errors.append(ValidationIssue(f"{noun}:#{i}", "type", message))
+            continue
+        names = [item.get(key) for key in keys]
+        label = "/".join(n if isinstance(n, str) else f"#{i}" for n in names)
+        entity = f"{noun}:{label}"
+        try:
+            record = _READERS[section](item)
+        except ValueError as exc:  # a _FieldError names its JSON key
+            field = getattr(exc, "field", catch_all or section)
+            errors.append(ValidationIssue(entity, field, str(exc)))
+            continue
+        yield entity, record
 
 
 def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
@@ -158,12 +173,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     errors: list[ValidationIssue] = []
     factors: list[InfluenceFactor] = []
     seen: set[tuple[str, Target]] = set()
-    for entity, f in _objects(raw, "factors", "factor", ("id",), errors):
-        try:
-            factor = _read(InfluenceFactor, f, name=f.get("id"))
-        except ValueError as exc:
-            errors.append(_issue(entity, exc, "levels/target"))
-            continue
+    for entity, factor in _section(raw, "factors", ("id",), errors):
         if (factor.id, factor.target) in seen:
             errors.append(ValidationIssue(entity, "id", "duplicate id for target"))
         seen.add((factor.id, factor.target))
@@ -177,12 +187,8 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     triangles: list[ExpertTriangle] = []
     by_expert: set[tuple] = set()
     pair = ("expert", "factor_id")
-    for entity, q in _objects(raw, "quantifications", "quantification", pair, errors):
-        try:
-            tri = _read(ExpertTriangle, q, {"minimum": "min", "maximum": "max"})
-        except ValueError as exc:
-            errors.append(_issue(entity, exc, "min/most_likely/max"))
-            continue
+    for entity, tri in _section(raw, "quantifications", pair, errors,
+                                "min/most_likely/max"):
         if tri.maximum > 1e6:  # a million-fold increase keeps (max - min)**2 finite
             errors.append(ValidationIssue(entity, "max", "max must be at most 1e6"))
         if tri.factor_id not in ids_by_target[tri.target]:
@@ -195,12 +201,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
         triangles.append(tri)
 
     rankings: list[FactorRanking] = []
-    for entity, r in _objects(raw, "rankings", "ranking", ("expert",), errors):
-        try:
-            ranking = _read(FactorRanking, r)
-        except ValueError as exc:
-            errors.append(_issue(entity, exc, "ranks"))
-            continue
+    for entity, ranking in _section(raw, "rankings", ("expert",), errors, "ranks"):
         for fid in ranking.ranks:
             if fid not in ids_by_target[ranking.target]:
                 message = f"unknown factor {fid!r}"
@@ -217,12 +218,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
 
     releases: list[ReleaseRecord] = []
     release_ids: set[str] = set()
-    for entity, r in _objects(raw, "releases", "release", ("id",), errors):
-        try:
-            rec = _read(ReleaseRecord, r, levels={})
-        except ValueError as exc:
-            errors.append(_issue(entity, exc, "measures/levels"))
-            continue
+    for entity, rec in _section(raw, "releases", ("id",), errors, "measures/levels"):
         if rec.id in release_ids:
             errors.append(ValidationIssue(entity, "id", "duplicate release id"))
         release_ids.add(rec.id)
@@ -240,7 +236,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     try:
         active = _typed(raw.get("active_factors", {}), dict, "active_factors") or None
     except ValueError as exc:
-        errors.append(_issue("document", exc, "active_factors"))
+        errors.append(ValidationIssue("document", "active_factors", str(exc)))
         active = None
     for tname in active or ():
         try:
@@ -251,7 +247,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
         try:
             fids = _typed(active[tname], list, tname)
         except ValueError as exc:
-            errors.append(_issue("active_factors", exc, tname))
+            errors.append(ValidationIssue("active_factors", tname, str(exc)))
             continue
         listed: set[str] = set()
         for fid in fids:

@@ -34,7 +34,7 @@ from .prediction import (
     predict_effectiveness,
 )
 from .report import render_report
-from .sampling import EngineOptions
+from .sampling import POINT_ANALYTIC_MEAN, POINT_MC_MEDIAN, EngineOptions
 
 _TARGETS = {"defect-content": Target.DEFECT_CONTENT, "effectiveness": Target.EFFECTIVENESS}
 _MODELS = {
@@ -50,9 +50,8 @@ def _add_common(parser: argparse.ArgumentParser, engine: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=0)
     if engine:  # check and rank draw nothing and read every release
         parser.add_argument("--samples", type=int, default=10_000)
-        parser.add_argument(
-            "--point", choices=["analytic-mean", "mc-median"], default="analytic-mean"
-        )
+        parser.add_argument("--point", choices=[POINT_ANALYTIC_MEAN, POINT_MC_MEDIAN],
+                            default=POINT_ANALYTIC_MEAN)
         parser.add_argument(
             "--exclude", default="", help="comma-separated release ids to exclude"
         )

@@ -88,6 +88,8 @@ def _typed(value, kind: type, field: str, where=None):
     str takes a Target as its value, a Target its value, and a tuple a list."""
     if type(value) is kind:
         return value
+    if type(value) is _FieldError:  # a missing field's value, raised in field order
+        raise value
     if kind is float and isinstance(value, (int, float)) and type(value) is not bool:
         try:
             return float(value)
@@ -174,7 +176,7 @@ class _Record:
 
     Each annotation is its field's rule (see ``_rule``), so a record is of its
     fields' types and immutable down to each entry; ``__post_init__`` checks
-    what a type cannot say."""
+    what a type cannot say.  A rule's error names the field, or its ``_keys`` key."""
 
     def __init_subclass__(cls):
         hints = cls.__dict__.get("__annotations__", {})
@@ -184,13 +186,14 @@ class _Record:
         cls._rules = tuple((name, rule) for name, rule in rules if rule)
         _KINDS[cls.__name__] = cls
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, _keys={}, **kwargs):
         given = dict(zip(self._fields, args), **kwargs)
         values = {**self._defaults, **given}
         if len(given) < len(args) + len(kwargs) or values.keys() != self._field_set:
             raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
         for name, rule in self._rules:
-            values[name] = rule(values[name], name, name)
+            key = _keys.get(name, name)
+            values[name] = rule(values[name], key, key)
         self.__dict__.update(values)
         self.__post_init__()
 

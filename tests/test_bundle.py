@@ -1,5 +1,6 @@
 import contextlib
 import csv
+from collections import Counter
 import io
 import json
 import math
@@ -12,14 +13,16 @@ from defectcast import (
     BundleValidationError,
     EngineOptions,
     EstimationError,
+    ExpertTriangle,
     FactorRanking,
+    ReleaseRecord,
     Target,
     ValidationIssue,
     calibrate,
     load_bundle,
     render_report,
 )
-from defectcast.bundle import _build_bundle
+from defectcast.bundle import _build_bundle, _read
 from defectcast.cli import main
 
 from conftest import EXAMPLE_BUNDLE, summarize_mres
@@ -301,6 +304,53 @@ class TestLoadBundle:
             load_bundle(write_json(tmp_path, doc))
         assert exc.value.errors == [ValidationIssue("rankings", target, message)]
 
+    def test_repeated_factor_for_one_target_rejected(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["factors"].append(dict(doc["factors"][0]))
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [
+            ValidationIssue("factor:D1", "id", "duplicate id for target")
+        ]
+
+    def test_repeated_release_rejected(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["releases"].append(dict(doc["releases"][0]))
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [
+            ValidationIssue("release:A", "id", "duplicate release id")
+        ]
+
+    def test_active_factors_of_unknown_target_rejected(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["active_factors"] = {"defect-content": ["D1"], "bogus": []}
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [
+            ValidationIssue("active_factors", "defect-content", "unknown target"),
+            ValidationIssue("active_factors", "bogus", "unknown target"),
+        ]
+
+    @pytest.mark.parametrize("cls,obj", [
+        (ReleaseRecord, MINIMAL["releases"][0]),
+        (ExpertTriangle, MINIMAL["quantifications"][0]),
+    ], ids=["release", "triangle"])
+    def test_read_applies_each_rule_once(self, monkeypatch, cls, obj):
+        # Each field is checked, and a mapping frozen, by one call of its rule.
+        calls = Counter()
+
+        def counted(name, rule):
+            def call(*args):
+                calls[name] += 1
+                return rule(*args)
+            return call
+
+        rules = tuple((name, counted(name, rule)) for name, rule in cls._rules)
+        monkeypatch.setattr(cls, "_rules", rules)
+        _read(cls, obj, {"minimum": "min", "maximum": "max"})
+        assert calls == Counter(name for name, _ in rules)
+
     def test_loaded_records_are_immutable(self, example_bundle):
         with pytest.raises(AttributeError):
             example_bundle.releases[0].size = 1.0
@@ -407,6 +457,14 @@ class TestResolveActive:
             example_bundle.with_excluded(["X", "A", "NOPE"])
         excluded = example_bundle.with_excluded(iter(["A", "B"]))
         assert {r.id for r in excluded.releases if r.excluded} >= {"A", "B"}
+
+    def test_excluding_a_string_rejected(self, example_bundle):
+        # set("AB") would exclude releases A and B.
+        with pytest.raises(ValueError, match="^expected a list of release ids, "):
+            example_bundle.with_excluded("AB")
+        excluded = example_bundle.with_excluded(("A",))
+        assert [r.excluded for r in excluded.releases] == [
+            r.excluded or r.id == "A" for r in example_bundle.releases]
 
 
 class TestWriteReport:
@@ -694,6 +752,25 @@ class TestFieldTypes:
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, doc))
         assert ValidationIssue(entity, key, "missing") in exc.value.errors
+
+    @pytest.mark.parametrize("edit,issue", [
+        ({"id": 5, "size": None}, ("id", "id must be a string, got a number")),
+        ({"id": None, "size": "1"}, ("id", "missing")),
+        ({"size": None, "levels": 3}, ("size", "missing")),
+    ], ids=["bad-then-missing", "missing-then-bad", "missing-then-bad-later"])
+    def test_first_bad_field_in_field_order_is_the_issue(self, tmp_path, edit, issue):
+        # A missing key is reported where its field comes, not ahead of the rest.
+        doc = json.loads(json.dumps(MINIMAL))
+        release = doc["releases"][0]
+        for key, value in edit.items():
+            if value is None:
+                del release[key]
+            else:
+                release[key] = value
+        entity = "release:A" if "id" not in edit else "release:#0"
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [ValidationIssue(entity, *issue)]
 
     @pytest.mark.parametrize("section", ["factors", "quantifications", "rankings"])
     def test_unknown_target_value_names_target(self, tmp_path, section):

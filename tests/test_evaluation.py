@@ -109,6 +109,10 @@ class TestAccuracyMetrics:
         assert report.cases[1].re == pytest.approx(-0.2)
         assert report.cases[1].mre == pytest.approx(0.2)
 
+    def test_no_cases_rejected(self):
+        with pytest.raises(ValueError, match="^no cases$"):
+            accuracy_metrics([])
+
     def test_zero_actual_rejected(self):
         with pytest.raises(ZeroActualError):
             accuracy_metrics([(1.0, 0.0)])

@@ -11,6 +11,7 @@ from defectcast import (
     EngineOptions,
     NewReleaseSpec,
     NoEffectivenessHistoryError,
+    NoUsableHistoryError,
     Prediction,
     Target,
     calibrate,
@@ -57,6 +58,12 @@ class TestPredictDefectContent:
             ctx, NewReleaseSpec(size=200, levels={"D1": 0}), [DC_F], TRIS
         )
         assert pred.point == pytest.approx(200 * ctx.dd_base_median)
+
+    def test_empty_context_rejected(self):
+        ctx = CalibratedContext({}, 1.0, None, ())
+        spec = NewReleaseSpec(size=100, levels={"D1": 0})
+        with pytest.raises(NoUsableHistoryError, match="calibrated context is empty"):
+            predict_defect_content(ctx, spec, [DC_F], TRIS)
 
     @pytest.mark.parametrize("probs", [[1.5, -2.0, 0.5], [math.nan]])
     def test_quantile_outside_the_unit_interval_rejected(self, probs):
