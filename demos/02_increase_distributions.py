@@ -23,7 +23,7 @@ bundle = load_bundle(Path(__file__).parent / "data" / "example_bundle.json")
 # A single expert triangle, sampled through its inverse CDF.
 tri = next(q for q in bundle.quantifications if q.factor_id == "D3")
 print(f"Triangle for D3 by {tri.expert}: "
-      f"({tri.minimum}, {tri.most_likely}, {tri.maximum})")
+      f"({tri.min}, {tri.most_likely}, {tri.max})")
 rng = np.random.default_rng(0)
 draws = triangle_inverse_cdf(tri, rng.random(50_000))
 print(f"  empirical mean {np.mean(draws):.4f} vs analytic {tri.mean:.4f}")

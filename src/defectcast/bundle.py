@@ -69,10 +69,13 @@ class ContextBundle(_Record):
         entry, then (for effectiveness) the two top-ranked factors when
         rankings exist, then all factors of the target.  The top-2
         effectiveness default exists because extra effectiveness factors
-        did not improve accuracy in practice.  An override, ``active_factors``
-        or top-ranked id that names no factor of the target, or that
-        repeats, is a ``ValueError``.
+        did not improve accuracy in practice.  A str override, or an override,
+        ``active_factors`` or top-ranked id that names no factor of the
+        target, or that repeats, is a ``ValueError``.
         """
+        if isinstance(override_ids, str):
+            raise ValueError(
+                f"expected a list of factor ids, got the string {override_ids!r}")
         by_id = {f.id: f for f in self.factors_for(target)}
         if override_ids is None and self.active_factors:
             override_ids = self.active_factors.get(target.value)
@@ -102,33 +105,25 @@ class ContextBundle(_Record):
         ])
 
 
-def _read(cls, obj, keys={}, **defaults):
+def _read(cls, obj):
     """A ``cls`` record from the JSON object ``obj`` (a non-object has no keys).
 
-    Each field is read from its JSON key, the field's name unless ``keys``
-    renames it, and the record's rule checks it under that key, so an issue
-    names the key the author wrote.  An absent key takes its value from
-    ``defaults``, then the record's default; otherwise its value is the
-    _FieldError that its rule raises.
+    Each field is read from the key of its name; an absent one takes the record's
+    default, or else is the _FieldError that its rule raises, in field order.
     """
     obj = obj if isinstance(obj, dict) else {}
-    values = dict(defaults)
-    for name in cls._fields:
-        key = keys.get(name, name)
-        if key in obj:
-            values[name] = obj[key]
-        elif name not in values and name not in cls._defaults:
-            values[name] = _FieldError(key, "missing")
-    return cls(**values, _keys=keys)
+    values = {name: obj[name] for name in cls._fields if name in obj}
+    missing = {name: _FieldError(name, "missing") for name in cls._fields
+               if name not in values and name not in cls._defaults}
+    return cls(**values, **missing)
 
 
-# How an item of each list section becomes a record.
+# Each list section's item as a record; a factor's name defaults to its id.
 _READERS = {
-    "factors": lambda f: _read(InfluenceFactor, f, name=f.get("id")),
-    "quantifications": lambda q: _read(
-        ExpertTriangle, q, {"minimum": "min", "maximum": "max"}),
+    "factors": lambda f: _read(InfluenceFactor, {"name": f.get("id"), **f}),
+    "quantifications": lambda q: _read(ExpertTriangle, q),
     "rankings": lambda r: _read(FactorRanking, r),
-    "releases": lambda r: _read(ReleaseRecord, r, levels={}),
+    "releases": lambda r: _read(ReleaseRecord, r),
 }
 
 
@@ -189,7 +184,7 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     pair = ("expert", "factor_id")
     for entity, tri in _section(raw, "quantifications", pair, errors,
                                 "min/most_likely/max"):
-        if tri.maximum > 1e6:  # a million-fold increase keeps (max - min)**2 finite
+        if tri.max > 1e6:  # a million-fold increase keeps (max - min)**2 finite
             errors.append(ValidationIssue(entity, "max", "max must be at most 1e6"))
         if tri.factor_id not in ids_by_target[tri.target]:
             message = f"unknown factor {tri.factor_id!r} for target {tri.target.value}"

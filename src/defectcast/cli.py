@@ -13,7 +13,12 @@ import argparse
 import sys
 
 from .bundle import _read, load_bundle, read_json
-from .errors import BundleValidationError, EstimationError
+from .errors import (
+    BundleValidationError,
+    EstimationError,
+    MissingLevelError,
+    NoEffectivenessHistoryError,
+)
 from .evaluation import (
     MODEL_DC_MEDIAN,
     MODEL_DD_MEDIAN,
@@ -269,17 +274,13 @@ def _run(args) -> None:
             "defect_content": dc_pred.to_payload(),
             "seed": options.seed,
         }
-        missing = [f.id for f in eff_active if f.id not in spec.levels]
-        if ctx.eff_base_median is None:
-            print("warning: no effectiveness prediction: no included release "
-                  "has a defined effectiveness", file=sys.stderr)
-        elif missing:
-            print("warning: no effectiveness prediction: no level for active "
-                  f"effectiveness factors {missing}", file=sys.stderr)
-        else:
+        try:
             eff_pred = predict_effectiveness(
                 ctx, spec, eff_active, bundle.quantifications, options, args.quantiles
             )
+        except (NoEffectivenessHistoryError, MissingLevelError) as exc:
+            print(f"warning: no effectiveness prediction: {exc}", file=sys.stderr)
+        else:
             report["effectiveness"] = eff_pred.to_payload()
             report["expected_defects_found"] = predict_defects_found(dc_pred, eff_pred)
     elif args.command == "crossval":

@@ -176,7 +176,7 @@ class _Record:
 
     Each annotation is its field's rule (see ``_rule``), so a record is of its
     fields' types and immutable down to each entry; ``__post_init__`` checks
-    what a type cannot say.  A rule's error names the field, or its ``_keys`` key."""
+    what a type cannot say.  A rule's error names the field."""
 
     def __init_subclass__(cls):
         hints = cls.__dict__.get("__annotations__", {})
@@ -186,14 +186,13 @@ class _Record:
         cls._rules = tuple((name, rule) for name, rule in rules if rule)
         _KINDS[cls.__name__] = cls
 
-    def __init__(self, *args, _keys={}, **kwargs):
+    def __init__(self, *args, **kwargs):
         given = dict(zip(self._fields, args), **kwargs)
         values = {**self._defaults, **given}
         if len(given) < len(args) + len(kwargs) or values.keys() != self._field_set:
             raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
         for name, rule in self._rules:
-            key = _keys.get(name, name)
-            values[name] = rule(values[name], key, key)
+            values[name] = rule(values[name], name, name)
         self.__dict__.update(values)
         self.__post_init__()
 
@@ -251,27 +250,27 @@ class ExpertTriangle(_Record):
     expert: str
     factor_id: str
     target: Target
-    minimum: float
+    min: float
     most_likely: float
-    maximum: float
+    max: float
 
     def __post_init__(self):
-        values = (self.minimum, self.most_likely, self.maximum)
+        values = (self.min, self.most_likely, self.max)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(
                 f"triangle for factor {self.factor_id!r} by {self.expert!r} "
                 f"must have finite values, got {values}"
             )
-        if not 0 <= self.minimum <= self.most_likely <= self.maximum:
+        if not 0 <= self.min <= self.most_likely <= self.max:
             raise ValueError(
                 f"triangle for factor {self.factor_id!r} by {self.expert!r} "
                 f"must satisfy 0 <= min <= most_likely <= max, got "
-                f"({self.minimum}, {self.most_likely}, {self.maximum})"
+                f"({self.min}, {self.most_likely}, {self.max})"
             )
 
     @property
     def mean(self) -> float:
-        return (self.minimum + self.most_likely + self.maximum) / 3.0
+        return (self.min + self.most_likely + self.max) / 3.0
 
 
 class FactorRanking(_Record):
@@ -304,7 +303,7 @@ class ReleaseRecord(_Record):
     size: float
     defects_found: float
     defects_slipped: float
-    levels: Mapping[str, int]
+    levels: Mapping[str, int] = {}
     excluded: bool = False
     note: str = ""
 

@@ -152,7 +152,7 @@ def _piece_table(triangles: Sequence[ExpertTriangle]) -> np.ndarray:
 
     rows = []
     for tri in triangles:
-        a, m, b = tri.minimum, tri.most_likely, tri.maximum
+        a, m, b = tri.min, tri.most_likely, tri.max
         c = (m - a) / (b - a) if b > a else 2.0
         rows.append((c, 0.0, b - a, m - a, 1.0, a))
         rows.append((c, 1.0, b - a, b - m, -1.0, b))
@@ -206,7 +206,7 @@ def triangle_inverse_cdf(tri: ExpertTriangle, u):
 
 
 def triangle_variance(tri: ExpertTriangle) -> float:
-    a, m, b = tri.minimum, tri.most_likely, tri.maximum
+    a, m, b = tri.min, tri.most_likely, tri.max
     return (a * a + m * m + b * b - a * m - a * b - m * b) / 18.0
 
 
@@ -396,12 +396,11 @@ def _terms(
                 f"factor {fid!r} has no impact estimate for target "
                 f"{target.value!r}"
             )
-    terms = []
-    for factor in sorted(factors, key=lambda f: f.id):
-        if factor.id not in levels:
-            raise MissingLevelError(f"no level for factor {factor.id!r}")
-        terms.append((factor.id, levels[factor.id] / 3.0, grouped[factor.id]))
-    return terms
+    missing = sorted(fid for fid in grouped if fid not in levels)
+    if missing:
+        raise MissingLevelError(f"no level for active {target.value} factors {missing}")
+    return [(f.id, levels[f.id] / 3.0, grouped[f.id])
+            for f in sorted(factors, key=lambda f: f.id)]
 
 
 def analytic_mean_increase(

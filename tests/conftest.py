@@ -41,7 +41,7 @@ def make_triangle(fid="D1", a=0.10, m=0.15, b=0.25,
                   target=Target.DEFECT_CONTENT, expert="X1"):
     return ExpertTriangle(
         expert=expert, factor_id=fid, target=target,
-        minimum=a, most_likely=m, maximum=b,
+        min=a, most_likely=m, max=b,
     )
 
 

@@ -15,6 +15,7 @@ from defectcast import (
     EstimationError,
     ExpertTriangle,
     FactorRanking,
+    InfluenceFactor,
     ReleaseRecord,
     Target,
     ValidationIssue,
@@ -142,7 +143,7 @@ class TestLoadBundle:
     def test_triangle_value_at_the_cap_loads(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["quantifications"][0]["max"] = 1e6
-        assert load_bundle(write_json(tmp_path, doc)).quantifications[0].maximum == 1e6
+        assert load_bundle(write_json(tmp_path, doc)).quantifications[0].max == 1e6
 
     def test_level_issues_come_in_factor_id_order(self, tmp_path):
         # A set's order would change with the string hash seed between runs.
@@ -184,6 +185,26 @@ class TestLoadBundle:
             load_bundle(write_json(tmp_path, bad))
         assert exc.value.errors == [ValidationIssue(
             "ranking:X1", "ranks", "ranks['D1'] must be an integer, got a boolean")]
+
+    def test_rank_below_one_rejected(self, tmp_path):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["rankings"] = [
+            {"expert": "X1", "target": "defect_content", "ranks": {"D1": 0}}
+        ]
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, bad))
+        assert exc.value.errors == [ValidationIssue(
+            "ranking:X1", "ranks",
+            "ranking by 'X1': rank for 'D1' must be a positive integer, got 0")]
+
+    def test_every_item_key_is_a_field_of_its_record(self):
+        # One name from JSON to record: the loader renames no key.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        records = {"factors": InfluenceFactor, "quantifications": ExpertTriangle,
+                   "rankings": FactorRanking, "releases": ReleaseRecord}
+        for section, cls in records.items():
+            keys = {key for item in doc[section] for key in item}
+            assert keys <= set(cls._fields), (section, keys - set(cls._fields))
 
     def test_unquantified_factor_rejected(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
@@ -348,14 +369,14 @@ class TestLoadBundle:
 
         rules = tuple((name, counted(name, rule)) for name, rule in cls._rules)
         monkeypatch.setattr(cls, "_rules", rules)
-        _read(cls, obj, {"minimum": "min", "maximum": "max"})
+        _read(cls, obj)
         assert calls == Counter(name for name, _ in rules)
 
     def test_loaded_records_are_immutable(self, example_bundle):
         with pytest.raises(AttributeError):
             example_bundle.releases[0].size = 1.0
         with pytest.raises(AttributeError):
-            example_bundle.quantifications[0].maximum = 9.0
+            example_bundle.quantifications[0].max = 9.0
         with pytest.raises(AttributeError):
             example_bundle.releases = ()
 
@@ -404,6 +425,14 @@ class TestResolveActive:
     def test_bad_override_rejected(self, example_bundle, ids, message):
         with pytest.raises(ValueError, match=message):
             example_bundle.resolve_active(Target.DEFECT_CONTENT, ids)
+
+    @pytest.mark.parametrize("ids", ["", "D1"])
+    def test_string_override_rejected(self, example_bundle, ids):
+        # "" used to resolve to no factor at all, and "D1" to 'D' and '1'.
+        with pytest.raises(ValueError) as exc:
+            example_bundle.resolve_active(Target.DEFECT_CONTENT, ids)
+        message = f"expected a list of factor ids, got the string {ids!r}"
+        assert str(exc.value) == message
 
     def test_active_factors_are_a_checked_copy(self, example_bundle):
         act = {"defect_content": ["D1"]}
@@ -473,6 +502,11 @@ class TestWriteReport:
                                 model_name="demo")
         for fmt in ("json", "csv", "text"):
             assert render_report(report, fmt) == render_report(report, fmt)
+
+    def test_unknown_format_rejected(self):
+        report = summarize_mres([0.1], ids=["A"], model_name="demo")
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            render_report(report, "xml")
 
     def test_csv_accuracy_layout(self):
         # Every report is one key,value row per payload key, JSON values.
@@ -654,7 +688,7 @@ class TestLoaderFuzz:
             assert types(f.id, f.name, f.description, *f.levels) == {str}
         for q in bundle.quantifications:
             assert types(q.expert, q.factor_id) == {str}
-            assert types(q.minimum, q.most_likely, q.maximum) == {float}
+            assert types(q.min, q.most_likely, q.max) == {float}
         for r in bundle.rankings:
             assert types(r.expert, *r.ranks) == {str}
             assert types(*r.ranks.values()) <= {int}

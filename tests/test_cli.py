@@ -240,6 +240,13 @@ class TestPredict:
         assert code == 1
         assert "D1" in err.split("\nerror: ", 1)[1]
 
+    @pytest.mark.parametrize("entry", ["D1", "=2"])
+    def test_malformed_levels_entry_exits_one(self, capsys, entry):
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                             "--size", "130", "--levels", entry)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: bad --levels entry {entry!r}\n")
+
     @pytest.mark.parametrize("route", ["levels", "spec"])
     def test_unknown_level_id_exits_one(self, capsys, tmp_path, route):
         if route == "levels":
@@ -318,7 +325,7 @@ class TestPredict:
         # the triangle is built through the library.
         bundle = defectcast.load_bundle(EXAMPLE_BUNDLE)
         first, *rest = bundle.quantifications
-        huge = (first._replace(maximum=1e160), *rest)
+        huge = (first._replace(max=1e160), *rest)
         bundle = bundle._replace(quantifications=huge)
         monkeypatch.setattr(defectcast.cli, "load_bundle", lambda path: bundle)
         report = tmp_path / f"report.{fmt}"
@@ -844,6 +851,24 @@ def _main_probe(argv, report: str) -> str:
         f"    code = defectcast.cli.main({[str(a) for a in argv]!r})\n"
         f"print({report})"
     )
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("extra,code", [((), 0), (("--no-such-flag",), 2)],
+                             ids=["check", "unknown-flag"])
+    def test_python_dash_m_runs_main(self, extra, code):
+        src = Path(defectcast.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "defectcast.cli", "check",
+             "--bundle", str(EXAMPLE_BUNDLE), *extra],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code
+        if code == 0:
+            assert done.stdout.startswith("seed: 0\n")
+        else:
+            assert done.stdout == "" and "--no-such-flag" in done.stderr
 
 
 class TestColdStart:

@@ -283,6 +283,13 @@ class TestActiveOverride:
             self.RUNS[run](example_bundle, ids)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("run", ["loocv", "history"])
+    def test_string_rejected(self, example_bundle, run):
+        # loocv with "" used to run with no active factor: dd_median's MMRE.
+        with pytest.raises(ValueError) as exc:
+            self.RUNS[run](example_bundle, "")
+        assert str(exc.value) == "expected a list of factor ids, got the string ''"
+
 
 class TestAblation:
     def test_k0_bit_equals_density_baseline(self):

@@ -144,7 +144,7 @@ class TestTypeInvariants:
         (lambda: make_release(note=None), "note"),
         (lambda: make_release()._replace(note=None), "note"),
         (lambda: ExpertTriangle("X", "D1", "defect_content", False, True, True),
-         "minimum"),
+         "min"),
         (lambda: InfluenceFactor(7, "f", Target.DEFECT_CONTENT, GENERIC_LEVELS), "id"),
         (lambda: FactorRanking("X1", Target.DEFECT_CONTENT, [("D1", 1), ("D1", 2)]),
          "ranks"),
@@ -171,7 +171,7 @@ class TestTypeInvariants:
         release = make_release(size=100, found=40, slipped=10)
         tri = ExpertTriangle("X", "D1", Target.DEFECT_CONTENT, 0, 1, 2)
         values = (release.size, release.defects_found, release.defects_slipped,
-                  tri.minimum, tri.most_likely, tri.maximum,
+                  tri.min, tri.most_likely, tri.max,
                   NewReleaseSpec(size=130, levels={}).size)
         assert [type(v) for v in values] == [float] * 7
         assert values == (100.0, 40.0, 10.0, 0.0, 1.0, 2.0, 130.0)
@@ -336,7 +336,7 @@ FIELD_RULES = {
                     "defects_slipped": "float", "levels": "Mapping[str, int]",
                     "excluded": "bool", "note": "str"},
     ExpertTriangle: {"expert": "str", "factor_id": "str", "target": "Target",
-                     "minimum": "float", "most_likely": "float", "maximum": "float"},
+                     "min": "float", "most_likely": "float", "max": "float"},
     InfluenceFactor: {"id": "str", "name": "str", "target": "Target",
                       "levels": "tuple[str, str, str, str]", "description": "str"},
     FactorRanking: {"expert": "str", "target": "Target", "ranks": "Mapping[str, int]"},
@@ -582,12 +582,20 @@ class TestRecord:
 
     def test_replace_copies_and_rechecks(self):
         tri = ExpertTriangle("X", "D1", Target.DEFECT_CONTENT, 0.1, 0.2, 0.3)
-        wider = tri._replace(maximum=0.5)
-        assert (wider.minimum, wider.maximum, tri.maximum) == (0.1, 0.5, 0.3)
+        wider = tri._replace(max=0.5)
+        assert (wider.min, wider.max, tri.max) == (0.1, 0.5, 0.3)
         with pytest.raises(ValueError):
-            tri._replace(minimum=0.4)
+            tri._replace(min=0.4)
         with pytest.raises(TypeError):
             tri._replace(mode=0.2)
+
+    def test_triangle_bound_names_and_release_levels_default(self):
+        tri = ExpertTriangle(expert="X", factor_id="D1", target=Target.DEFECT_CONTENT,
+                             min=0.1, most_likely=0.2, max=0.3)
+        assert tri._replace(max=0.5)._replace(max=0.3) == tri
+        assert (tri.min, tri.most_likely, tri.max) == (0.1, 0.2, 0.3)
+        # A release's levels default in the record, not only in the loader.
+        assert ReleaseRecord("A", 1, 1, 1).levels == {}
 
 
 # Few distinct values, so most lists hold ties (and both zeros).

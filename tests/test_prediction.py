@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from defectcast import (
     CalibratedContext,
     EngineOptions,
+    MissingLevelError,
     NewReleaseSpec,
     NoEffectivenessHistoryError,
     NoUsableHistoryError,
@@ -64,6 +65,17 @@ class TestPredictDefectContent:
         spec = NewReleaseSpec(size=100, levels={"D1": 0})
         with pytest.raises(NoUsableHistoryError, match="calibrated context is empty"):
             predict_defect_content(ctx, spec, [DC_F], TRIS)
+
+    def test_every_unlevelled_factor_is_named(self, example_bundle):
+        # The error used to name only the first one, 'D2'.
+        dc = example_bundle.resolve_active(Target.DEFECT_CONTENT)
+        triangles = example_bundle.quantifications
+        ctx = calibrate(example_bundle.included_releases(), dc, [], triangles)
+        spec = NewReleaseSpec(size=130, levels={"D5": 0, "D4": 1, "D1": 1})
+        with pytest.raises(MissingLevelError) as exc:
+            predict_defect_content(ctx, spec, dc, triangles)
+        assert str(exc.value) == \
+            "no level for active defect_content factors ['D2', 'D3']"
 
     @pytest.mark.parametrize("probs", [[1.5, -2.0, 0.5], [math.nan]])
     def test_quantile_outside_the_unit_interval_rejected(self, probs):

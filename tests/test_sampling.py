@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectcast import (
+    EmptyDistributionError,
     EngineOptions,
     MissingLevelError,
     MissingQuantificationError,
@@ -127,6 +128,10 @@ class TestEngineOptions:
         with pytest.raises(ValueError, match="^n_samples must be an integer"):
             EngineOptions(n_samples=n)
 
+    def test_unknown_point_strategy_rejected(self):
+        with pytest.raises(ValueError, match="^unknown point strategy 'median'$"):
+            EngineOptions(point="median")
+
 
 FACTOR = make_factor("D1")
 TRI = make_triangle("D1", 0.10, 0.15, 0.25)
@@ -221,7 +226,7 @@ class TestIncreaseDistribution:
 
 def reference_inverse_cdf(tri, u):
     """The per-triangle inverse CDF the gather kernel replaced."""
-    a, m, b = tri.minimum, tri.most_likely, tri.maximum
+    a, m, b = tri.min, tri.most_likely, tri.max
     if b == a:
         return np.full_like(u, a)
     c = (m - a) / (b - a)
@@ -589,6 +594,10 @@ class TestQuantiles:
         # 1.5 used to give the maximum sample and -2 the minimum.
         with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
             empirical_quantile(np.arange(1, 101, dtype=float), p)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(EmptyDistributionError, match="^no samples$"):
+            empirical_quantile([], 0.5)
 
     def test_sorting_independence(self):
         ordered = np.sort(np.array([3.0, 1.0, 2.0]))
