@@ -4,8 +4,8 @@ A context bundle is a single JSON document with the top-level keys
 ``factors``, ``quantifications``, ``rankings``, ``releases`` and
 optionally ``active_factors``.  Release array order is chronological.
 Triangle values are stored as fractions (0.15 means "15% more defects").
-Loading also derives the advisory ``warnings``: factors of both targets
-and outlier releases.
+An unknown key, at the top level or in an item, is a violation.  A bundle
+derives its advisory ``warnings`` from its own factors and releases.
 """
 
 from __future__ import annotations
@@ -47,12 +47,23 @@ class ContextBundle(_Record):
     rankings: tuple[FactorRanking, ...] = ()
     releases: tuple[ReleaseRecord, ...] = ()
     active_factors: Mapping[str, tuple[str, ...]] | None = None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         for key in self.active_factors or ():  # resolve_active checks the ids
             if key not in list(Target):
                 raise ValueError(f"active_factors: unknown target {key!r}")
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """Advisory findings, derived on each read: factor names of both targets,
+        sorted, then ``descriptive_stats`` outliers (a repeated id raises there)."""
+        dc_names, eff_names = ({f.name for f in self.factors_for(t)} for t in Target)
+        shared = [f"factor {name!r} influences both defect content and effectiveness; "
+                  "experts find these two contradicting influences hard to separate"
+                  for name in sorted(dc_names & eff_names)]
+        flagged = descriptive_stats(self.releases).flagged
+        return tuple(shared + [f"release {rid!r}: {measure} outlier ({reason})"
+                               for rid, measure, reason in flagged])
 
     def factors_for(self, target: Target) -> list[InfluenceFactor]:
         return [f for f in self.factors if f.target == target]
@@ -108,10 +119,13 @@ class ContextBundle(_Record):
 def _read(cls, obj):
     """A ``cls`` record from the JSON object ``obj`` (a non-object has no keys).
 
-    Each field is read from the key of its name; an absent one takes the record's
-    default, or else is the _FieldError that its rule raises, in field order.
+    A key that names no field is a _FieldError (the least such key).  Each field
+    is read from the key of its name; an absent one takes the record's default,
+    or else is the _FieldError that its rule raises, in field order.
     """
     obj = obj if isinstance(obj, dict) else {}
+    if unknown := sorted(obj.keys() - cls._field_set):
+        raise _FieldError(unknown[0], f"unknown key {unknown[0]!r}")
     values = {name: obj[name] for name in cls._fields if name in obj}
     missing = {name: _FieldError(name, "missing") for name in cls._fields
                if name not in values and name not in cls._defaults}
@@ -165,7 +179,8 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
                 f"expected an object at the top level, got {_kind(raw)}",
             )
         ]
-    errors: list[ValidationIssue] = []
+    errors = [ValidationIssue("document", key, f"unknown key {key!r}")
+              for key in sorted(raw.keys() - ContextBundle._field_set)]
     factors: list[InfluenceFactor] = []
     seen: set[tuple[str, Target]] = set()
     for entity, factor in _section(raw, "factors", ("id",), errors):
@@ -259,30 +274,13 @@ def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
     if errors:
         return None, errors
 
-    warnings: list[str] = []
-    names_by_target = {
-        t: {f.name for f in factors if f.target == t} for t in Target
-    }
-    for name in sorted(
-        names_by_target[Target.DEFECT_CONTENT] & names_by_target[Target.EFFECTIVENESS]
-    ):
-        warnings.append(
-            f"factor {name!r} influences both defect content and effectiveness; "
-            "experts find these two contradicting influences hard to separate"
-        )
-    if releases:
-        for rid, measure, reason in descriptive_stats(releases).flagged:
-            warnings.append(f"release {rid!r}: {measure} outlier ({reason})")
-
-    bundle = ContextBundle(
+    return ContextBundle(
         factors=factors,
         quantifications=triangles,
         rankings=rankings,
         releases=releases,
         active_factors=active,
-        warnings=warnings,
-    )
-    return bundle, []
+    ), []
 
 
 def _unique_keys(pairs: list[tuple]) -> dict:
@@ -307,7 +305,7 @@ def load_bundle(path: str | Path) -> ContextBundle:
     """Load and fully validate a context bundle.
 
     Raises BundleValidationError with the exhaustive issue list on any
-    invariant violation; non-fatal findings end up in bundle.warnings.
+    violation, an unknown key included; the bundle derives its ``warnings``.
     """
     try:
         raw = read_json(path)

@@ -105,24 +105,21 @@ def calibrate(
     if not included:
         raise NoUsableHistoryError("all releases are excluded")
 
-    # A draw depends only on the target and the active factors' levels,
-    # so releases sharing a level vector share one draw.  A missing level
-    # keys as None and still raises from the draw.
-    drawn: dict[tuple, float] = {}
+    # A point depends only on the target and the active factors' levels,
+    # so releases sharing a level vector share one point.  A missing level
+    # keys as None and still raises from the point.
+    points: dict[tuple, float] = {}
 
     def increase_point(factors, levels, target):
         if not factors:
             return 0.0
-        # Either point is identical to increase_distribution(...).point;
-        # the analytic mean needs no Monte Carlo draws.
-        if options.point == POINT_ANALYTIC_MEAN:
-            return analytic_mean_increase(factors, triangles, levels, target)
         key = (target, tuple(levels.get(f.id) for f in factors))
-        if key not in drawn:
-            drawn[key] = _median_sample(
-                _draw_increase(factors, triangles, levels, target, options)
-            )
-        return drawn[key]
+        if key not in points:
+            points[key] = (
+                analytic_mean_increase(factors, triangles, levels, target)
+                if options.point == POINT_ANALYTIC_MEAN else
+                _median_sample(_draw_increase(factors, triangles, levels, target, options)))
+        return points[key]
 
     per_release: dict[str, ReleaseCalibration] = {}
     for release in included:

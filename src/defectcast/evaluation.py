@@ -334,9 +334,11 @@ def ablation_curve(
 ) -> dict[int, AccuracyReport]:
     """Cross-validation accuracy using only the top-k ranked factors.
 
-    k = 0 means no factor is active, which reduces exactly to the
-    data-only median-density (or median-effectiveness) model.
+    k = 0 means no factor is active, which reduces exactly to the data-only
+    median-density (or median-effectiveness) model.  A str is a ValueError.
     """
+    if isinstance(ranked_ids, str):
+        raise ValueError(f"expected a list of factor ids, got the string {ranked_ids!r}")
     out = {}
     for k in ks:
         if not 0 <= k <= len(ranked_ids):

@@ -384,6 +384,9 @@ def _terms(
     target: Target,
 ) -> list[tuple[str, float, list[ExpertTriangle]]]:
     """(factor id, level / 3, triangles in expert order), in factor-id order."""
+    repeated = sorted({f.id for f in factors if sum(g.id == f.id for g in factors) > 1})
+    if repeated:  # a repeated factor would count twice
+        raise ValueError(f"duplicate factor ids {repeated}")
     grouped: dict[str, list[ExpertTriangle]] = {f.id: [] for f in factors}
     for tri in triangles:
         if tri.target == target and tri.factor_id in grouped:

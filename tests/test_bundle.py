@@ -23,7 +23,9 @@ from defectcast import (
     load_bundle,
     render_report,
 )
-from defectcast.bundle import _build_bundle, _read
+import defectcast.bundle
+from defectcast.bundle import ContextBundle, _build_bundle, _read
+from defectcast.model import _FieldError
 from defectcast.cli import main
 
 from conftest import EXAMPLE_BUNDLE, summarize_mres
@@ -205,6 +207,32 @@ class TestLoadBundle:
         for section, cls in records.items():
             keys = {key for item in doc[section] for key in item}
             assert keys <= set(cls._fields), (section, keys - set(cls._fields))
+
+    def test_unknown_item_key_rejected(self, tmp_path):
+        # A typo of "excluded" used to leave release A in the calibration.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        doc["releases"][0]["exclude"] = True
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [
+            ValidationIssue("release:A", "exclude", "unknown key 'exclude'")]
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # A typo of "active_factors" used to keep the default active set.
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["warnings"] = []
+        doc["active_factor"] = {"defect_content": ["D1"]}
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        assert exc.value.errors == [
+            ValidationIssue("document", "active_factor", "unknown key 'active_factor'"),
+            ValidationIssue("document", "warnings", "unknown key 'warnings'"),
+        ]
+
+    def test_read_names_the_least_unknown_key_before_any_rule(self):
+        with pytest.raises(_FieldError) as exc:
+            _read(ReleaseRecord, {"size": "x", "zz": 1, "b": 2})
+        assert (exc.value.field, str(exc.value)) == ("b", "unknown key 'b'")
 
     def test_unquantified_factor_rejected(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
@@ -403,6 +431,33 @@ class TestLoadBundle:
 
     def test_outlier_release_warns(self, example_bundle):
         assert any("outlier" in w for w in example_bundle.warnings)
+
+    def test_warnings_follow_the_bundle(self, example_bundle):
+        # Stored at load time, they kept naming 'H' once it had left the
+        # bundle, and a bundle built in code had none.
+        b = example_bundle
+        assert b.warnings[2:] == ("release 'H': effectiveness outlier "
+                                  "(below Q1 - 1.5*IQR (0.461538 < 0.67941))",)
+        assert b._replace(releases=b.releases[:3]).warnings == b.warnings[:2]
+        assert b.with_excluded(["H"]).warnings == b.warnings
+        built = ContextBundle(b.factors, b.quantifications, releases=b.releases)
+        assert built.warnings == b.warnings
+
+    def test_loading_derives_no_warning(self, monkeypatch):
+        assert "warnings" not in ContextBundle._fields
+
+        def screen(releases):
+            raise AssertionError("the outlier screen ran")
+
+        monkeypatch.setattr(defectcast.bundle, "descriptive_stats", screen)
+        bundle = load_bundle(EXAMPLE_BUNDLE)
+        with pytest.raises(AssertionError, match="the outlier screen ran"):
+            bundle.warnings
+
+    def test_repeated_release_id_raises_on_read(self, example_bundle):
+        b = example_bundle._replace(releases=example_bundle.releases[:2] * 2)
+        with pytest.raises(ValueError, match=r"repeated release ids \['A', 'B'\]"):
+            b.warnings
 
 
 class TestResolveActive:

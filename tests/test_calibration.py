@@ -204,6 +204,42 @@ class TestCalibrate:
             ).point
             assert ctx.per_release[r.id].ddif_point == expected
 
+    def test_analytic_mean_computed_once_per_level_vector(self, monkeypatch):
+        import defectcast.calibration as calibration
+        from defectcast import analytic_mean_increase
+
+        bundle = make_synthetic_bundle(seed=0, n_releases=60)
+        dc = list(bundle.factors_for(Target.DEFECT_CONTENT))
+        eff = list(bundle.factors_for(Target.EFFECTIVENESS))
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return analytic_mean_increase(*args)
+
+        monkeypatch.setattr(calibration, "analytic_mean_increase", counting)
+        calibrate(bundle.releases, dc, eff, bundle.quantifications)
+        for target, factors in ((Target.DEFECT_CONTENT, dc),
+                                (Target.EFFECTIVENESS, eff)):
+            vectors = {tuple(r.levels[f.id] for f in factors)
+                       for r in bundle.releases}
+            assert calls.count(target) == len(vectors) < len(bundle.releases)
+
+    def test_analytic_points_are_each_releases_analytic_mean(self):
+        from defectcast import analytic_mean_increase
+
+        bundle = make_synthetic_bundle(seed=3, n_releases=40)
+        tris = bundle.quantifications
+        factors = {t: list(bundle.factors_for(t)) for t in Target}
+        ctx = calibrate(bundle.releases, factors[Target.DEFECT_CONTENT],
+                        factors[Target.EFFECTIVENESS], tris)
+        for r in bundle.releases:
+            c = ctx.per_release[r.id]
+            for point, t in ((c.ddif_point, Target.DEFECT_CONTENT),
+                             (c.eif_point, Target.EFFECTIVENESS)):
+                expected = analytic_mean_increase(factors[t], tris, r.levels, t)
+                assert point.hex() == expected.hex()
+
     def test_mc_median_missing_level_still_raises(self):
         # A missing level must not be served the draw of some level.
         releases = [make_release("A", levels={"D1": 0}), make_release("B")]

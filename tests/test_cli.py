@@ -204,6 +204,14 @@ class TestPredict:
         assert (code, out) == (1, "")
         assert err.rstrip().endswith(f"'levels' object {cause}")
 
+    def test_spec_with_an_unknown_key_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"size": 130, "levels": {}, "level": {"D1": 1}}))
+        code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
+                             "--spec", path)
+        assert (code, out) == (1, "")
+        assert err.rstrip().endswith("'levels' object (unknown key 'level')")
+
     @pytest.mark.parametrize("size", ["nan", "inf", "0"])
     def test_non_finite_or_zero_size_exits_one(self, capsys, size):
         code, _, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
@@ -869,6 +877,36 @@ class TestModuleEntryPoint:
             assert done.stdout.startswith("seed: 0\n")
         else:
             assert done.stdout == "" and "--no-such-flag" in done.stderr
+
+
+class TestHashSeed:
+    """Reports and messages must not depend on set or dict-of-str order."""
+
+    COMMANDS = [*list(TestGoldenReports.GOLDEN)[:6],  # the cli_oneshot mix
+                ("calibrate", "--point", "mc-median"), ("check", "--invalid")]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: "-".join(c[:2]))
+    def test_same_bytes_under_any_hash_seed(self, tmp_path, command):
+        bundle = EXAMPLE_BUNDLE
+        if command == ("check", "--invalid"):
+            doc = json.loads(EXAMPLE_BUNDLE.read_text())
+            doc["releases"][0]["levels"] = {"ZZ": 1, "YY": 2, "D2": 1}
+            doc["quantifications"][0]["factor_id"] = "QQ"
+            doc["zz"] = doc["aa"] = {}
+            bundle = tmp_path / "invalid.json"
+            bundle.write_text(json.dumps(doc))
+            command = ("check",)
+        src = Path(defectcast.__file__).resolve().parent.parent
+        first, second = (
+            subprocess.run(
+                [sys.executable, "-m", "defectcast.cli", *command, "--bundle", str(bundle)],
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+                capture_output=True, timeout=120,
+            )
+            for seed in ("0", "12345")
+        )
+        assert first.returncode == (0 if bundle == EXAMPLE_BUNDLE else 1)
+        assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
 
 
 class TestColdStart:

@@ -317,6 +317,14 @@ class TestAblation:
         assert curve[2].mmre == pytest.approx(curve[1].mmre, abs=1e-9)
         assert curve[3].mmre == pytest.approx(curve[1].mmre, abs=1e-9)
 
+    @pytest.mark.parametrize("ranked", ["D1", ""])
+    def test_string_ranking_rejected(self, example_bundle, ranked):
+        # "D1" used to be read as the ids 'D' and '1'.
+        with pytest.raises(ValueError) as exc:
+            ablation_curve(example_bundle, Target.DEFECT_CONTENT, ranked, [0, 1])
+        assert str(exc.value) == (
+            f"expected a list of factor ids, got the string {ranked!r}")
+
     def test_k_out_of_range_rejected(self):
         bundle = make_synthetic_bundle(seed=0)
         with pytest.raises(ValueError):

@@ -360,8 +360,7 @@ FIELD_RULES = {
                     "quantifications": "tuple[ExpertTriangle, ...]",
                     "rankings": "tuple[FactorRanking, ...]",
                     "releases": "tuple[ReleaseRecord, ...]",
-                    "active_factors": "Mapping[str, tuple[str, ...]] | None",
-                    "warnings": "tuple[str, ...]"},
+                    "active_factors": "Mapping[str, tuple[str, ...]] | None"},
     AccuracyCase: {"release_id": "str", "predicted": "float", "actual": "float",
                    "re": "float", "mre": "float"},
     AccuracyReport: {"model_name": "str", "cases": "tuple[AccuracyCase, ...]",
@@ -434,7 +433,7 @@ def _valid_records():
             factors=[make_factor()], quantifications=[make_triangle()],
             rankings=[FactorRanking("X1", Target.DEFECT_CONTENT, {"D1": 1})],
             releases=[make_release()],
-            active_factors={"defect_content": ["D1"]}, warnings=["w"]),
+            active_factors={"defect_content": ["D1"]}),
         AccuracyCase: case,
         AccuracyReport: AccuracyReport("m", [case], 0.0, {0.25: 1.0}),
         WilcoxonResult: WilcoxonResult(1.0, 2.0, 2, 0.3, "exact_enumeration"),

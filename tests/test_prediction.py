@@ -77,6 +77,29 @@ class TestPredictDefectContent:
         assert str(exc.value) == \
             "no level for active defect_content factors ['D2', 'D3']"
 
+    @pytest.mark.parametrize("run", ["analytic", "distribution", "calibrate", "predict"])
+    def test_repeated_factor_rejected(self, example_bundle, run):
+        # D1 used to count twice: an analytic mean of 0.1806 for 0.0903 and
+        # a dd_base_median of 0.3118 for 0.3523.
+        from defectcast import analytic_mean_increase
+
+        b = example_bundle
+        d1 = b.resolve_active(Target.DEFECT_CONTENT, ["D1"]) * 2
+        tris, levels = b.quantifications, {"D1": 1}
+        runs = {
+            "analytic": lambda: analytic_mean_increase(
+                d1, tris, levels, Target.DEFECT_CONTENT),
+            "distribution": lambda: increase_distribution(
+                d1, tris, levels, Target.DEFECT_CONTENT),
+            "calibrate": lambda: calibrate(b.included_releases(), d1, [], tris),
+            "predict": lambda: predict_defect_content(
+                calibrate(b.included_releases(), d1[:1], [], tris),
+                NewReleaseSpec(size=130, levels=levels), d1, tris),
+        }
+        with pytest.raises(ValueError) as exc:
+            runs[run]()
+        assert str(exc.value) == "duplicate factor ids ['D1']"
+
     @pytest.mark.parametrize("probs", [[1.5, -2.0, 0.5], [math.nan]])
     def test_quantile_outside_the_unit_interval_rejected(self, probs):
         # 1.5 used to be reported as the maximum sample and -2 as the minimum.
