@@ -4,14 +4,18 @@ A context bundle is a single JSON document with the top-level keys
 ``factors``, ``quantifications``, ``rankings``, ``releases`` and
 optionally ``active_factors``.  Release array order is chronological.
 Triangle values are stored as fractions (0.15 means "15% more defects").
-An unknown key, at the top level or in an item, is a violation.  A bundle
-derives its advisory ``warnings`` from its own factors and releases.
+An unknown key, at the top level or in an item, is a violation.
+
+The loader only reads JSON into records.  The rules that tie the records
+together are ``ContextBundle``'s own, so every bundle obeys them however it
+is built (loaded, ``ContextBundle(...)``, ``_replace`` or ``with_excluded``),
+and building one that breaks them raises ``BundleValidationError``.  A
+bundle derives its advisory ``warnings`` from its own factors and releases.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,6 +30,8 @@ from .model import (
     _FieldError,
     _kind,
     _Record,
+    _repeated,
+    _rule,
     _typed,
     aggregate_rankings,
 )
@@ -39,8 +45,21 @@ class ValidationIssue(_Record):
     message: str
 
 
+def _active_set_problems(ids: Sequence[str], known, target: str) -> list[str]:
+    """Why ``ids`` are not a set of the factors ``known`` for ``target``:
+    ids that name none of them, then known ids that repeat (a repeated
+    factor would count twice in every draw)."""
+    problems = []
+    if unknown := [fid for fid in ids if fid not in known]:
+        problems.append(f"ids {unknown} name no {target} factor")
+    if repeated := _repeated(fid for fid in ids if fid in known):
+        problems.append(f"duplicate factor ids {repeated}")
+    return problems
+
+
 class ContextBundle(_Record):
-    """All inputs of one estimation context."""
+    """All inputs of one estimation context; one that breaks the rules tying
+    its records together is a ``BundleValidationError`` with every issue."""
 
     factors: tuple[InfluenceFactor, ...]
     quantifications: tuple[ExpertTriangle, ...]
@@ -49,14 +68,69 @@ class ContextBundle(_Record):
     active_factors: Mapping[str, tuple[str, ...]] | None = None
 
     def __post_init__(self):
-        for key in self.active_factors or ():  # resolve_active checks the ids
-            if key not in list(Target):
-                raise ValueError(f"active_factors: unknown target {key!r}")
+        if issues := list(self._issues()):
+            raise BundleValidationError(issues)
+
+    def _issues(self):
+        """Each ValidationIssue of the rules that tie the records together."""
+        ids = {t: set() for t in Target}
+        for f in self.factors:
+            if f.id in ids[f.target]:
+                yield ValidationIssue(f"factor:{f.id}", "id", "duplicate id for target")
+            ids[f.target].add(f.id)
+
+        # A second estimate by one expert would double their weight.
+        estimates = set()
+        for tri in self.quantifications:
+            entity = f"quantification:{tri.expert}/{tri.factor_id}"
+            if tri.max > 1e6:  # a million-fold increase keeps (max - min)**2 finite
+                yield ValidationIssue(entity, "max", "max must be at most 1e6")
+            if tri.factor_id not in ids[tri.target]:
+                message = f"unknown factor {tri.factor_id!r} for target {tri.target.value}"
+                yield ValidationIssue(entity, "factor_id", message)
+            if (tri.expert, tri.factor_id, tri.target) in estimates:
+                yield ValidationIssue(entity, "expert", "duplicate estimate")
+            estimates.add((tri.expert, tri.factor_id, tri.target))
+
+        for ranking in self.rankings:
+            for fid in ranking.ranks:
+                if fid not in ids[ranking.target]:
+                    message = f"unknown factor {fid!r}"
+                    yield ValidationIssue(f"ranking:{ranking.expert}", "ranks", message)
+        for t in Target:  # the rules every ranking command applies
+            try:
+                aggregate_rankings(self.rankings, t)
+            except (MissingFactorError, ValueError) as exc:
+                yield ValidationIssue("rankings", t.value, str(exc))
+
+        factor_ids = set().union(*ids.values())
+        release_ids = set()
+        for rec in self.releases:
+            entity = f"release:{rec.id}"
+            if rec.id in release_ids:
+                yield ValidationIssue(entity, "id", "duplicate release id")
+            release_ids.add(rec.id)
+            for fid in sorted(factor_ids ^ rec.levels.keys()):
+                what = "unknown factor" if fid in rec.levels else "missing level for factor"
+                yield ValidationIssue(entity, "levels", f"{what} {fid!r}")
+
+        for t in Target:
+            quantified = {q.factor_id for q in self.quantifications if q.target == t}
+            for fid in sorted(ids[t] - quantified):
+                message = f"no impact estimate for target {t.value}"
+                yield ValidationIssue(f"factor:{fid}", "quantifications", message)
+
+        for tname, fids in (self.active_factors or {}).items():
+            if tname not in list(Target):
+                yield ValidationIssue("active_factors", tname, "unknown target")
+                continue
+            for message in _active_set_problems(fids, ids[Target(tname)], tname):
+                yield ValidationIssue("active_factors", tname, message)
 
     @property
     def warnings(self) -> tuple[str, ...]:
         """Advisory findings, derived on each read: factor names of both targets,
-        sorted, then ``descriptive_stats`` outliers (a repeated id raises there)."""
+        sorted, then ``descriptive_stats`` outliers."""
         dc_names, eff_names = ({f.name for f in self.factors_for(t)} for t in Target)
         shared = [f"factor {name!r} influences both defect content and effectiveness; "
                   "experts find these two contradicting influences hard to separate"
@@ -80,28 +154,25 @@ class ContextBundle(_Record):
         entry, then (for effectiveness) the two top-ranked factors when
         rankings exist, then all factors of the target.  The top-2
         effectiveness default exists because extra effectiveness factors
-        did not improve accuracy in practice.  A str override, or an override,
-        ``active_factors`` or top-ranked id that names no factor of the
-        target, or that repeats, is a ``ValueError``.
+        did not improve accuracy in practice.  A str override, or one
+        that names no factor of the target or repeats one, is a ``ValueError``.
         """
+        by_id = {f.id: f for f in self.factors_for(target)}
         if isinstance(override_ids, str):
             raise ValueError(
                 f"expected a list of factor ids, got the string {override_ids!r}")
-        by_id = {f.id: f for f in self.factors_for(target)}
-        if override_ids is None and self.active_factors:
-            override_ids = self.active_factors.get(target.value)
-        if override_ids is None and target == Target.EFFECTIVENESS and self.rankings:
-            ranked = aggregate_rankings(list(self.rankings), target)
-            override_ids = [rf.factor_id for rf in ranked[:2]] or None
         if override_ids is not None:
-            unknown = [fid for fid in override_ids if fid not in by_id]
-            if unknown:
-                raise ValueError(f"ids {unknown} name no {target.value} factor")
-            repeated = {fid for fid in override_ids if override_ids.count(fid) > 1}
-            if repeated:
-                raise ValueError(f"duplicate factor ids {sorted(repeated)}")
-            return [by_id[fid] for fid in override_ids]
-        return sorted(by_id.values(), key=lambda f: f.id)
+            problems = _active_set_problems(override_ids, by_id, target.value)
+            if problems:
+                raise ValueError("; ".join(problems))
+        elif self.active_factors and target.value in self.active_factors:
+            override_ids = self.active_factors[target.value]
+        elif target == Target.EFFECTIVENESS and self.rankings:
+            ranked = aggregate_rankings(self.rankings, target)
+            override_ids = [rf.factor_id for rf in ranked[:2]] or None
+        if override_ids is None:
+            return sorted(by_id.values(), key=lambda f: f.id)
+        return [by_id[fid] for fid in override_ids]
 
     def with_excluded(self, ids: Sequence[str]) -> "ContextBundle":
         """Copy excluding the listed releases; a str or unknown id is a ValueError."""
@@ -132,163 +203,87 @@ def _read(cls, obj):
     return cls(**values, **missing)
 
 
-# Each list section's item as a record; a factor's name defaults to its id.
-_READERS = {
-    "factors": lambda f: _read(InfluenceFactor, {"name": f.get("id"), **f}),
-    "quantifications": lambda q: _read(ExpertTriangle, q),
-    "rankings": lambda r: _read(FactorRanking, r),
-    "releases": lambda r: _read(ReleaseRecord, r),
+# Per list section: item reader (a factor's name defaults to its id), label keys, catch-all.
+_SECTIONS = {
+    "factors": (lambda f: _read(InfluenceFactor, {"name": f.get("id"), **f}),
+                ("id",), "factors"),
+    "quantifications": (lambda q: _read(ExpertTriangle, q),
+                        ("expert", "factor_id"), "min/most_likely/max"),
+    "rankings": (lambda r: _read(FactorRanking, r), ("expert",), "ranks"),
+    "releases": (lambda r: _read(ReleaseRecord, r), ("id",), "measures/levels"),
 }
+_ACTIVE_IDS = _rule("tuple[str, ...]")
 
 
-def _section(raw: dict, section: str, keys: tuple, errors: list, catch_all=None):
-    """(entity, record) of each item of a list section that reads as a record;
-    the rest are issues, under their error's JSON key or else ``catch_all``.
+def _section(raw: dict, section: str, errors: list) -> list:
+    """The records of a list section's items that read as one; the rest are
+    issues, under their error's JSON key or else the section's catch-all.
 
-    The entity label joins the item's ``keys``, each where it is a string
+    The entity label joins the item's keys, each where it is a string
     and the item's index otherwise: ``release:A``, ``release:#0``.
     """
     try:
         items = _typed(raw.get(section, []), list, section)
     except ValueError as exc:
         errors.append(ValidationIssue("document", section, str(exc)))
-        items = []
+        return []
+    reader, keys, catch_all = _SECTIONS[section]
     noun = section.removesuffix("s")
+    records = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             message = f"expected an object, got {_kind(item)}"
             errors.append(ValidationIssue(f"{noun}:#{i}", "type", message))
             continue
-        names = [item.get(key) for key in keys]
-        label = "/".join(n if isinstance(n, str) else f"#{i}" for n in names)
-        entity = f"{noun}:{label}"
         try:
-            record = _READERS[section](item)
+            records.append(reader(item))
         except ValueError as exc:  # a _FieldError names its JSON key
-            field = getattr(exc, "field", catch_all or section)
-            errors.append(ValidationIssue(entity, field, str(exc)))
-            continue
-        yield entity, record
+            names = [item.get(key) for key in keys]
+            label = "/".join(n if isinstance(n, str) else f"#{i}" for n in names)
+            field = getattr(exc, "field", catch_all)
+            errors.append(ValidationIssue(f"{noun}:{label}", field, str(exc)))
+    return records
+
+
+def _active_section(raw: dict, errors: list) -> dict | None:
+    """``active_factors`` with each target's list read as ids; a list that
+    does not read is an issue under its target."""
+    try:
+        active = _typed(raw.get("active_factors", {}), dict, "active_factors")
+    except ValueError as exc:
+        errors.append(ValidationIssue("document", "active_factors", str(exc)))
+        return None
+    read = {}
+    for tname, fids in active.items():
+        try:
+            read[tname] = _ACTIVE_IDS(fids, tname, tname)
+        except ValueError as exc:
+            errors.append(ValidationIssue("active_factors", tname, str(exc)))
+    return read or None
 
 
 def _build_bundle(raw) -> tuple[ContextBundle | None, list[ValidationIssue]]:
+    """The bundle a JSON document describes, or every issue with it: those
+    of reading its records first, then those of the bundle's rules."""
     if not isinstance(raw, dict):
-        return None, [
-            ValidationIssue(
-                "document", "json",
-                f"expected an object at the top level, got {_kind(raw)}",
-            )
-        ]
+        message = f"expected an object at the top level, got {_kind(raw)}"
+        return None, [ValidationIssue("document", "json", message)]
     errors = [ValidationIssue("document", key, f"unknown key {key!r}")
               for key in sorted(raw.keys() - ContextBundle._field_set)]
-    factors: list[InfluenceFactor] = []
-    seen: set[tuple[str, Target]] = set()
-    for entity, factor in _section(raw, "factors", ("id",), errors):
-        if (factor.id, factor.target) in seen:
-            errors.append(ValidationIssue(entity, "id", "duplicate id for target"))
-        seen.add((factor.id, factor.target))
-        factors.append(factor)
-    factor_ids = {f.id for f in factors}
-    ids_by_target = {
-        t: {f.id for f in factors if f.target == t} for t in Target
-    }
-
-    # A second estimate or ranking by one expert would double their weight.
-    triangles: list[ExpertTriangle] = []
-    by_expert: set[tuple] = set()
-    pair = ("expert", "factor_id")
-    for entity, tri in _section(raw, "quantifications", pair, errors,
-                                "min/most_likely/max"):
-        if tri.max > 1e6:  # a million-fold increase keeps (max - min)**2 finite
-            errors.append(ValidationIssue(entity, "max", "max must be at most 1e6"))
-        if tri.factor_id not in ids_by_target[tri.target]:
-            message = f"unknown factor {tri.factor_id!r} for target {tri.target.value}"
-            errors.append(ValidationIssue(entity, "factor_id", message))
-        key = (tri.expert, tri.factor_id, tri.target)
-        if key in by_expert:
-            errors.append(ValidationIssue(entity, "expert", "duplicate estimate"))
-        by_expert.add(key)
-        triangles.append(tri)
-
-    rankings: list[FactorRanking] = []
-    for entity, ranking in _section(raw, "rankings", ("expert",), errors, "ranks"):
-        for fid in ranking.ranks:
-            if fid not in ids_by_target[ranking.target]:
-                message = f"unknown factor {fid!r}"
-                errors.append(ValidationIssue(entity, "ranks", message))
-        if (ranking.expert, ranking.target) in by_expert:
-            errors.append(ValidationIssue(entity, "expert", "duplicate ranking"))
-        by_expert.add((ranking.expert, ranking.target))
-        rankings.append(ranking)
-    for t in Target:  # the rules every ranking command applies
-        try:
-            aggregate_rankings(rankings, t)
-        except (MissingFactorError, ValueError) as exc:
-            errors.append(ValidationIssue("rankings", t.value, str(exc)))
-
-    releases: list[ReleaseRecord] = []
-    release_ids: set[str] = set()
-    for entity, rec in _section(raw, "releases", ("id",), errors, "measures/levels"):
-        if rec.id in release_ids:
-            errors.append(ValidationIssue(entity, "id", "duplicate release id"))
-        release_ids.add(rec.id)
-        for fid in sorted(factor_ids ^ rec.levels.keys()):
-            what = "unknown factor" if fid in rec.levels else "missing level for factor"
-            errors.append(ValidationIssue(entity, "levels", f"{what} {fid!r}"))
-        releases.append(rec)
-
-    for t in Target:
-        quantified = {q.factor_id for q in triangles if q.target == t}
-        for fid in sorted(ids_by_target[t] - quantified):
-            message = f"no impact estimate for target {t.value}"
-            errors.append(ValidationIssue(f"factor:{fid}", "quantifications", message))
-
+    fields = {section: _section(raw, section, errors) for section in _SECTIONS}
+    fields["active_factors"] = _active_section(raw, errors)
     try:
-        active = _typed(raw.get("active_factors", {}), dict, "active_factors") or None
-    except ValueError as exc:
-        errors.append(ValidationIssue("document", "active_factors", str(exc)))
-        active = None
-    for tname in active or ():
-        try:
-            t = Target(tname)
-        except ValueError:
-            errors.append(ValidationIssue("active_factors", tname, "unknown target"))
-            continue
-        try:
-            fids = _typed(active[tname], list, tname)
-        except ValueError as exc:
-            errors.append(ValidationIssue("active_factors", tname, str(exc)))
-            continue
-        listed: set[str] = set()
-        for fid in fids:
-            if not isinstance(fid, str) or fid not in ids_by_target[t]:
-                message = f"unknown factor {fid!r}"
-            elif fid in listed:
-                # A repeated factor would count twice in every draw.
-                message = f"duplicate factor {fid!r}"
-            else:
-                listed.add(fid)
-                continue
-            errors.append(ValidationIssue("active_factors", tname, message))
-
-    if errors:
-        return None, errors
-
-    return ContextBundle(
-        factors=factors,
-        quantifications=triangles,
-        rankings=rankings,
-        releases=releases,
-        active_factors=active,
-    ), []
+        bundle = ContextBundle(**fields)
+    except BundleValidationError as exc:
+        errors += exc.errors
+    return (None, errors) if errors else (bundle, [])
 
 
 def _unique_keys(pairs: list[tuple]) -> dict:
     """A JSON object, unless it repeats a key (the last one would win)."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        counts = Counter(key for key, _ in pairs)
-        raise ValueError(f"duplicate keys {sorted(k for k in obj if counts[k] > 1)}")
+        raise ValueError(f"duplicate keys {_repeated(key for key, _ in pairs)}")
     return obj
 
 

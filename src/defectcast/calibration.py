@@ -11,7 +11,6 @@ values are the medians over the included releases.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Mapping, Sequence
 
 from .errors import NoUsableHistoryError, UndefinedEffectivenessError
@@ -22,6 +21,7 @@ from .model import (
     Target,
     _median,
     _Record,
+    _repeated,
     defect_content,
     defect_density,
     effectiveness,
@@ -80,8 +80,7 @@ def base_effectiveness(release: ReleaseRecord, eif_point: float) -> float:
 
 def _check_unique_ids(releases: Sequence[ReleaseRecord]) -> None:
     """Results are keyed by release id, so a repeated id would drop a release."""
-    counts = Counter(r.id for r in releases)
-    repeated = sorted(rid for rid, n in counts.items() if n > 1)
+    repeated = _repeated(r.id for r in releases)
     if repeated:
         raise ValueError(f"repeated release ids {repeated}")
 

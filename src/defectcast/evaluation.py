@@ -24,6 +24,7 @@ from .model import (
     _mean,
     _median,
     _Record,
+    _repeated,
     defect_content,
     effectiveness,
 )
@@ -109,7 +110,7 @@ def accuracy_metrics(
         raise ValueError("no cases")
     if ids is None:
         ids = [str(i) for i in range(len(cases))]
-    repeated = sorted(rid for rid, n in Counter(ids).items() if n > 1)
+    repeated = _repeated(ids)
     if repeated:
         raise ValueError(f"repeated case ids {repeated}")
     out = []

@@ -14,6 +14,7 @@ context best case; each factor is rated on a four-level ordinal scale.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -26,6 +27,11 @@ def _check_levels(levels: Mapping[str, int], context: str = "") -> None:
         if not 0 <= lvl <= 3:
             raise ValueError(f"{context}level for factor {fid!r} must be an "
                              f"integer in [0, 3], got {lvl!r}")
+
+
+def _repeated(values) -> list:
+    """The values that occur more than once, sorted."""
+    return sorted(v for v, n in Counter(values).items() if n > 1)
 
 
 def _median(values):
@@ -362,11 +368,15 @@ def aggregate_rankings(
 
     Factors are sorted ascending by mean rank; ties are broken by median
     rank and then by factor id, so the order is deterministic and
-    invariant under permutation of the input rankings.
+    invariant under permutation of the input rankings.  Each expert
+    ranks once: a second ranking would double their vote.
     """
     relevant = [r for r in rankings if r.target == target]
     if not relevant:
         return []
+    repeated = _repeated(r.expert for r in relevant)
+    if repeated:
+        raise ValueError(f"duplicate rankings by experts {repeated}")
     factor_ids = set(relevant[0].ranks)
     for r in relevant:
         missing = factor_ids.symmetric_difference(r.ranks)

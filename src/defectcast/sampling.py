@@ -88,13 +88,18 @@ from .errors import (
     MissingLevelError,
     MissingQuantificationError,
 )
-from .model import ExpertTriangle, InfluenceFactor, Target, _Record
+from .model import ExpertTriangle, InfluenceFactor, Target, _Record, _repeated
 
 if TYPE_CHECKING:
     import numpy as np
 
 POINT_ANALYTIC_MEAN = "analytic-mean"
 POINT_MC_MEDIAN = "mc-median"
+
+
+# The most samples one draw takes: a draw holds about 17 bytes a sample, so
+# 10**8 needs about 1.7 GB.  A constant, so one input fails alike on every host.
+MAX_SAMPLES = 10**8
 
 
 class EngineOptions(_Record):
@@ -107,8 +112,9 @@ class EngineOptions(_Record):
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples}")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(f"n_samples must be an integer in [1, {MAX_SAMPLES}], "
+                             f"got {self.n_samples}")
         if self.point not in (POINT_ANALYTIC_MEAN, POINT_MC_MEDIAN):
             raise ValueError(f"unknown point strategy {self.point!r}")
 
@@ -384,7 +390,7 @@ def _terms(
     target: Target,
 ) -> list[tuple[str, float, list[ExpertTriangle]]]:
     """(factor id, level / 3, triangles in expert order), in factor-id order."""
-    repeated = sorted({f.id for f in factors if sum(g.id == f.id for g in factors) > 1})
+    repeated = _repeated(f.id for f in factors)
     if repeated:  # a repeated factor would count twice
         raise ValueError(f"duplicate factor ids {repeated}")
     grouped: dict[str, list[ExpertTriangle]] = {f.id: [] for f in factors}
@@ -399,6 +405,10 @@ def _terms(
                 f"factor {fid!r} has no impact estimate for target "
                 f"{target.value!r}"
             )
+        # A second estimate by one expert would double their weight.
+        repeated = _repeated(t.expert for t in tris)
+        if repeated:
+            raise ValueError(f"duplicate estimates of factor {fid!r} by experts {repeated}")
     missing = sorted(fid for fid in grouped if fid not in levels)
     if missing:
         raise MissingLevelError(f"no level for active {target.value} factors {missing}")

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from defectcast import (
+    ContextBundle,
     ExpertTriangle,
     InfluenceFactor,
     ReleaseRecord,
@@ -62,6 +63,14 @@ def make_dominant_factor_bundle(seed=0, n_releases=10):
         n_releases=n_releases,
         dc_impacts=((0.40, 0.60, 0.90), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
     )
+
+
+def unchecked_bundle(**fields):
+    """A ContextBundle that skipped the bundle rules, which no bundle built
+    through the class can: to show what a later step makes of one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ContextBundle, "__post_init__", lambda self: None)
+        return ContextBundle(**fields)
 
 
 @contextlib.contextmanager

@@ -20,6 +20,7 @@ from defectcast import (
     Target,
     ValidationIssue,
     calibrate,
+    descriptive_stats,
     load_bundle,
     render_report,
 )
@@ -28,7 +29,7 @@ from defectcast.bundle import ContextBundle, _build_bundle, _read
 from defectcast.model import _FieldError
 from defectcast.cli import main
 
-from conftest import EXAMPLE_BUNDLE, summarize_mres
+from conftest import EXAMPLE_BUNDLE, summarize_mres, unchecked_bundle
 
 
 MINIMAL = {
@@ -310,7 +311,7 @@ class TestLoadBundle:
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, doc))
         assert exc.value.errors == [
-            ValidationIssue("active_factors", "defect_content", "duplicate factor 'D1'")
+            ValidationIssue("active_factors", "defect_content", "duplicate factor ids ['D1']")
         ]
 
     def test_repeated_expert_estimate_rejected(self, tmp_path):
@@ -324,14 +325,16 @@ class TestLoadBundle:
         ]
 
     def test_repeated_expert_ranking_rejected(self, tmp_path):
-        # A second ranking would double the expert's vote.
+        # A second ranking would double the expert's vote; aggregate_rankings
+        # rejects it, as it does on the library path.
         doc = json.loads(json.dumps(MINIMAL))
         vote = {"expert": "X1", "target": "defect_content", "ranks": {"D1": 1}}
         doc["rankings"] = [vote, dict(vote)]
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, doc))
         assert exc.value.errors == [
-            ValidationIssue("ranking:X1", "expert", "duplicate ranking")
+            ValidationIssue("rankings", "defect_content",
+                            "duplicate rankings by experts ['X1']")
         ]
 
     # Each edit breaks a rule of aggregate_rankings, which every ranking
@@ -454,10 +457,89 @@ class TestLoadBundle:
         with pytest.raises(AssertionError, match="the outlier screen ran"):
             bundle.warnings
 
-    def test_repeated_release_id_raises_on_read(self, example_bundle):
-        b = example_bundle._replace(releases=example_bundle.releases[:2] * 2)
+    def test_repeated_release_id_rejected_when_built(self, example_bundle):
+        # Such a bundle used to build, and raised only where its warnings
+        # were read (descriptive_stats) or where it was calibrated.
+        with pytest.raises(BundleValidationError) as exc:
+            example_bundle._replace(releases=example_bundle.releases[:2] * 2)
+        assert exc.value.errors == [
+            ValidationIssue("release:A", "id", "duplicate release id"),
+            ValidationIssue("release:B", "id", "duplicate release id"),
+        ]
         with pytest.raises(ValueError, match=r"repeated release ids \['A', 'B'\]"):
-            b.warnings
+            descriptive_stats(example_bundle.releases[:2] * 2)
+
+
+def _drop_estimates_of_d5(doc):
+    doc["quantifications"] = [q for q in doc["quantifications"] if q["factor_id"] != "D5"]
+
+
+# One edit of the example document per bundle rule.
+RULE_BREAKING_EDITS = {
+    "repeated-factor": lambda doc: doc["factors"].append(dict(doc["factors"][0])),
+    "triangle-of-other-target": lambda doc: doc["quantifications"][0].update(
+        factor_id="E1"),
+    "ranking-of-unknown-factor": lambda doc: doc["rankings"][0]["ranks"].update(ZZ=6),
+    "repeated-estimate": lambda doc: doc["quantifications"].append(
+        dict(doc["quantifications"][0])),
+    "repeated-ranking": lambda doc: doc["rankings"].append(dict(doc["rankings"][0])),
+    "rank-above-k": lambda doc: doc["rankings"][1]["ranks"].update(D1=9),
+    "huge-triangle": lambda doc: doc["quantifications"][0].update(max=2e6),
+    "repeated-release": lambda doc: doc["releases"].append(dict(doc["releases"][0])),
+    "unlevelled-release": lambda doc: doc["releases"][0]["levels"].pop("D1"),
+    "unknown-level": lambda doc: doc["releases"][0]["levels"].update(ZZ=1),
+    "unestimated-factor": _drop_estimates_of_d5,
+    "active-unknown-target": lambda doc: doc.update(active_factors={"bogus": []}),
+    "active-unknown-id": lambda doc: doc.update(active_factors={"effectiveness": ["D1"]}),
+    "active-repeated-id": lambda doc: doc.update(
+        active_factors={"defect_content": ["D2", "D1", "D2"]}),
+}
+
+
+class TestEveryBundleObeysTheRules:
+    @pytest.mark.parametrize("edit", list(RULE_BREAKING_EDITS))
+    def test_built_bundle_has_the_loaders_issues(self, tmp_path, example_bundle, edit):
+        # Only the loader applied these rules; a bundle built in code,
+        # _replace'd or with_excluded used to hold any of these contents.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        RULE_BREAKING_EDITS[edit](doc)
+        with pytest.raises(BundleValidationError) as loaded:
+            load_bundle(write_json(tmp_path, doc))
+        issues = loaded.value.errors
+        assert issues and all(i.entity != "document" for i in issues)
+        fields = {section: [reader(item) for item in doc[section]]
+                  for section, (reader, _, _) in defectcast.bundle._SECTIONS.items()}
+        fields["active_factors"] = doc.get("active_factors")
+        builds = {
+            "built": lambda: ContextBundle(**fields),
+            "replaced": lambda: example_bundle._replace(**fields),
+            "excluded": lambda: unchecked_bundle(**fields).with_excluded(["A"]),
+        }
+        for name, build in builds.items():
+            with pytest.raises(BundleValidationError) as exc:
+                build()
+            assert exc.value.errors == issues, name
+
+    def test_one_function_checks_every_active_set(self, monkeypatch, tmp_path,
+                                                   example_bundle):
+        # The loader, a built bundle and an override all ask one helper.
+        calls = []
+        check = defectcast.bundle._active_set_problems
+
+        def spy(ids, known, target):
+            calls.append((tuple(ids), target))
+            return check(ids, known, target)
+
+        monkeypatch.setattr(defectcast.bundle, "_active_set_problems", spy)
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        doc["active_factors"] = {"defect_content": ["D1"]}
+        load_bundle(write_json(tmp_path, doc))
+        example_bundle._replace(active_factors={"effectiveness": ["E2"]})
+        with pytest.raises(ValueError, match=r"^ids \['E1'\] name no defect_content "
+                                             r"factor; duplicate factor ids \['D1'\]$"):
+            example_bundle.resolve_active(Target.DEFECT_CONTENT, ["D1", "E1", "D1"])
+        assert calls == [(("D1",), "defect_content"), (("E2",), "effectiveness"),
+                         (("D1", "E1", "D1"), "defect_content")]
 
 
 class TestResolveActive:
@@ -499,17 +581,17 @@ class TestResolveActive:
         with pytest.raises(ValueError, match="^active_factors must be an object"):
             example_bundle._replace(active_factors=["x"])
 
-    @pytest.mark.parametrize("active,message", [
-        ({"defect-content": ["D1"]},
-         r"^active_factors: unknown target 'defect-content'$"),
-        ({"defect_content": "D1"},
+    @pytest.mark.parametrize("active,error,message", [
+        ({"defect-content": ["D1"]}, BundleValidationError,
+         r"^invalid bundle \(1 errors\): active_factors\.defect-content: unknown target$"),
+        ({"defect_content": "D1"}, ValueError,
          r"^active_factors\['defect_content'\] must be a list or a tuple, got a str"),
     ], ids=["unknown-target", "ids-str"])
     def test_active_factors_shape_checked_when_built(self, example_bundle, active,
-                                                      message):
+                                                      error, message):
         # The first used to be ignored (all five factors stayed active), the
         # second to be stored as ('D', '1').
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             example_bundle._replace(active_factors=active)
 
     def test_active_factors_keyed_by_target_store_its_value(self, example_bundle):
@@ -519,22 +601,24 @@ class TestResolveActive:
         assert [f.id for f in bundle.resolve_active(Target.DEFECT_CONTENT)] == ["D2"]
 
     @pytest.mark.parametrize("ids,message", [
-        (["NOPE"], r"ids \['NOPE'\] name no defect_content factor"),
-        (["D1", "D1"], r"duplicate factor ids \['D1'\]"),
+        (["NOPE"], "ids ['NOPE'] name no defect_content factor"),
+        (["D1", "D1"], "duplicate factor ids ['D1']"),
     ], ids=["unknown", "repeated"])
     def test_bad_active_factors_rejected(self, example_bundle, ids, message):
-        # The loader rejects these; a library-built bundle used to raise
-        # KeyError, or to count D1 twice in every draw.
-        bundle = example_bundle._replace(active_factors={"defect_content": ids})
-        with pytest.raises(ValueError, match=message):
-            bundle.resolve_active(Target.DEFECT_CONTENT)
+        # A library-built bundle used to raise KeyError in resolve_active,
+        # or to count D1 twice in every draw; now it is not built at all.
+        with pytest.raises(BundleValidationError) as exc:
+            example_bundle._replace(active_factors={"defect_content": ids})
+        assert exc.value.errors == [
+            ValidationIssue("active_factors", "defect_content", message)]
 
     def test_ranking_of_unknown_factor_rejected(self, example_bundle):
-        # The loader rejects this; a library-built bundle used to raise KeyError.
+        # A library-built bundle used to raise KeyError in resolve_active.
         ranking = FactorRanking("X9", Target.EFFECTIVENESS, {"E9": 1})
-        bundle = example_bundle._replace(rankings=[ranking])
-        with pytest.raises(ValueError, match=r"ids \['E9'\] name no effectiveness"):
-            bundle.resolve_active(Target.EFFECTIVENESS)
+        with pytest.raises(BundleValidationError) as exc:
+            example_bundle._replace(rankings=[ranking])
+        assert exc.value.errors == [
+            ValidationIssue("ranking:X9", "ranks", "unknown factor 'E9'")]
 
     def test_excluding_unknown_release_rejected(self, example_bundle):
         with pytest.raises(ValueError, match=r"unknown release ids \['NOPE', 'X'\]"):

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import defectcast
 
-from defectcast import Target, calibrate, render_report
+from defectcast import (
+    BundleValidationError,
+    Target,
+    ValidationIssue,
+    calibrate,
+    render_report,
+)
 from defectcast.cli import main
 
 from conftest import EXAMPLE_BUNDLE
@@ -326,23 +332,46 @@ class TestPredict:
         assert (code, out) == (1, "")
         assert err.splitlines()[-1].startswith("error: ")
 
+    def test_samples_past_the_limit_exit_one_at_once(self):
+        # 10**9 samples used to pass: np.zeros commits no page until it is
+        # written, so the draw would then write 8 GB.  The child, run from a
+        # fresh parent, is the only process its RUSAGE_CHILDREN covers.
+        argv = [sys.executable, "-m", "defectcast.cli", "predict", "--bundle",
+                str(EXAMPLE_BUNDLE), "--size", "130", "--levels", self.LEVELS,
+                "--samples", str(10**8 + 1)]
+        probe = ("import json, resource, subprocess\n"
+                 f"r = subprocess.run({argv!r}, capture_output=True, text=True)\n"
+                 "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+                 "print(json.dumps([r.returncode, r.stdout, r.stderr, rss]))")
+        code, out, err, rss_kb = json.loads(_fresh_process(probe))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            "error: n_samples must be an integer in [1, 100000000], got 100000001")
+        assert rss_kb < 100 * 1024
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-    def test_non_finite_report_exits_one(self, capsys, monkeypatch, tmp_path, fmt):
-        # (b - a)**2 overflows in the kernel, and the quantiles would
-        # print as -Infinity.  The loader caps triangle values at 1e6, so
-        # the triangle is built through the library.
+    def test_non_finite_report_exits_one(self, capsys, tmp_path, fmt):
+        # A 1e160 triangle used to overflow (b - a)**2 in the kernel, and the
+        # quantiles would print as -Infinity.  No bundle holds one any more:
         bundle = defectcast.load_bundle(EXAMPLE_BUNDLE)
         first, *rest = bundle.quantifications
-        huge = (first._replace(max=1e160), *rest)
-        bundle = bundle._replace(quantifications=huge)
-        monkeypatch.setattr(defectcast.cli, "load_bundle", lambda path: bundle)
+        with pytest.raises(BundleValidationError) as exc:
+            bundle._replace(quantifications=(first._replace(max=1e160), *rest))
+        entity = f"quantification:{first.expert}/{first.factor_id}"
+        assert exc.value.errors == [
+            ValidationIssue(entity, "max", "max must be at most 1e6")]
+        # A valid bundle of dense releases still overflows size * density.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        for release in doc["releases"]:
+            release["size"] *= 1e-10
+        path = tmp_path / "dense_bundle.json"
+        path.write_text(json.dumps(doc))
         report = tmp_path / f"report.{fmt}"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out, err = run(capsys, "predict", "--bundle", EXAMPLE_BUNDLE,
-                                 "--size", "130", "--levels", self.LEVELS,
-                                 "--format", fmt, "--out", report)
+        code, out, err = run(capsys, "predict", "--bundle", path,
+                             "--size", "1e300", "--levels", self.LEVELS,
+                             "--format", fmt, "--out", report)
         assert (code, out) == (1, "")
-        assert err.splitlines()[-1] == "error: report value -inf is not finite"
+        assert err.splitlines()[-1] == "error: report value inf is not finite"
         assert not report.exists()
 
     @pytest.mark.parametrize("defect_free,levels,reason", [

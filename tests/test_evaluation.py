@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from defectcast import (
+    BundleValidationError,
     ContextBundle,
     EstimationError,
     InsufficientHistoryError,
@@ -15,6 +16,7 @@ from defectcast import (
     MODEL_EFF_MEDIAN,
     MODEL_INFLUENCE_FACTOR,
     Target,
+    ValidationIssue,
     ZeroActualError,
     ablation_curve,
     accuracy_metrics,
@@ -30,6 +32,7 @@ from conftest import (
     make_release,
     make_triangle,
     summarize_mres,
+    unchecked_bundle,
 )
 from synth import make_synthetic_bundle
 
@@ -157,9 +160,16 @@ def bundle_of(*releases):
 @pytest.mark.parametrize("model", [MODEL_DC_MEDIAN, MODEL_DD_MEDIAN,
                                    MODEL_INFLUENCE_FACTOR])
 def test_repeated_release_id_rejected_by_every_model(model):
-    # dc_median used to report 3 cases, but mres() kept 2 of them.
-    bundle = bundle_of(make_release("A"), make_release("B", found=30),
-                       make_release("A", found=20))
+    # dc_median used to report 3 cases, but mres() kept 2 of them.  Such a
+    # bundle is no longer built, and each model still rejects one that was.
+    releases = (make_release("A"), make_release("B", found=30),
+                make_release("A", found=20))
+    with pytest.raises(BundleValidationError) as exc:
+        bundle_of(*releases)
+    assert exc.value.errors == [ValidationIssue("release:A", "id", "duplicate release id")]
+    bundle = unchecked_bundle(
+        factors=(make_factor("D1"),), quantifications=(make_triangle("D1"),),
+        releases=tuple(r._replace(levels={"D1": 0}) for r in releases))
     with pytest.raises(ValueError, match=r"^repeated (case|release) ids \['A'\]$"):
         loocv(bundle, model)
 

@@ -235,8 +235,16 @@ def _mapping_records():
     quantiles = st.dictionaries(st.floats(0, 1), FLOATS, max_size=4)
     calibration = st.builds(lambda rid, x: ReleaseCalibration(rid, x, x, 1.0, None),
                             IDS, FLOATS)
+    # Each target's active list is empty or its one factor, as a bundle takes.
+    factor_of = {Target.DEFECT_CONTENT: "D1", Target.EFFECTIVENESS: "E1"}
     active = st.none() | st.dictionaries(
-        st.sampled_from(list(Target)), st.lists(IDS, max_size=3), max_size=2)
+        st.sampled_from(list(Target)), st.booleans(), max_size=2).map(
+        lambda picks: {t: [factor_of[t]] * pick for t, pick in picks.items()})
+    two_targets = {
+        "factors": [make_factor(), make_factor("E1", Target.EFFECTIVENESS)],
+        "quantifications": [make_triangle(),
+                            make_triangle("E1", target=Target.EFFECTIVENESS)],
+    }
     return {
         ReleaseRecord: st.builds(lambda lv: make_release(levels=lv), levels),
         FactorRanking: st.builds(lambda r: ranking("X1", r),
@@ -253,10 +261,7 @@ def _mapping_records():
                                           for i, f in enumerate(rs)]),
             st.lists(st.integers(0, 50), max_size=5)),
         ContextBundle: st.builds(
-            lambda act: ContextBundle(factors=[make_factor()],
-                                      quantifications=[make_triangle()],
-                                      active_factors=act),
-            active),
+            lambda act: ContextBundle(**two_targets, active_factors=act), active),
         AccuracyReport: st.builds(lambda q: AccuracyReport("m", [], 0.0, q), quantiles),
     }
 
@@ -432,7 +437,7 @@ def _valid_records():
         ContextBundle: ContextBundle(
             factors=[make_factor()], quantifications=[make_triangle()],
             rankings=[FactorRanking("X1", Target.DEFECT_CONTENT, {"D1": 1})],
-            releases=[make_release()],
+            releases=[make_release(levels={"D1": 1})],
             active_factors={"defect_content": ["D1"]}),
         AccuracyCase: case,
         AccuracyReport: AccuracyReport("m", [case], 0.0, {0.25: 1.0}),
@@ -517,6 +522,17 @@ class TestAggregateRankings:
         with pytest.raises(ValueError):
             aggregate_rankings([ranking("X1", {"A": 1, "B": 3})],
                                Target.DEFECT_CONTENT)
+
+    def test_repeated_expert_rejected(self):
+        # X1's second vote used to count: B's mean rank was 4/3, and A's 5/3.
+        votes = [ranking("X1", {"A": 2, "B": 1}), ranking("X2", {"A": 1, "B": 2}),
+                 ranking("X1", {"A": 2, "B": 1}),
+                 ranking("X3", {"A": 1}, target=Target.EFFECTIVENESS)]
+        with pytest.raises(ValueError) as exc:
+            aggregate_rankings(votes, Target.DEFECT_CONTENT)
+        assert str(exc.value) == "duplicate rankings by experts ['X1']"
+        assert [f.factor_id for f in aggregate_rankings(votes[:2], Target.DEFECT_CONTENT)
+                ] == ["A", "B"]
 
     def test_output_is_permutation_and_order_invariant(self):
         votes = [

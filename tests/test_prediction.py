@@ -100,6 +100,30 @@ class TestPredictDefectContent:
             runs[run]()
         assert str(exc.value) == "duplicate factor ids ['D1']"
 
+    @pytest.mark.parametrize("run", ["analytic", "distribution", "calibrate", "predict"])
+    def test_repeated_estimate_rejected(self, example_bundle, run):
+        # A second D1 triangle by X1 used to double X1's weight in D1's
+        # mixture: at every level 1, an analytic mean of 0.266389 for 0.266667.
+        from defectcast import analytic_mean_increase
+
+        b = example_bundle
+        dc = b.resolve_active(Target.DEFECT_CONTENT)
+        first = next(t for t in b.quantifications if t.factor_id == "D1")
+        tris, levels = (*b.quantifications, first), {f.id: 1 for f in dc}
+        runs = {
+            "analytic": lambda: analytic_mean_increase(
+                dc, tris, levels, Target.DEFECT_CONTENT),
+            "distribution": lambda: increase_distribution(
+                dc, tris, levels, Target.DEFECT_CONTENT),
+            "calibrate": lambda: calibrate(b.included_releases(), dc, [], tris),
+            "predict": lambda: predict_defect_content(
+                calibrate(b.included_releases(), dc, [], b.quantifications),
+                NewReleaseSpec(size=130, levels=levels), dc, tris),
+        }
+        with pytest.raises(ValueError) as exc:
+            runs[run]()
+        assert str(exc.value) == "duplicate estimates of factor 'D1' by experts ['X1']"
+
     @pytest.mark.parametrize("probs", [[1.5, -2.0, 0.5], [math.nan]])
     def test_quantile_outside_the_unit_interval_rejected(self, probs):
         # 1.5 used to be reported as the maximum sample and -2 as the minimum.

@@ -25,7 +25,7 @@ from defectcast import (
 )
 
 from defectcast import load_bundle, sampling
-from defectcast.sampling import _BLOCK, _add_mixture
+from defectcast.sampling import _BLOCK, MAX_SAMPLES, _add_mixture
 
 from conftest import (
     EXAMPLE_BUNDLE, cut_into, make_factor, make_triangle, triangle_cdf,
@@ -127,6 +127,13 @@ class TestEngineOptions:
     def test_n_samples_must_be_a_positive_int(self, n):
         with pytest.raises(ValueError, match="^n_samples must be an integer"):
             EngineOptions(n_samples=n)
+
+    def test_n_samples_capped(self):
+        assert EngineOptions(n_samples=MAX_SAMPLES).n_samples == 10**8
+        with pytest.raises(ValueError) as exc:
+            EngineOptions(n_samples=MAX_SAMPLES + 1)
+        assert str(exc.value) == (
+            "n_samples must be an integer in [1, 100000000], got 100000001")
 
     def test_unknown_point_strategy_rejected(self):
         with pytest.raises(ValueError, match="^unknown point strategy 'median'$"):
