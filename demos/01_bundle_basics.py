@@ -33,7 +33,7 @@ for r in bundle.releases:
 
 print("\nAggregated factor importance (rank 1 = most important):")
 for target in Target:
-    ranked = aggregate_rankings(list(bundle.rankings), target)
+    ranked = aggregate_rankings(bundle.rankings, target)
     order = ", ".join(
         f"{rf.factor_id} (mean {rf.mean_rank:.2f})" for rf in ranked
     )

@@ -57,7 +57,7 @@ print(f"  hybrid vs median baseline: one-sided p = {w_eff.p_one_sided:.4f}")
 
 print("\nAccuracy vs number of factors (top-k by aggregated ranking):")
 order = [rf.factor_id
-         for rf in aggregate_rankings(list(bundle.rankings), Target.DEFECT_CONTENT)]
+         for rf in aggregate_rankings(bundle.rankings, Target.DEFECT_CONTENT)]
 curve = ablation_curve(bundle, Target.DEFECT_CONTENT, order, [0, 1, 3, 5])
 for k in sorted(curve):
     print(f"  k={k}: MMRE={curve[k].mmre:.3f}")

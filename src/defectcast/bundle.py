@@ -6,11 +6,17 @@ optionally ``active_factors``.  Release array order is chronological.
 Triangle values are stored as fractions (0.15 means "15% more defects").
 An unknown key, at the top level or in an item, is a violation.
 
-The loader only reads JSON into records.  The rules that tie the records
-together are ``ContextBundle``'s own, so every bundle obeys them however it
-is built (loaded, ``ContextBundle(...)``, ``_replace`` or ``with_excluded``),
-and building one that breaks them raises ``BundleValidationError``.  A
-bundle derives its advisory ``warnings`` from its own factors and releases.
+The loader only reads JSON into records, whose own rules (a triangle's
+cap among them) hold wherever a record is built.  The rules that tie the
+records together are ``ContextBundle``'s own, so every bundle obeys them
+however it is built (loaded, ``ContextBundle(...)``, ``_replace`` or
+``with_excluded``), and building one that breaks them raises
+``BundleValidationError`` with every issue.  The estimate and ranking
+rules each have one owner that the library's paths share,
+``sampling._estimates`` and ``model._ranking_problems``: those paths raise
+the first problem, and the bundle files every one, so ``check`` lists
+every ranking and estimate problem.  A bundle derives its advisory
+``warnings`` from its own factors and releases.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .calibration import descriptive_stats
-from .errors import BundleValidationError, MissingFactorError
+from .errors import BundleValidationError
 from .model import (
     ExpertTriangle,
     FactorRanking,
@@ -29,12 +35,14 @@ from .model import (
     Target,
     _FieldError,
     _kind,
+    _ranking_problems,
     _Record,
     _repeated,
     _rule,
     _typed,
     aggregate_rankings,
 )
+from .sampling import _estimates
 # Reports are written by .report; bench/spans.py still traces this name.
 from .report import render_report  # noqa: F401
 
@@ -79,29 +87,22 @@ class ContextBundle(_Record):
                 yield ValidationIssue(f"factor:{f.id}", "id", "duplicate id for target")
             ids[f.target].add(f.id)
 
-        # A second estimate by one expert would double their weight.
-        estimates = set()
         for tri in self.quantifications:
-            entity = f"quantification:{tri.expert}/{tri.factor_id}"
-            if tri.max > 1e6:  # a million-fold increase keeps (max - min)**2 finite
-                yield ValidationIssue(entity, "max", "max must be at most 1e6")
             if tri.factor_id not in ids[tri.target]:
                 message = f"unknown factor {tri.factor_id!r} for target {tri.target.value}"
+                entity = f"quantification:{tri.expert}/{tri.factor_id}"
                 yield ValidationIssue(entity, "factor_id", message)
-            if (tri.expert, tri.factor_id, tri.target) in estimates:
-                yield ValidationIssue(entity, "expert", "duplicate estimate")
-            estimates.add((tri.expert, tri.factor_id, tri.target))
 
         for ranking in self.rankings:
             for fid in ranking.ranks:
                 if fid not in ids[ranking.target]:
                     message = f"unknown factor {fid!r}"
                     yield ValidationIssue(f"ranking:{ranking.expert}", "ranks", message)
-        for t in Target:  # the rules every ranking command applies
-            try:
-                aggregate_rankings(self.rankings, t)
-            except (MissingFactorError, ValueError) as exc:
-                yield ValidationIssue("rankings", t.value, str(exc))
+        for t in Target:  # the rules of every estimate and every ranking command
+            for problem in _estimates(sorted(ids[t]), self.quantifications, t)[1]:
+                yield ValidationIssue("quantifications", t.value, str(problem))
+            for problem in _ranking_problems(self.rankings, t):
+                yield ValidationIssue("rankings", t.value, str(problem))
 
         factor_ids = set().union(*ids.values())
         release_ids = set()
@@ -113,12 +114,6 @@ class ContextBundle(_Record):
             for fid in sorted(factor_ids ^ rec.levels.keys()):
                 what = "unknown factor" if fid in rec.levels else "missing level for factor"
                 yield ValidationIssue(entity, "levels", f"{what} {fid!r}")
-
-        for t in Target:
-            quantified = {q.factor_id for q in self.quantifications if q.target == t}
-            for fid in sorted(ids[t] - quantified):
-                message = f"no impact estimate for target {t.value}"
-                yield ValidationIssue(f"factor:{fid}", "quantifications", message)
 
         for tname, fids in (self.active_factors or {}).items():
             if tname not in list(Target):

@@ -233,7 +233,7 @@ def _run(args) -> None:
     if args.command == "check":
         report = descriptive_stats(bundle.releases)
     elif args.command == "rank":
-        ranked = aggregate_rankings(list(bundle.rankings), target)
+        ranked = aggregate_rankings(bundle.rankings, target)
         report = {
             "report": "ranking",
             "target": target.value,
@@ -298,7 +298,7 @@ def _run(args) -> None:
                 ]
                 report["wilcoxon"] = wilcoxon_one_sided(pairs).to_payload()
     elif args.command == "ablate":
-        ranked = aggregate_rankings(list(bundle.rankings), target)
+        ranked = aggregate_rankings(bundle.rankings, target)
         order = [rf.factor_id for rf in ranked]
         curve = ablation_curve(bundle, target, order, args.ks, options)
         report = {

@@ -250,7 +250,7 @@ class ExpertTriangle(_Record):
 
     Values are unitless fractions relative to the context best case:
     0.15 means "15% more defects".  They are nonnegative because the
-    estimate is an increase over the best case.
+    estimate is an increase over the best case, and at most 1e6.
     """
 
     expert: str
@@ -273,6 +273,8 @@ class ExpertTriangle(_Record):
                 f"must satisfy 0 <= min <= most_likely <= max, got "
                 f"({self.min}, {self.most_likely}, {self.max})"
             )
+        if self.max > 1e6:  # a million-fold increase keeps (max - min)**2 finite
+            raise _FieldError("max", "max must be at most 1e6")
 
     @property
     def mean(self) -> float:
@@ -361,6 +363,30 @@ class RankedFactor(_Record):
     median_rank: float
 
 
+def _ranking_problems(rankings: Sequence[FactorRanking], target: Target):
+    """Each problem of ``target``'s rankings, as the error to raise: experts who
+    rank twice; each factor set but the first ranking's, named once, at its
+    first ranking (so a factor left out of the first ranking is one problem);
+    then, in rankings of the first one's set, each rank outside [1, k], k
+    being the number of factors that any ranking ranks."""
+    relevant = [r for r in rankings if r.target == target]
+    if repeated := _repeated(r.expert for r in relevant):
+        yield ValueError(f"duplicate rankings by experts {repeated}")
+    sets = [set(relevant[0].ranks)] if relevant else []
+    for r in relevant:
+        if r.ranks.keys() not in sets:
+            sets.append(set(r.ranks))
+            yield MissingFactorError(
+                f"ranking by {r.expert!r} disagrees on the factor set: "
+                f"{sorted(sets[0].symmetric_difference(r.ranks))}")
+    k = len(set().union(*sets))
+    for r in (r for r in relevant if r.ranks.keys() == sets[0]):
+        for fid, rank in r.ranks.items():
+            if not 1 <= rank <= k:
+                yield ValueError(f"ranking by {r.expert!r}: rank for {fid!r} "
+                                 f"must be an integer in [1, {k}], got {rank!r}")
+
+
 def aggregate_rankings(
     rankings: Sequence[FactorRanking], target: Target
 ) -> list[RankedFactor]:
@@ -368,38 +394,17 @@ def aggregate_rankings(
 
     Factors are sorted ascending by mean rank; ties are broken by median
     rank and then by factor id, so the order is deterministic and
-    invariant under permutation of the input rankings.  Each expert
-    ranks once: a second ranking would double their vote.
+    invariant under permutation of the input rankings.  The rules are
+    ``_ranking_problems``' (one ranking per expert, one factor set, ranks
+    in [1, k]); this raises the first problem, where a bundle lists them all.
     """
+    for problem in _ranking_problems(rankings, target):
+        raise problem
     relevant = [r for r in rankings if r.target == target]
-    if not relevant:
-        return []
-    repeated = _repeated(r.expert for r in relevant)
-    if repeated:
-        raise ValueError(f"duplicate rankings by experts {repeated}")
-    factor_ids = set(relevant[0].ranks)
-    for r in relevant:
-        missing = factor_ids.symmetric_difference(r.ranks)
-        if missing:
-            raise MissingFactorError(
-                f"ranking by {r.expert!r} disagrees on the factor set: "
-                f"{sorted(missing)}"
-            )
-    k = len(factor_ids)
-    for r in relevant:
-        for fid, rank in r.ranks.items():
-            if not 1 <= rank <= k:
-                raise ValueError(f"ranking by {r.expert!r}: rank for {fid!r} "
-                                 f"must be an integer in [1, {k}], got {rank!r}")
     out = []
-    for fid in factor_ids:
+    for fid in relevant[0].ranks if relevant else ():
         values = [r.ranks[fid] for r in relevant]
-        out.append(
-            RankedFactor(
-                factor_id=fid,
-                mean_rank=_mean(values),
-                median_rank=float(_median(values)),
-            )
-        )
+        out.append(RankedFactor(factor_id=fid, mean_rank=_mean(values),
+                                median_rank=float(_median(values))))
     out.sort(key=lambda f: (f.mean_rank, f.median_rank, f.factor_id))
     return out

@@ -383,6 +383,26 @@ def _add_mixture(
     _run_ranges(run, list(zip(gens, starts, stops)))
 
 
+def _estimates(factor_ids, triangles: Sequence[ExpertTriangle], target: Target):
+    """Each factor's ``target`` triangles in expert order, and each problem as
+    the error to raise: a factor with no estimate, or an expert who estimates
+    one twice (that would double their weight)."""
+    grouped: dict[str, list[ExpertTriangle]] = {fid: [] for fid in factor_ids}
+    # Expert order, not file order, decides each expert's mixture index.
+    for tri in sorted(triangles, key=lambda t: t.expert):
+        if tri.target == target and tri.factor_id in grouped:
+            grouped[tri.factor_id].append(tri)
+    problems = []
+    for fid, tris in grouped.items():
+        if not tris:
+            problems.append(MissingQuantificationError(
+                f"factor {fid!r} has no impact estimate for target {target.value!r}"))
+        elif repeated := _repeated(t.expert for t in tris):
+            problems.append(ValueError(
+                f"duplicate estimates of factor {fid!r} by experts {repeated}"))
+    return grouped, problems
+
+
 def _terms(
     factors: Sequence[InfluenceFactor],
     triangles: Sequence[ExpertTriangle],
@@ -393,22 +413,9 @@ def _terms(
     repeated = _repeated(f.id for f in factors)
     if repeated:  # a repeated factor would count twice
         raise ValueError(f"duplicate factor ids {repeated}")
-    grouped: dict[str, list[ExpertTriangle]] = {f.id: [] for f in factors}
-    for tri in triangles:
-        if tri.target == target and tri.factor_id in grouped:
-            grouped[tri.factor_id].append(tri)
-    for fid, tris in grouped.items():
-        # Expert order, not file order, decides each expert's mixture index.
-        tris.sort(key=lambda t: t.expert)
-        if not tris:
-            raise MissingQuantificationError(
-                f"factor {fid!r} has no impact estimate for target "
-                f"{target.value!r}"
-            )
-        # A second estimate by one expert would double their weight.
-        repeated = _repeated(t.expert for t in tris)
-        if repeated:
-            raise ValueError(f"duplicate estimates of factor {fid!r} by experts {repeated}")
+    grouped, problems = _estimates([f.id for f in factors], triangles, target)
+    if problems:
+        raise problems[0]
     missing = sorted(fid for fid in grouped if fid not in levels)
     if missing:
         raise MissingLevelError(f"no level for active {target.value} factors {missing}")

@@ -19,12 +19,16 @@ from defectcast import (
     ReleaseRecord,
     Target,
     ValidationIssue,
+    aggregate_rankings,
+    analytic_mean_increase,
     calibrate,
     descriptive_stats,
     load_bundle,
     render_report,
 )
 import defectcast.bundle
+import defectcast.model
+import defectcast.sampling
 from defectcast.bundle import ContextBundle, _build_bundle, _read
 from defectcast.model import _FieldError
 from defectcast.cli import main
@@ -116,13 +120,15 @@ class TestLoadBundle:
 
     @pytest.mark.parametrize("value", [1e160, 1.5e6])
     def test_triangle_value_above_the_cap_rejected(self, tmp_path, value):
-        # Above a million-fold increase (max - min)**2 could overflow.
+        # Above a million-fold increase (max - min)**2 could overflow.  The cap
+        # is the record's rule, so the triangle is not read and D1, its only
+        # estimate gone, has no impact estimate either.
         bad = json.loads(json.dumps(MINIMAL))
         bad["quantifications"][0]["max"] = value
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, bad))
         assert [(i.entity, i.field) for i in exc.value.errors] == [
-            ("quantification:X1/D1", "max")
+            ("quantification:X1/D1", "max"), ("quantifications", "defect_content")
         ]
 
     @pytest.mark.parametrize("edit,measure", [
@@ -321,7 +327,8 @@ class TestLoadBundle:
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, doc))
         assert exc.value.errors == [
-            ValidationIssue("quantification:X1/D1", "expert", "duplicate estimate")
+            ValidationIssue("quantifications", "defect_content",
+                            "duplicate estimates of factor 'D1' by experts ['X1']")
         ]
 
     def test_repeated_expert_ranking_rejected(self, tmp_path):
@@ -484,7 +491,6 @@ RULE_BREAKING_EDITS = {
         dict(doc["quantifications"][0])),
     "repeated-ranking": lambda doc: doc["rankings"].append(dict(doc["rankings"][0])),
     "rank-above-k": lambda doc: doc["rankings"][1]["ranks"].update(D1=9),
-    "huge-triangle": lambda doc: doc["quantifications"][0].update(max=2e6),
     "repeated-release": lambda doc: doc["releases"].append(dict(doc["releases"][0])),
     "unlevelled-release": lambda doc: doc["releases"][0]["levels"].pop("D1"),
     "unknown-level": lambda doc: doc["releases"][0]["levels"].update(ZZ=1),
@@ -540,6 +546,162 @@ class TestEveryBundleObeysTheRules:
             example_bundle.resolve_active(Target.DEFECT_CONTENT, ["D1", "E1", "D1"])
         assert calls == [(("D1",), "defect_content"), (("E2",), "effectiveness"),
                          (("D1", "E1", "D1"), "defect_content")]
+
+    def test_triangle_above_the_cap_is_a_record_error(self, tmp_path, example_bundle):
+        # The cap was a bundle rule only, so a triangle built in code took
+        # any max: at max=1e300 a level-3 draw gave -inf samples.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        doc["quantifications"][0].update(max=2e6)
+        with pytest.raises(BundleValidationError) as loaded:
+            load_bundle(write_json(tmp_path, doc))
+        assert loaded.value.errors == [ValidationIssue(
+            "quantification:X1/D1", "max", "max must be at most 1e6")]
+        first = example_bundle.quantifications[0]
+        builds = [lambda: ExpertTriangle(**doc["quantifications"][0]),
+                  lambda: first._replace(max=2e6),
+                  lambda: ExpertTriangle("X1", "D1", "defect_content", 0.0, 0.0, 1e300)]
+        for build in builds:
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert (exc.value.field, str(exc.value)) == ("max", "max must be at most 1e6")
+
+    def test_every_ranking_problem_of_a_target_is_listed(self, tmp_path):
+        # aggregate_rankings raises at its first problem, and the bundle used
+        # to file only that one: check needed a run per problem.
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        doc["rankings"].append(dict(doc["rankings"][0]))
+        doc["rankings"][1]["ranks"].pop("D5")
+        doc["rankings"][2]["ranks"]["D1"] = 9
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        messages = ["duplicate rankings by experts ['X1']",
+                    "ranking by 'X2' disagrees on the factor set: ['D5']",
+                    "ranking by 'X3': rank for 'D1' must be an integer in [1, 5], got 9"]
+        assert exc.value.errors == [ValidationIssue("rankings", "defect_content", m)
+                                    for m in messages]
+        rankings = [FactorRanking(**r) for r in doc["rankings"]]
+        with pytest.raises(ValueError, match=r"^duplicate rankings by experts \['X1'\]$"):
+            aggregate_rankings(rankings, Target.DEFECT_CONTENT)
+
+    def test_every_estimate_problem_of_a_target_is_listed(self, tmp_path, example_bundle):
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        _drop_estimates_of_d5(doc)
+        doc["quantifications"].append(dict(doc["quantifications"][0]))
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        messages = ["duplicate estimates of factor 'D1' by experts ['X1']",
+                    "factor 'D5' has no impact estimate for target 'defect_content'"]
+        assert exc.value.errors == [ValidationIssue("quantifications", "defect_content", m)
+                                    for m in messages]
+        dc = example_bundle.resolve_active(Target.DEFECT_CONTENT)
+        triangles = [ExpertTriangle(**q) for q in doc["quantifications"]]
+        with pytest.raises(ValueError, match=r"^duplicate estimates of factor 'D1'"):
+            analytic_mean_increase(dc, triangles, {f.id: 1 for f in dc},
+                                   Target.DEFECT_CONTENT)
+
+    def test_one_generator_checks_every_ranking(self, monkeypatch, example_bundle):
+        # The loader, a built bundle and aggregate_rankings ask one generator.
+        calls = []
+        check = defectcast.model._ranking_problems
+        assert defectcast.bundle._ranking_problems is check
+
+        def spy(rankings, target):
+            calls.append(target)
+            return check(rankings, target)
+
+        for module in (defectcast.model, defectcast.bundle):
+            monkeypatch.setattr(module, "_ranking_problems", spy)
+        load_bundle(EXAMPLE_BUNDLE)
+        example_bundle._replace(rankings=example_bundle.rankings[:4])
+        aggregate_rankings(example_bundle.rankings, Target.EFFECTIVENESS)
+        assert calls == [*Target, *Target, Target.EFFECTIVENESS]
+
+    def test_one_helper_checks_every_estimate(self, monkeypatch, example_bundle):
+        # The loader, a built bundle and every sampling path ask one helper.
+        calls = []
+        check = defectcast.sampling._estimates
+        assert defectcast.bundle._estimates is check
+
+        def spy(factor_ids, triangles, target):
+            calls.append((tuple(factor_ids), target))
+            return check(factor_ids, triangles, target)
+
+        for module in (defectcast.sampling, defectcast.bundle):
+            monkeypatch.setattr(module, "_estimates", spy)
+        load_bundle(EXAMPLE_BUNDLE)
+        example_bundle._replace(active_factors={"effectiveness": ["E2"]})
+        dc = example_bundle.resolve_active(Target.DEFECT_CONTENT)
+        analytic_mean_increase(dc[:2], example_bundle.quantifications,
+                               {f.id: 1 for f in dc}, Target.DEFECT_CONTENT)
+        dc_ids, eff_ids = (tuple(f"{p}{i}" for i in range(1, 6)) for p in "DE")
+        built = [(dc_ids, Target.DEFECT_CONTENT), (eff_ids, Target.EFFECTIVENESS)]
+        assert calls == built * 2 + [(("D1", "D2"), Target.DEFECT_CONTENT)]
+
+
+def _triangle(doc, expert, fid):
+    return next(q for q in doc["quantifications"]
+                if (q["expert"], q["factor_id"]) == (expert, fid))
+
+
+def _ranking(doc, expert, target):
+    return next(r for r in doc["rankings"]
+                if (r["expert"], r["target"]) == (expert, target))
+
+
+# Edits of the example document that break a rule each, with the issue each
+# causes; no edit touches what another reads, so any subset of them together
+# must list every one of their issues.
+INDEPENDENT_EDITS = {
+    "repeated-ranking": (
+        lambda doc: doc["rankings"].append(dict(_ranking(doc, "X1", "defect_content"))),
+        ValidationIssue("rankings", "defect_content",
+                        "duplicate rankings by experts ['X1']")),
+    "missing-factor": (
+        lambda doc: _ranking(doc, "X2", "defect_content")["ranks"].pop("D5"),
+        ValidationIssue("rankings", "defect_content",
+                        "ranking by 'X2' disagrees on the factor set: ['D5']")),
+    "rank-above-k": (
+        lambda doc: _ranking(doc, "X3", "defect_content")["ranks"].update(D1=9),
+        ValidationIssue("rankings", "defect_content",
+                        "ranking by 'X3': rank for 'D1' must be an integer in [1, 5], got 9")),
+    "effectiveness-rank-above-k": (
+        lambda doc: _ranking(doc, "X2", "effectiveness")["ranks"].update(E3=7),
+        ValidationIssue("rankings", "effectiveness",
+                        "ranking by 'X2': rank for 'E3' must be an integer in [1, 5], got 7")),
+    "repeated-estimate": (
+        lambda doc: doc["quantifications"].append(dict(_triangle(doc, "X1", "D1"))),
+        ValidationIssue("quantifications", "defect_content",
+                        "duplicate estimates of factor 'D1' by experts ['X1']")),
+    "second-repeated-estimate": (
+        lambda doc: doc["quantifications"].append(dict(_triangle(doc, "X2", "D2"))),
+        ValidationIssue("quantifications", "defect_content",
+                        "duplicate estimates of factor 'D2' by experts ['X2']")),
+    "unestimated-factor": (
+        _drop_estimates_of_d5,
+        ValidationIssue("quantifications", "defect_content",
+                        "factor 'D5' has no impact estimate for target 'defect_content'")),
+    "huge-triangle": (
+        lambda doc: _triangle(doc, "X3", "D3").update(max=2e6),
+        ValidationIssue("quantification:X3/D3", "max", "max must be at most 1e6")),
+    "unlevelled-release": (
+        lambda doc: doc["releases"][0]["levels"].pop("D1"),
+        ValidationIssue("release:A", "levels", "missing level for factor 'D1'")),
+}
+
+
+class TestExhaustiveReport:
+    @settings(deadline=None, max_examples=60)
+    @given(edits=st.sets(st.sampled_from(sorted(INDEPENDENT_EDITS)), min_size=1))
+    def test_every_applied_edit_is_listed(self, tmp_path_factory, edits):
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        for name in sorted(edits):
+            INDEPENDENT_EDITS[name][0](doc)
+        path = tmp_path_factory.getbasetemp() / "edited_bundle.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(path)
+        for name in edits:
+            assert INDEPENDENT_EDITS[name][1] in exc.value.errors, name
 
 
 class TestResolveActive:
