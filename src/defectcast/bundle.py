@@ -34,6 +34,7 @@ from .model import (
     ReleaseRecord,
     Target,
     _FieldError,
+    _ids,
     _kind,
     _ranking_problems,
     _Record,
@@ -153,12 +154,9 @@ class ContextBundle(_Record):
         that names no factor of the target or repeats one, is a ``ValueError``.
         """
         by_id = {f.id: f for f in self.factors_for(target)}
-        if isinstance(override_ids, str):
-            raise ValueError(
-                f"expected a list of factor ids, got the string {override_ids!r}")
         if override_ids is not None:
-            problems = _active_set_problems(override_ids, by_id, target.value)
-            if problems:
+            override_ids = _ids(override_ids, "factor")
+            if problems := _active_set_problems(override_ids, by_id, target.value):
                 raise ValueError("; ".join(problems))
         elif self.active_factors and target.value in self.active_factors:
             override_ids = self.active_factors[target.value]
@@ -171,9 +169,7 @@ class ContextBundle(_Record):
 
     def with_excluded(self, ids: Sequence[str]) -> "ContextBundle":
         """Copy excluding the listed releases; a str or unknown id is a ValueError."""
-        if isinstance(ids, str):
-            raise ValueError(f"expected a list of release ids, got the string {ids!r}")
-        ids = set(ids)
+        ids = set(_ids(ids, "release"))
         unknown = sorted(ids - {r.id for r in self.releases})
         if unknown:
             raise ValueError(f"unknown release ids {unknown}")

@@ -99,6 +99,8 @@ def calibrate(
     effectiveness.  The median of an even-count list is the mean of the
     two central order statistics.
     """
+    releases, triangles = tuple(releases), tuple(triangles)
+    dc_factors, eff_factors = tuple(dc_factors), tuple(eff_factors)
     _check_unique_ids(releases)
     included = [r for r in releases if not r.excluded]
     if not included:
@@ -184,6 +186,7 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
     stays a judgment call for whoever knows the history.  A repeated
     release id is a ValueError.
     """
+    releases = tuple(releases)
     _check_unique_ids(releases)
     per_release: dict[str, dict] = {}
     dd_values: dict[str, float] = {}

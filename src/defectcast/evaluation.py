@@ -21,6 +21,7 @@ from .model import (
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _ids,
     _mean,
     _median,
     _Record,
@@ -104,12 +105,14 @@ def accuracy_metrics(
     RE = (predicted - actual) / actual, MRE = |RE|, MMRE is the mean
     MRE, and Pred(q) counts MREs at or below q (boundary inclusive,
     with a relative float guard so an MRE of exactly q counts).  ``ids``
-    name the cases, one distinct id each.
+    name the cases, one distinct id each; a str is a ValueError.
     """
+    cases = tuple(cases)
     if not cases:
         raise ValueError("no cases")
     if ids is None:
         ids = [str(i) for i in range(len(cases))]
+    ids = _ids(ids, "case")
     repeated = _repeated(ids)
     if repeated:
         raise ValueError(f"repeated case ids {repeated}")
@@ -338,8 +341,7 @@ def ablation_curve(
     k = 0 means no factor is active, which reduces exactly to the data-only
     median-density (or median-effectiveness) model.  A str is a ValueError.
     """
-    if isinstance(ranked_ids, str):
-        raise ValueError(f"expected a list of factor ids, got the string {ranked_ids!r}")
+    ranked_ids = _ids(ranked_ids, "factor")
     out = {}
     for k in ks:
         if not 0 <= k <= len(ranked_ids):
@@ -349,7 +351,7 @@ def ablation_curve(
             MODEL_INFLUENCE_FACTOR,
             target,
             options,
-            active_ids=list(ranked_ids[:k]),
+            active_ids=ranked_ids[:k],
         )
     return out
 

@@ -34,6 +34,14 @@ def _repeated(values) -> list:
     return sorted(v for v, n in Counter(values).items() if n > 1)
 
 
+def _ids(value, what: str) -> tuple:
+    """A list argument of ``what`` ids, read once into a tuple; a str is a
+    ValueError, since it would read as one-letter ids."""
+    if isinstance(value, str):
+        raise ValueError(f"expected a list of {what} ids, got the string {value!r}")
+    return tuple(value)
+
+
 def _median(values):
     """``statistics.median``: the middle value, or the mean of the middle
     two, halved before they are added only where their sum overflows."""
@@ -365,22 +373,23 @@ class RankedFactor(_Record):
 
 def _ranking_problems(rankings: Sequence[FactorRanking], target: Target):
     """Each problem of ``target``'s rankings, as the error to raise: experts who
-    rank twice; each factor set but the first ranking's, named once, at its
-    first ranking (so a factor left out of the first ranking is one problem);
+    rank twice; each factor set but the first ranking's, naming every expert
+    who ranks it (so a factor left out of the first ranking is one problem);
     then, in rankings of the first one's set, each rank outside [1, k], k
     being the number of factors that any ranking ranks."""
     relevant = [r for r in rankings if r.target == target]
     if repeated := _repeated(r.expert for r in relevant):
         yield ValueError(f"duplicate rankings by experts {repeated}")
-    sets = [set(relevant[0].ranks)] if relevant else []
+    groups: dict[frozenset, list[FactorRanking]] = {}
     for r in relevant:
-        if r.ranks.keys() not in sets:
-            sets.append(set(r.ranks))
-            yield MissingFactorError(
-                f"ranking by {r.expert!r} disagrees on the factor set: "
-                f"{sorted(sets[0].symmetric_difference(r.ranks))}")
-    k = len(set().union(*sets))
-    for r in (r for r in relevant if r.ranks.keys() == sets[0]):
+        groups.setdefault(frozenset(r.ranks), []).append(r)
+    first, *others = groups or [frozenset()]
+    for fids in others:
+        experts = sorted({r.expert for r in groups[fids]})
+        yield MissingFactorError(f"rankings by experts {experts} disagree on the "
+                                 f"factor set: {sorted(first ^ fids)}")
+    k = len(frozenset().union(*groups))
+    for r in groups.get(first, ()):
         for fid, rank in r.ranks.items():
             if not 1 <= rank <= k:
                 yield ValueError(f"ranking by {r.expert!r}: rank for {fid!r} "
@@ -398,9 +407,9 @@ def aggregate_rankings(
     ``_ranking_problems``' (one ranking per expert, one factor set, ranks
     in [1, k]); this raises the first problem, where a bundle lists them all.
     """
-    for problem in _ranking_problems(rankings, target):
-        raise problem
     relevant = [r for r in rankings if r.target == target]
+    for problem in _ranking_problems(relevant, target):
+        raise problem
     out = []
     for fid in relevant[0].ranks if relevant else ():
         values = [r.ranks[fid] for r in relevant]

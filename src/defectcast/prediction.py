@@ -79,6 +79,7 @@ def _predict(
     # The model equation is nondecreasing in the increase, rounding
     # included, so each quantile of the predictions is, bit for bit, the
     # prediction of that quantile of the increase.
+    factors, triangles = tuple(factors), tuple(triangles)
     samples = _draw_increase(factors, triangles, spec.levels, target, options)
     samples.sort()
     if options.point == POINT_ANALYTIC_MEAN:

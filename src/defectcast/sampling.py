@@ -435,7 +435,7 @@ def analytic_mean_increase(
     (a+m+b)/3, averaged uniformly over the factor's experts.
     """
     total = 0.0
-    for _, weight, tris in _terms(factors, triangles, levels, target):
+    for _, weight, tris in _terms(tuple(factors), triangles, levels, target):
         total += weight * (sum(t.mean for t in tris) / len(tris))
     return total
 
@@ -462,6 +462,11 @@ def _draw_increase(
     return samples
 
 
+def _nearest_rank(p: float, n: int) -> int:
+    """The index of the nearest-rank ``p``-quantile among ``n`` sorted values."""
+    return max(math.ceil(p * n) - 1, 0)
+
+
 def _median_sample(samples: np.ndarray) -> float:
     """The nearest-rank median of ``empirical_quantile``, by selection.
 
@@ -469,7 +474,7 @@ def _median_sample(samples: np.ndarray) -> float:
     """
     import numpy as np
 
-    k = math.ceil(0.5 * samples.size) - 1
+    k = _nearest_rank(0.5, samples.size)
     return float(np.partition(samples, k)[k])
 
 
@@ -486,6 +491,7 @@ def increase_distribution(
     independent expert-mixture draw.  Identical (inputs, seed, n) yield
     bit-identical sample lists.
     """
+    factors, triangles = tuple(factors), tuple(triangles)
     samples = _draw_increase(factors, triangles, levels, target, options)
     mean = analytic_mean_increase(factors, triangles, levels, target)
     if options.point == POINT_ANALYTIC_MEAN:
@@ -505,4 +511,4 @@ def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
     n = len(sorted_samples)
     if n == 0:
         raise EmptyDistributionError("no samples")
-    return float(sorted_samples[max(math.ceil(p * n) - 1, 0)])
+    return float(sorted_samples[_nearest_rank(p, n)])

@@ -149,6 +149,20 @@ class TestLoadBundle:
             f"release 'A': defect {measure} must be finite",
         )]
 
+    @pytest.mark.parametrize("count", ["defects_found", "defects_slipped"])
+    def test_negative_defect_count_names_the_release(self, tmp_path, count):
+        doc = json.loads(EXAMPLE_BUNDLE.read_text())
+        release = next(r for r in doc["releases"] if r["id"] == "A")
+        release[count] = -1
+        with pytest.raises(BundleValidationError) as exc:
+            load_bundle(write_json(tmp_path, doc))
+        message = "release 'A': defect counts must be >= 0"
+        assert exc.value.errors == [
+            ValidationIssue("release:A", "measures/levels", message)]
+        with pytest.raises(ValueError) as exc:
+            ReleaseRecord(**release)
+        assert str(exc.value) == message
+
     def test_triangle_value_at_the_cap_loads(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["quantifications"][0]["max"] = 1e6
@@ -346,19 +360,25 @@ class TestLoadBundle:
 
     # Each edit breaks a rule of aggregate_rankings, which every ranking
     # command applies: ranks in [1, k], one factor set per target.
-    @pytest.mark.parametrize("index,edit,target,message", [
-        (1, lambda ranks: ranks.update(D1=9), "defect_content",
+    # A factor set other than the first ranking's is one issue, naming every
+    # expert who ranks it: the last two cases used to name X2 alone.
+    @pytest.mark.parametrize("indices,edit,target,message", [
+        ((1,), lambda ranks: ranks.update(D1=9), "defect_content",
          "ranking by 'X2': rank for 'D1' must be an integer in [1, 5], got 9"),
-        (1, lambda ranks: ranks.pop("D5"), "defect_content",
-         "ranking by 'X2' disagrees on the factor set: ['D5']"),
-        (4, lambda ranks: ranks.pop("E5"), "effectiveness",
-         "ranking by 'X2' disagrees on the factor set: ['E5']"),
-    ], ids=["rank-above-k", "missing-factor", "effectiveness-missing-factor"])
+        ((1,), lambda ranks: ranks.pop("D5"), "defect_content",
+         "rankings by experts ['X2'] disagree on the factor set: ['D5']"),
+        ((4,), lambda ranks: ranks.pop("E5"), "effectiveness",
+         "rankings by experts ['X2', 'X3', 'X4'] disagree on the factor set: ['E5']"),
+        ((2, 1), lambda ranks: ranks.pop("D5"), "defect_content",
+         "rankings by experts ['X2', 'X3'] disagree on the factor set: ['D5']"),
+    ], ids=["rank-above-k", "missing-factor", "effectiveness-missing-factor",
+            "missing-factor-two-experts"])
     def test_rankings_follow_the_aggregation_rules(
-        self, tmp_path, index, edit, target, message
+        self, tmp_path, indices, edit, target, message
     ):
         doc = json.loads(EXAMPLE_BUNDLE.read_text())
-        edit(doc["rankings"][index]["ranks"])
+        for index in indices:
+            edit(doc["rankings"][index]["ranks"])
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, doc))
         assert exc.value.errors == [ValidationIssue("rankings", target, message)]
@@ -575,7 +595,7 @@ class TestEveryBundleObeysTheRules:
         with pytest.raises(BundleValidationError) as exc:
             load_bundle(write_json(tmp_path, doc))
         messages = ["duplicate rankings by experts ['X1']",
-                    "ranking by 'X2' disagrees on the factor set: ['D5']",
+                    "rankings by experts ['X2'] disagree on the factor set: ['D5']",
                     "ranking by 'X3': rank for 'D1' must be an integer in [1, 5], got 9"]
         assert exc.value.errors == [ValidationIssue("rankings", "defect_content", m)
                                     for m in messages]
@@ -659,7 +679,7 @@ INDEPENDENT_EDITS = {
     "missing-factor": (
         lambda doc: _ranking(doc, "X2", "defect_content")["ranks"].pop("D5"),
         ValidationIssue("rankings", "defect_content",
-                        "ranking by 'X2' disagrees on the factor set: ['D5']")),
+                        "rankings by experts ['X2'] disagree on the factor set: ['D5']")),
     "rank-above-k": (
         lambda doc: _ranking(doc, "X3", "defect_content")["ranks"].update(D1=9),
         ValidationIssue("rankings", "defect_content",
@@ -732,6 +752,11 @@ class TestResolveActive:
             example_bundle.resolve_active(Target.DEFECT_CONTENT, ids)
         message = f"expected a list of factor ids, got the string {ids!r}"
         assert str(exc.value) == message
+
+    def test_one_shot_override_resolves_every_id(self, example_bundle):
+        # The ids used to be used up by their check, so none was resolved.
+        active = example_bundle.resolve_active(Target.DEFECT_CONTENT, iter(["D1", "D2"]))
+        assert [f.id for f in active] == ["D1", "D2"]
 
     def test_active_factors_are_a_checked_copy(self, example_bundle):
         act = {"defect_content": ["D1"]}

@@ -104,17 +104,19 @@ class TestRank:
         assert [e["factor_id"] for e in payload["order"]] == \
             ["D1", "D2", "D3", "D4", "D5"]
 
-    @pytest.mark.parametrize("index,edit,entity", [
-        (1, lambda ranks: ranks.update(D1=9), "rankings.defect_content"),
-        (1, lambda ranks: ranks.pop("D5"), "rankings.defect_content"),
-        (4, lambda ranks: ranks.pop("E5"), "rankings.effectiveness"),
+    @pytest.mark.parametrize("index,edit,issue", [
+        (1, lambda ranks: ranks.update(D1=9), "rankings.defect_content: ranking by 'X2'"),
+        (1, lambda ranks: ranks.pop("D5"),
+         "rankings.defect_content: rankings by experts ['X2'] disagree"),
+        (4, lambda ranks: ranks.pop("E5"),
+         "rankings.effectiveness: rankings by experts ['X2', 'X3', 'X4'] disagree"),
     ], ids=["rank-above-k", "missing-factor", "effectiveness-missing-factor"])
     @pytest.mark.parametrize("command", [
         ("check",), ("rank", "--target", "defect-content"), ("ablate",),
         ("calibrate",),
     ], ids=lambda c: c[0])
     def test_ranking_that_cannot_aggregate_exits_one(
-        self, capsys, tmp_path, command, index, edit, entity
+        self, capsys, tmp_path, command, index, edit, issue
     ):
         # check used to pass these bundles that rank and ablate reject.
         doc = json.loads(EXAMPLE_BUNDLE.read_text())
@@ -123,7 +125,7 @@ class TestRank:
         bundle.write_text(json.dumps(doc))
         code, out, err = run(capsys, command[0], "--bundle", bundle, *command[1:])
         assert (code, out) == (1, "")
-        assert f"  {entity}: ranking by 'X2'" in err
+        assert f"  {issue}" in err
 
 
 class TestDrawFreeCommands:

@@ -9,20 +9,28 @@ from hypothesis import strategies as st
 from defectcast import (
     BundleValidationError,
     ContextBundle,
+    EngineOptions,
     EstimationError,
     InsufficientHistoryError,
     MODEL_DC_MEDIAN,
     MODEL_DD_MEDIAN,
     MODEL_EFF_MEDIAN,
     MODEL_INFLUENCE_FACTOR,
+    NewReleaseSpec,
     Target,
     ValidationIssue,
     ZeroActualError,
     ablation_curve,
     accuracy_metrics,
     aggregate_rankings,
+    analytic_mean_increase,
+    calibrate,
+    descriptive_stats,
     history_simulation,
+    increase_distribution,
     loocv,
+    predict_defect_content,
+    predict_effectiveness,
     wilcoxon_one_sided,
 )
 
@@ -131,9 +139,11 @@ class TestAccuracyMetrics:
         (["a"], "zip"),
         (["a", "b", "c"], "zip"),
         (["a", "a"], r"^repeated case ids \['a'\]$"),
-    ], ids=["fewer-ids", "more-ids", "repeated-id"])
+        ("ab", r"^expected a list of case ids, got the string 'ab'$"),
+    ], ids=["fewer-ids", "more-ids", "repeated-id", "string"])
     def test_ids_name_each_case_once(self, ids, message):
-        # Fewer ids used to drop the second case: 1 case, MMRE 0.5.
+        # Fewer ids used to drop the second case: 1 case, MMRE 0.5, and a
+        # string to name the cases 'a' and 'b'.
         with pytest.raises(ValueError, match=message):
             accuracy_metrics([(1.0, 2.0), (3.0, 1.0)], ids=ids)
 
@@ -300,6 +310,14 @@ class TestActiveOverride:
             self.RUNS[run](example_bundle, "")
         assert str(exc.value) == "expected a list of factor ids, got the string ''"
 
+    def test_one_shot_override_is_read_once(self, example_bundle):
+        # resolve_active used to check an iterator's ids, using them up, and
+        # so ran with no active factor: dd_median's MMRE, 0.280253.
+        report = loocv(example_bundle, MODEL_INFLUENCE_FACTOR,
+                       Target.DEFECT_CONTENT, EngineOptions(), iter(["D1"]))
+        assert report == self.RUNS["loocv"](example_bundle, ["D1"])
+        assert report.mmre == pytest.approx(0.174717, abs=5e-7)
+
 
 class TestAblation:
     def test_k0_bit_equals_density_baseline(self):
@@ -371,3 +389,57 @@ class TestHistorySimulation:
         bundle = make_synthetic_bundle(seed=9)
         report = history_simulation(bundle, start_m=4)
         assert all(c.mre < 1e-9 for c in report.cases)
+
+
+DC, EFF = Target.DEFECT_CONTENT, Target.EFFECTIVENESS
+
+
+def _predict(bundle, wrap, predict, target):
+    """``predict`` of ``target`` for release A's levels at size 130."""
+    dc, eff = bundle.resolve_active(DC), bundle.resolve_active(EFF)
+    ctx = calibrate(bundle.releases, dc, eff, bundle.quantifications)
+    spec = NewReleaseSpec(130, bundle.releases[0].levels)
+    return predict(ctx, spec, wrap(dc if target == DC else eff),
+                   wrap(bundle.quantifications), probs=wrap([0.05, 0.5]))
+
+
+def _increase(bundle, wrap):
+    result = increase_distribution(wrap(bundle.resolve_active(DC)),
+                                   wrap(bundle.quantifications),
+                                   bundle.releases[0].levels, DC)
+    return result.point, result.samples.tobytes()
+
+
+# Public calls on the example bundle, each given its list arguments through
+# ``wrap``: ``list`` or ``iter``.  Each used to read some list twice, so a
+# one-shot iterator gave another answer or an error.
+ONE_SHOT_CALLS = {
+    "resolve_active": lambda b, wrap: b.resolve_active(DC, wrap(["D1", "D2"])),
+    "loocv": lambda b, wrap: loocv(
+        b, MODEL_INFLUENCE_FACTOR, DC, EngineOptions(), wrap(["D1"])),
+    "history_simulation": lambda b, wrap: history_simulation(
+        b, 4, DC, EngineOptions(), wrap(["D1"])),
+    "ablation_curve": lambda b, wrap: ablation_curve(
+        b, DC, wrap(["D1", "D2", "D3"]), wrap([0, 2])),
+    "aggregate_rankings": lambda b, wrap: aggregate_rankings(wrap(b.rankings), DC),
+    "descriptive_stats": lambda b, wrap: descriptive_stats(wrap(b.releases)),
+    "calibrate": lambda b, wrap: calibrate(
+        wrap(b.releases), wrap(b.resolve_active(DC)), wrap(b.resolve_active(EFF)),
+        wrap(b.quantifications)),
+    "predict_defect_content": lambda b, wrap: _predict(
+        b, wrap, predict_defect_content, DC),
+    "predict_effectiveness": lambda b, wrap: _predict(
+        b, wrap, predict_effectiveness, EFF),
+    "increase_distribution": _increase,
+    "analytic_mean_increase": lambda b, wrap: analytic_mean_increase(
+        wrap(b.resolve_active(DC)), wrap(b.quantifications), b.releases[0].levels, DC),
+    "accuracy_metrics": lambda b, wrap: accuracy_metrics(
+        wrap([(1.0, 2.0), (3.0, 4.0)]), wrap([0.25, 0.5]), wrap(["A", "B"])),
+}
+
+
+@pytest.mark.parametrize("call", list(ONE_SHOT_CALLS))
+def test_one_shot_iterator_reads_like_its_list(example_bundle, call):
+    run = ONE_SHOT_CALLS[call]
+    assert run(example_bundle, iter) == run(example_bundle, list)
+
