@@ -67,7 +67,6 @@ from .prediction import (
 from .report import render_report
 from .sampling import (
     EngineOptions,
-    IncreaseResult,
     analytic_mean_increase,
     empirical_quantile,
     increase_distribution,

@@ -29,10 +29,10 @@ from .model import (
 from .sampling import (
     EngineOptions,
     POINT_ANALYTIC_MEAN,
-    _draw_increase,
     _median_sample,
     analytic_mean_increase,
     empirical_quantile,
+    increase_distribution,
 )
 
 
@@ -118,8 +118,8 @@ def calibrate(
         if key not in points:
             points[key] = (
                 analytic_mean_increase(factors, triangles, levels, target)
-                if options.point == POINT_ANALYTIC_MEAN else
-                _median_sample(_draw_increase(factors, triangles, levels, target, options)))
+                if options.point == POINT_ANALYTIC_MEAN else _median_sample(
+                    increase_distribution(factors, triangles, levels, target, options)))
         return points[key]
 
     per_release: dict[str, ReleaseCalibration] = {}

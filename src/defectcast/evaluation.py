@@ -104,12 +104,16 @@ def accuracy_metrics(
 
     RE = (predicted - actual) / actual, MRE = |RE|, MMRE is the mean
     MRE, and Pred(q) counts MREs at or below q (boundary inclusive,
-    with a relative float guard so an MRE of exactly q counts).  ``ids``
-    name the cases, one distinct id each; a str is a ValueError.
+    with a relative float guard so an MRE of exactly q counts).  Each q
+    must be finite and > 0.  ``ids`` name the cases, one distinct id each;
+    a str is a ValueError.
     """
-    cases = tuple(cases)
+    cases, thresholds = tuple(cases), tuple(thresholds)
     if not cases:
         raise ValueError("no cases")
+    for q in thresholds:
+        if not (math.isfinite(q) and q > 0):  # NaN too
+            raise ValueError(f"Pred threshold must be finite and > 0, got {q!r}")
     if ids is None:
         ids = [str(i) for i in range(len(cases))]
     ids = _ids(ids, "case")
@@ -339,21 +343,18 @@ def ablation_curve(
     """Cross-validation accuracy using only the top-k ranked factors.
 
     k = 0 means no factor is active, which reduces exactly to the data-only
-    median-density (or median-effectiveness) model.  A str is a ValueError.
+    median-density (or median-effectiveness) model.  A str ranking, or a k
+    that is no int (a bool too), is a ValueError.
     """
-    ranked_ids = _ids(ranked_ids, "factor")
-    out = {}
-    for k in ks:
+    ranked_ids, ks = _ids(ranked_ids, "factor"), tuple(ks)
+    for k in ks:  # every k is checked before the first fold runs
+        if type(k) is not int:  # a bool would key the report True
+            raise ValueError(f"k must be an integer, got {k!r}")
         if not 0 <= k <= len(ranked_ids):
             raise ValueError(f"k={k} outside [0, {len(ranked_ids)}]")
-        out[k] = loocv(
-            bundle,
-            MODEL_INFLUENCE_FACTOR,
-            target,
-            options,
-            active_ids=ranked_ids[:k],
-        )
-    return out
+    return {k: loocv(bundle, MODEL_INFLUENCE_FACTOR, target, options,
+                     active_ids=ranked_ids[:k])
+            for k in ks}
 
 
 def history_simulation(

@@ -143,27 +143,25 @@ _KINDS = {"str": str, "int": int, "float": float, "bool": bool, "Target": Target
 def _rule(annotation: str):
     """The rule of a field annotated ``annotation``: it takes (value, field,
     where), ``where`` being the field or (container, format, key), and returns
-    what the field holds.  ``_typed`` checks a name in ``_KINDS``; another name
-    leaves the field unchecked (None).  ``Mapping[K, V]`` holds a _FrozenDict
-    of keys checked by K and values by V, ``tuple[T, ...]`` a tuple of T and
-    ``tuple[A, B]`` one of A and B; K, A, B are names.  ``X | None`` takes None."""
+    what the field holds.  ``_typed`` checks a name in ``_KINDS``.
+    ``Mapping[K, V]`` holds a _FrozenDict of keys checked by K and values by V,
+    ``tuple[T, ...]`` a tuple of T and ``tuple[A, B]`` one of A and B; K, A, B
+    are names.  ``X | None`` takes None.  Any other annotation is a TypeError."""
     if annotation.endswith(" | None"):
         rule = _rule(annotation.removesuffix(" | None"))
-        return rule and (lambda value, field, where:
-                         None if value is None else rule(value, field, where))
+        return lambda value, field, where: (
+            None if value is None else rule(value, field, where))
     kind = _KINDS.get(annotation)
     if kind:
         return lambda value, field, where: (
             value if type(value) is kind else _typed(value, kind, field, where))
     name, _, args = annotation.removesuffix("]").partition("[")
-    if name not in ("Mapping", "tuple"):
-        return None
+    if name not in ("Mapping", "tuple") or not args:
+        raise TypeError(f"no field rule reads the annotation {annotation!r}")
     fixed = not args.endswith(", ...")
     parts = args.split(", ", 1) if name == "Mapping" else (
         args.split(", ") if fixed else [args.removesuffix(", ...")])
     rules = [_rule(part) for part in parts]
-    if not all(rules):
-        return None
     if name == "tuple":
         return _sequence(rules, fixed)
     key_rule, value_rule = rules
@@ -196,8 +194,7 @@ class _Record:
         hints = cls.__dict__.get("__annotations__", {})
         cls._fields, cls._field_set = tuple(hints), frozenset(hints)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
-        rules = zip(hints, map(_rule, hints.values()))
-        cls._rules = tuple((name, rule) for name, rule in rules if rule)
+        cls._rules = tuple(zip(hints, map(_rule, hints.values())))
         _KINDS[cls.__name__] = cls
 
     def __init__(self, *args, **kwargs):

@@ -16,9 +16,9 @@ from .model import ExpertTriangle, InfluenceFactor, Target, _check_levels, _Reco
 from .sampling import (
     POINT_ANALYTIC_MEAN,
     EngineOptions,
-    _draw_increase,
     analytic_mean_increase,
     empirical_quantile,
+    increase_distribution,
 )
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -80,7 +80,7 @@ def _predict(
     # included, so each quantile of the predictions is, bit for bit, the
     # prediction of that quantile of the increase.
     factors, triangles = tuple(factors), tuple(triangles)
-    samples = _draw_increase(factors, triangles, spec.levels, target, options)
+    samples = increase_distribution(factors, triangles, spec.levels, target, options)
     samples.sort()
     if options.point == POINT_ANALYTIC_MEAN:
         increase = analytic_mean_increase(factors, triangles, spec.levels, target)

@@ -119,18 +119,6 @@ class EngineOptions(_Record):
             raise ValueError(f"unknown point strategy {self.point!r}")
 
 
-class IncreaseResult(_Record):
-    """DDIF or EIF distribution for one release characterization.
-
-    ``samples`` is a read-only float64 array in draw order.
-    """
-
-    target: Target
-    samples: np.ndarray
-    analytic_mean: float
-    point: float
-
-
 # Samples per kernel block.  Each of a block's ~19 numpy calls hands the
 # interpreter lock between the ranges' threads, so fewer blocks pay.  A
 # predict_bigmc unit (10**6 samples, 2-CPU Xeon) took 0.244 s at 2**13,
@@ -410,6 +398,7 @@ def _terms(
     target: Target,
 ) -> list[tuple[str, float, list[ExpertTriangle]]]:
     """(factor id, level / 3, triangles in expert order), in factor-id order."""
+    factors = tuple(factors)
     repeated = _repeated(f.id for f in factors)
     if repeated:  # a repeated factor would count twice
         raise ValueError(f"duplicate factor ids {repeated}")
@@ -435,31 +424,9 @@ def analytic_mean_increase(
     (a+m+b)/3, averaged uniformly over the factor's experts.
     """
     total = 0.0
-    for _, weight, tris in _terms(tuple(factors), triangles, levels, target):
+    for _, weight, tris in _terms(factors, triangles, levels, target):
         total += weight * (sum(t.mean for t in tris) / len(tris))
     return total
-
-
-def _draw_increase(
-    factors: Sequence[InfluenceFactor],
-    triangles: Sequence[ExpertTriangle],
-    levels: Mapping[str, int],
-    target: Target,
-    options: EngineOptions,
-) -> np.ndarray:
-    """Fresh, writable increase samples in draw order.
-
-    Each sample is the sum over active factors of (level/3) times an
-    independent expert-mixture draw.
-    """
-    import numpy as np
-
-    samples = np.zeros(options.n_samples)
-    for fid, weight, tris in _terms(factors, triangles, levels, target):
-        if weight == 0.0:
-            continue  # own RNG stream, skipping cannot shift other factors
-        _add_mixture(samples, tris, weight, _factor_rng(options.seed, target, fid))
-    return samples
 
 
 def _nearest_rank(p: float, n: int) -> int:
@@ -484,24 +451,22 @@ def increase_distribution(
     levels: Mapping[str, int],
     target: Target,
     options: EngineOptions = EngineOptions(),
-) -> IncreaseResult:
-    """Build the DDIF or EIF distribution for one characterization.
+) -> np.ndarray:
+    """Draw the DDIF or EIF distribution for one characterization.
 
-    Each sample is the sum over active factors of (level/3) times an
-    independent expert-mixture draw.  Identical (inputs, seed, n) yield
-    bit-identical sample lists.
+    Returns a fresh, writable float64 array of ``options.n_samples``
+    samples in draw order.  Each sample is the sum over active factors of
+    (level/3) times an independent expert-mixture draw.  Identical
+    (inputs, seed, n) yield bit-identical samples.
     """
-    factors, triangles = tuple(factors), tuple(triangles)
-    samples = _draw_increase(factors, triangles, levels, target, options)
-    mean = analytic_mean_increase(factors, triangles, levels, target)
-    if options.point == POINT_ANALYTIC_MEAN:
-        point = mean
-    else:
-        point = _median_sample(samples)
-    samples.setflags(write=False)
-    return IncreaseResult(
-        target=target, samples=samples, analytic_mean=mean, point=point
-    )
+    import numpy as np
+
+    samples = np.zeros(options.n_samples)
+    for fid, weight, tris in _terms(factors, triangles, levels, target):
+        if weight == 0.0:
+            continue  # own RNG stream, skipping cannot shift other factors
+        _add_mixture(samples, tris, weight, _factor_rng(options.seed, target, fid))
+    return samples
 
 
 def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:

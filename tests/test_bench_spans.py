@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import defectcast
+from defectcast import Target, load_bundle
 from defectcast.cli import main
 
 from conftest import EXAMPLE_BUNDLE
@@ -42,3 +43,41 @@ def test_cli_load_and_render_are_traced(capsys):
         "bundle.load_bundle", "bundle.render_report",
     ]
     assert tracer.render_bytes > 0
+
+
+def _traced(argv, capsys):
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    return tracer
+
+
+def _children(spans, parent_name, child_name):
+    """The number of ``child_name`` spans directly under each ``parent_name`` span."""
+    return [sum(1 for child in spans if child[0] == child_name and child[3] == i)
+            for i, span in enumerate(spans) if span[0] == parent_name]
+
+
+def test_each_prediction_draws_inside_its_span(capsys):
+    tracer = _traced(["predict", "--bundle", str(EXAMPLE_BUNDLE), "--size", "130",
+                      "--levels", "D1=1,D2=1,D3=3,D4=1,D5=0,"
+                                  "E1=2,E2=2,E3=3,E4=2,E5=2"], capsys)
+    for name in ("predict_defect_content", "predict_effectiveness"):
+        assert _children(tracer.spans, f"prediction.{name}",
+                         "sampling.increase_distribution") == [1]
+    assert tracer.factor_draws == 6  # D5 at level 0 is not drawn
+
+
+def test_mc_median_calibration_draws_once_per_level_vector(capsys):
+    tracer = _traced(["calibrate", "--bundle", str(EXAMPLE_BUNDLE),
+                      "--point", "mc-median"], capsys)
+    bundle = load_bundle(EXAMPLE_BUNDLE)
+    vectors = {(target, tuple(r.levels[f.id] for f in bundle.resolve_active(target)))
+               for target in Target for r in bundle.included_releases()}
+    assert _children(tracer.spans, "calibration.calibrate",
+                     "sampling.increase_distribution") == [len(vectors)]
+    assert len(vectors) < 2 * len(bundle.included_releases())

@@ -169,17 +169,17 @@ class TestCalibrate:
         r = make_release(levels={"D1": 2})
         opts = EngineOptions(point="mc-median", seed=5)
         ctx = calibrate([r], [FACTOR], [], [TRI], opts)
-        from defectcast import increase_distribution
+        from defectcast import empirical_quantile, increase_distribution
 
-        expected = increase_distribution(
+        samples = increase_distribution(
             [FACTOR], [TRI], {"D1": 2}, Target.DEFECT_CONTENT, opts
-        ).point
+        )
+        expected = empirical_quantile(np.sort(samples), 0.5)
         assert ctx.per_release["R"].ddif_point == expected
 
     def test_mc_median_draws_once_per_level_vector(self, monkeypatch):
         import defectcast.calibration as calibration
-        from defectcast import increase_distribution
-        from defectcast.sampling import _draw_increase
+        from defectcast import empirical_quantile, increase_distribution
 
         bundle = make_synthetic_bundle(seed=0, n_releases=60)
         dc = list(bundle.factors_for(Target.DEFECT_CONTENT))
@@ -189,9 +189,9 @@ class TestCalibrate:
 
         def counting(*args):
             calls.append(args[3])
-            return _draw_increase(*args)
+            return increase_distribution(*args)
 
-        monkeypatch.setattr(calibration, "_draw_increase", counting)
+        monkeypatch.setattr(calibration, "increase_distribution", counting)
         ctx = calibrate(bundle.releases, dc, eff, bundle.quantifications, opts)
         for target, factors in ((Target.DEFECT_CONTENT, dc),
                                 (Target.EFFECTIVENESS, eff)):
@@ -199,9 +199,10 @@ class TestCalibrate:
                        for r in bundle.releases}
             assert calls.count(target) == len(vectors) < len(bundle.releases)
         for r in bundle.releases:
-            expected = increase_distribution(
+            samples = increase_distribution(
                 dc, bundle.quantifications, r.levels, Target.DEFECT_CONTENT, opts
-            ).point
+            )
+            expected = empirical_quantile(np.sort(samples), 0.5)
             assert ctx.per_release[r.id].ddif_point == expected
 
     def test_analytic_mean_computed_once_per_level_vector(self, monkeypatch):

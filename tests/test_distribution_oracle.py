@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectcast import EngineOptions, ExpertTriangle, Target, load_bundle
-from defectcast.sampling import _draw_increase
+from defectcast import (
+    EngineOptions, ExpertTriangle, Target, increase_distribution, load_bundle,
+)
 
 from conftest import EXAMPLE_BUNDLE, cut_into, make_factor
 
@@ -97,8 +98,8 @@ def _example(target):
 def test_example_bundle_inside_the_bracket(target):
     factors, triangles = _example(target)
     with cut_into(2):
-        samples = _draw_increase(factors, triangles, EXAMPLE_LEVELS, target,
-                                 EngineOptions(n_samples=10**6, seed=1))
+        samples = increase_distribution(factors, triangles, EXAMPLE_LEVELS, target,
+                                        EngineOptions(n_samples=10**6, seed=1))
     assert bracket_excess(samples, _terms(factors, triangles, EXAMPLE_LEVELS,
                                           target)) <= 0
 
@@ -125,8 +126,8 @@ def _average_each_factor(factors, triangles, target):
 def test_bracket_catches_a_wrong_mixture(target, mutate):
     factors, triangles = _example(target)
     wrong = mutate(factors, triangles, target)
-    samples = _draw_increase(factors, wrong, EXAMPLE_LEVELS, target,
-                             EngineOptions(n_samples=10**6, seed=1))
+    samples = increase_distribution(factors, wrong, EXAMPLE_LEVELS, target,
+                                    EngineOptions(n_samples=10**6, seed=1))
     assert bracket_excess(samples, _terms(factors, triangles, EXAMPLE_LEVELS,
                                           target)) > 0
 
@@ -159,6 +160,6 @@ def random_sums(draw):
 def test_random_sums_inside_the_bracket(case, n, seed):
     factors, triangles, levels = case
     target = Target.DEFECT_CONTENT
-    samples = _draw_increase(factors, triangles, levels, target,
-                             EngineOptions(n_samples=n, seed=seed))
+    samples = increase_distribution(factors, triangles, levels, target,
+                                    EngineOptions(n_samples=n, seed=seed))
     assert bracket_excess(samples, _terms(factors, triangles, levels, target)) <= 0

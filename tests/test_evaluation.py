@@ -33,6 +33,7 @@ from defectcast import (
     predict_effectiveness,
     wilcoxon_one_sided,
 )
+from defectcast import evaluation
 
 from conftest import (
     make_dominant_factor_bundle,
@@ -146,6 +147,13 @@ class TestAccuracyMetrics:
         # string to name the cases 'a' and 'b'.
         with pytest.raises(ValueError, match=message):
             accuracy_metrics([(1.0, 2.0), (3.0, 1.0)], ids=ids)
+
+    @pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, 1e400, -math.inf])
+    def test_pred_threshold_must_be_finite_and_positive(self, q):
+        # NaN, -1 and 1e400 used to give pred {'nan': 0.0, '-1': 0.0, 'inf': 1.0}.
+        with pytest.raises(ValueError) as exc:
+            accuracy_metrics([(1.0, 2.0)], thresholds=[0.25, q])
+        assert str(exc.value) == f"Pred threshold must be finite and > 0, got {q!r}"
 
     def test_mmre_permutation_invariant_and_pred_monotone(self):
         mres = [0.1, 0.7, 0.3, 0.05]
@@ -353,6 +361,17 @@ class TestAblation:
         assert str(exc.value) == (
             f"expected a list of factor ids, got the string {ranked!r}")
 
+    @pytest.mark.parametrize("k", [True, False, 1.0, "1", None],
+                             ids=["true", "false", "float", "string", "none"])
+    def test_k_must_be_an_int(self, example_bundle, monkeypatch, k):
+        # True used to key the report True; 1.0 and "1" ended in a bare
+        # TypeError from the slice or the range check.  Every k is checked
+        # before the first fold runs.
+        monkeypatch.setattr(evaluation, "loocv", None)
+        with pytest.raises(ValueError) as exc:
+            ablation_curve(example_bundle, Target.DEFECT_CONTENT, ["D1", "D2"], [0, k])
+        assert str(exc.value) == f"k must be an integer, got {k!r}"
+
     def test_k_out_of_range_rejected(self):
         bundle = make_synthetic_bundle(seed=0)
         with pytest.raises(ValueError):
@@ -404,10 +423,9 @@ def _predict(bundle, wrap, predict, target):
 
 
 def _increase(bundle, wrap):
-    result = increase_distribution(wrap(bundle.resolve_active(DC)),
-                                   wrap(bundle.quantifications),
-                                   bundle.releases[0].levels, DC)
-    return result.point, result.samples.tobytes()
+    return increase_distribution(wrap(bundle.resolve_active(DC)),
+                                 wrap(bundle.quantifications),
+                                 bundle.releases[0].levels, DC).tobytes()
 
 
 # Public calls on the example bundle, each given its list arguments through

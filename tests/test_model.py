@@ -18,7 +18,6 @@ from defectcast import (
     EngineOptions,
     ExpertTriangle,
     FactorRanking,
-    IncreaseResult,
     InfluenceFactor,
     MODEL_INFLUENCE_FACTOR,
     MissingFactorError,
@@ -37,7 +36,6 @@ from defectcast import (
     defect_density,
     descriptive_stats,
     effectiveness,
-    increase_distribution,
     loocv,
     predict_defect_content,
     render_report,
@@ -290,7 +288,7 @@ def test_mapping_fields_are_read_only_and_hash_by_value(record):
     assert hash(record) == hash(again)
 
 
-def test_every_record_but_increase_result_hashes(example_bundle):
+def test_every_record_hashes(example_bundle):
     bundle = example_bundle
     dc = bundle.factors_for(Target.DEFECT_CONTENT)
     eff = bundle.factors_for(Target.EFFECTIVENESS)
@@ -308,14 +306,9 @@ def test_every_record_but_increase_result_hashes(example_bundle):
         ValidationIssue("document", "json", "bad"),
         bundle._replace(active_factors={"defect_content": ["D1"]}),
     ]
-    assert {type(r) for r in records} == set(FIELD_RULES) - {IncreaseResult}
+    assert {type(r) for r in records} == set(FIELD_RULES)
     for record in records:
         assert hash(record) == hash(record._replace())
-    # An ndarray field has no hash.
-    result = increase_distribution(dc, bundle.quantifications, spec.levels,
-                                   Target.DEFECT_CONTENT)
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(result)
 
 
 def test_records_round_trip_through_pickle_and_deepcopy(example_bundle):
@@ -334,8 +327,8 @@ def test_records_round_trip_through_pickle_and_deepcopy(example_bundle):
 # _Record reads these rules from the annotation strings, so an edited
 # annotation (``Optional[float]``, or ``dict[str, int]`` for a mapping)
 # would drop a check without a word; this table would not.  It lists each
-# field that has a rule, by the annotation the rule was read from; every
-# field but IncreaseResult's ndarray has one.
+# field by the annotation its rule was read from; an annotation that no
+# rule reads fails when its class is defined.
 FIELD_RULES = {
     ReleaseRecord: {"id": "str", "size": "float", "defects_found": "float",
                     "defects_slipped": "float", "levels": "Mapping[str, int]",
@@ -351,7 +344,6 @@ FIELD_RULES = {
                  "quantiles": "Mapping[float, float]", "n_samples": "int",
                  "seed": "int"},
     EngineOptions: {"n_samples": "int", "seed": "int", "point": "str"},
-    IncreaseResult: {"target": "Target", "analytic_mean": "float", "point": "float"},
     ReleaseCalibration: {"release_id": "str", "ddif_point": "float",
                          "eif_point": "float", "dd_base": "float",
                          "eff_base": "float | None"},
@@ -391,6 +383,22 @@ def test_every_record_has_pinned_field_rules():
     assert records == set(FIELD_RULES)
 
 
+# Each used to leave its field unchecked, so any value passed.
+@pytest.mark.parametrize("annotation,named", [
+    ("np.ndarray", "np.ndarray"),
+    ("list[int]", "list[int]"),
+    ("dict[str, int]", "dict[str, int]"),
+    ("Mapping[str, np.ndarray]", "np.ndarray"),
+    ("tuple[int, set]", "set"),
+    ("tuple", "tuple"),
+    ("object | None", "object"),
+])
+def test_an_annotation_without_a_rule_fails_when_defined(annotation, named):
+    with pytest.raises(TypeError) as exc:
+        type("Unruled", (_Record,), {"__annotations__": {"x": annotation}})
+    assert str(exc.value) == f"no field rule reads the annotation {named!r}"
+
+
 # Each reproduction built a record that failed late or rendered a wrong type.
 @pytest.mark.parametrize("build,field,message", [
     (lambda: Prediction("defect_content", 1.0, {0.5: 1.0}, "ten", True),
@@ -427,7 +435,6 @@ def _valid_records():
         NewReleaseSpec: NewReleaseSpec(size=2, levels={"D1": 0}),
         Prediction: Prediction("effectiveness", 0.5, {0.5: 0.5}, 10, 0),
         EngineOptions: EngineOptions(),
-        IncreaseResult: IncreaseResult(Target.DEFECT_CONTENT, np.zeros(1), 0.0, 0.0),
         ReleaseCalibration: calibration,
         CalibratedContext: CalibratedContext({"A": calibration}, 1.0, None, ["A"]),
         DescriptiveStats: DescriptiveStats(

@@ -15,6 +15,7 @@ from defectcast import (
     NoUsableHistoryError,
     Prediction,
     Target,
+    analytic_mean_increase,
     calibrate,
     defect_content,
     effectiveness,
@@ -260,10 +261,13 @@ def reference_predict(target, base, spec, factors, triangles, options, probs):
     distribution, the model equation on its point, and a transformed,
     sorted copy of its samples for the quantiles."""
     if factors:
-        result = increase_distribution(
+        increase_samples = increase_distribution(
             factors, triangles, spec.levels, target, options
         )
-        increase_point, increase_samples = result.point, result.samples
+        increase_point = (
+            analytic_mean_increase(factors, triangles, spec.levels, target)
+            if options.point == "analytic-mean"
+            else empirical_quantile(np.sort(increase_samples), 0.5))
     else:
         increase_point, increase_samples = 0.0, np.zeros(options.n_samples)
     scale = spec.size * base if target == Target.DEFECT_CONTENT else base
@@ -385,7 +389,7 @@ class TestFloatModelEquation:
         predict = (predict_defect_content if target == Target.DEFECT_CONTENT
                    else predict_effectiveness)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prediction, "_draw_increase", lambda *a: increase.copy())
+            mp.setattr(prediction, "increase_distribution", lambda *a: increase.copy())
             mp.setattr(prediction, "analytic_mean_increase", lambda *a: mean)
             got = predict(ctx, spec, [], [], options, probs)
         value, quantiles = in_place_reference(target, size, base, increase, mean,

@@ -86,11 +86,10 @@ class TestTriangleSampling:
 def mixture_draws(triangles, n, seed=0):
     """Expert-mixture draws of one factor through the engine: at level 3
     the factor's weight is exactly 1, so the samples are the mixture."""
-    res = increase_distribution(
+    return increase_distribution(
         [make_factor("D1")], triangles, {"D1": 3}, Target.DEFECT_CONTENT,
         EngineOptions(n_samples=n, seed=seed),
     )
-    return res.samples
 
 
 class TestExpertMixture:
@@ -146,18 +145,17 @@ TRI = make_triangle("D1", 0.10, 0.15, 0.25)
 
 class TestIncreaseDistribution:
     def test_all_levels_zero_is_point_mass(self):
-        res = increase_distribution([FACTOR], [TRI], {"D1": 0},
-                                    Target.DEFECT_CONTENT)
-        assert np.all(res.samples == 0)
-        assert res.point == 0
-        assert res.analytic_mean == 0
+        samples = increase_distribution([FACTOR], [TRI], {"D1": 0},
+                                        Target.DEFECT_CONTENT)
+        assert np.all(samples == 0)
+        assert analytic_mean_increase([FACTOR], [TRI], {"D1": 0},
+                                      Target.DEFECT_CONTENT) == 0
 
     def test_level_three_reproduces_triangle(self):
-        res = increase_distribution(
+        s = increase_distribution(
             [FACTOR], [TRI], {"D1": 3}, Target.DEFECT_CONTENT,
             EngineOptions(n_samples=100_000),
         )
-        s = res.samples
         assert s.min() >= 0.10 and s.max() <= 0.25
         sigma = math.sqrt(triangle_variance(TRI))
         assert abs(s.mean() - 0.5 / 3) < 3 * sigma / math.sqrt(s.size)
@@ -174,11 +172,10 @@ class TestIncreaseDistribution:
         mean = analytic_mean_increase([FACTOR, f2], tris, levels,
                                       Target.DEFECT_CONTENT)
         assert mean == pytest.approx(expected, rel=1e-9)
-        res = increase_distribution(
+        s = increase_distribution(
             [FACTOR, f2], tris, levels, Target.DEFECT_CONTENT,
             EngineOptions(n_samples=1_000_000),
         )
-        s = res.samples
         assert abs(s.mean() - expected) < 3 * s.std() / math.sqrt(s.size)
 
     def test_missing_quantification_and_level_errors(self):
@@ -192,12 +189,13 @@ class TestIncreaseDistribution:
               EngineOptions(seed=42))
         a = increase_distribution(*kw)
         b = increase_distribution(*kw)
-        assert not a.samples.flags.writeable
-        assert np.array_equal(a.samples, b.samples)
+        # Each call returns a fresh, writable float64 array of n samples.
+        assert a.flags.writeable and a.flags.owndata and a is not b
+        assert (a.dtype, a.shape) == (np.float64, (10_000,))
+        assert np.array_equal(a, b)
         c = increase_distribution([FACTOR], [TRI], {"D1": 2},
                                   Target.DEFECT_CONTENT, EngineOptions(seed=43))
-        assert not np.array_equal(a.samples,
-                                  c.samples)
+        assert not np.array_equal(a, c)
 
     def test_factor_declaration_order_is_irrelevant(self):
         f2 = make_factor("D2")
@@ -207,7 +205,7 @@ class TestIncreaseDistribution:
                                   Target.DEFECT_CONTENT)
         b = increase_distribution([f2, FACTOR], tris, levels,
                                   Target.DEFECT_CONTENT)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("low,high", [(0, 1), (1, 2), (2, 3)])
     def test_raising_a_level_stochastically_dominates(self, low, high):
@@ -215,20 +213,22 @@ class TestIncreaseDistribution:
                                    Target.DEFECT_CONTENT)
         hi = increase_distribution([FACTOR], [TRI], {"D1": high},
                                    Target.DEFECT_CONTENT)
-        assert hi.analytic_mean >= lo.analytic_mean
-        hi_sorted, lo_sorted = np.sort(hi.samples), np.sort(lo.samples)
+        assert (analytic_mean_increase([FACTOR], [TRI], {"D1": high},
+                                       Target.DEFECT_CONTENT)
+                >= analytic_mean_increase([FACTOR], [TRI], {"D1": low},
+                                          Target.DEFECT_CONTENT))
+        hi_sorted, lo_sorted = np.sort(hi), np.sort(lo)
         assert all(
             empirical_quantile(hi_sorted, p) >= empirical_quantile(lo_sorted, p)
             for p in np.linspace(0, 1, 21)
         )
 
     def test_point_strategy_mc_median(self):
-        res = increase_distribution(
-            [FACTOR], [TRI], {"D1": 3}, Target.DEFECT_CONTENT,
-            EngineOptions(point="mc-median"),
-        )
-        ordered = np.sort(res.samples)
-        assert res.point == empirical_quantile(ordered, 0.5)
+        # The point strategy is the caller's to apply: it leaves the draws as
+        # they are.
+        args = ([FACTOR], [TRI], {"D1": 3}, Target.DEFECT_CONTENT)
+        mc = increase_distribution(*args, EngineOptions(point="mc-median"))
+        assert np.array_equal(mc, increase_distribution(*args))
 
 
 def reference_inverse_cdf(tri, u):
@@ -551,13 +551,13 @@ class TestMixtureKernel:
             monkeypatch.setattr(sampling, "_BLOCK", block)
             for workers in WORKERS:
                 with cut_into(workers):
-                    res = increase_distribution(
+                    samples = increase_distribution(
                         bundle.factors_for(target), bundle.quantifications,
                         levels, target,
                         EngineOptions(n_samples=100_000, seed=seed,
                                       point="mc-median"),
                     )
-                digest = hashlib.sha256(res.samples.tobytes()).hexdigest()
+                digest = hashlib.sha256(samples.tobytes()).hexdigest()
                 assert digest == self.PINNED[(target, seed)], (
                     f"block {block}, {workers} ranges"
                 )
