@@ -40,8 +40,7 @@ dc_dc = loocv(bundle, MODEL_DC_MEDIAN, Target.DEFECT_CONTENT)
 for r in (dc_dc, dc_dd, dc_if):
     show(r)
 
-pairs = [(dc_if.mres()[k], dc_dd.mres()[k]) for k in sorted(dc_if.mres())]
-w = wilcoxon_one_sided(pairs)
+w = wilcoxon_one_sided(dc_if.mre_pairs(dc_dd))
 print(f"  hybrid vs density baseline: one-sided p = {w.p_one_sided:.4f} "
       f"({w.method}, n = {w.n_effective})")
 
@@ -50,19 +49,17 @@ eff_if = loocv(bundle, MODEL_INFLUENCE_FACTOR, Target.EFFECTIVENESS)
 eff_med = loocv(bundle, MODEL_EFF_MEDIAN, Target.EFFECTIVENESS)
 for r in (eff_med, eff_if):
     show(r)
-w_eff = wilcoxon_one_sided(
-    [(eff_if.mres()[k], eff_med.mres()[k]) for k in sorted(eff_if.mres())]
-)
+w_eff = wilcoxon_one_sided(eff_if.mre_pairs(eff_med))
 print(f"  hybrid vs median baseline: one-sided p = {w_eff.p_one_sided:.4f}")
 
 print("\nAccuracy vs number of factors (top-k by aggregated ranking):")
 order = [rf.factor_id
          for rf in aggregate_rankings(bundle.rankings, Target.DEFECT_CONTENT)]
 curve = ablation_curve(bundle, Target.DEFECT_CONTENT, order, [0, 1, 3, 5])
-for k in sorted(curve):
-    print(f"  k={k}: MMRE={curve[k].mmre:.3f}")
+for k in sorted(curve.reports):
+    print(f"  k={k}: MMRE={curve.reports[k].mmre:.3f}")
 
 print("\nAccuracy as the history grows (start with 4 releases):")
 history = history_simulation(bundle, start_m=4)
-for j, case in enumerate(history.cases):
+for j, case in enumerate(history.accuracy.cases):
     print(f"  {4 + j} releases -> predict {case.release_id}: MRE={case.mre:.3f}")

@@ -31,8 +31,11 @@ from .errors import (
     ZeroActualError,
 )
 from .evaluation import (
+    AblationCurve,
     AccuracyCase,
     AccuracyReport,
+    Crossval,
+    HistorySimulation,
     MODEL_DC_MEDIAN,
     MODEL_DD_MEDIAN,
     MODEL_EFF_MEDIAN,
@@ -49,6 +52,7 @@ from .model import (
     FactorRanking,
     InfluenceFactor,
     RankedFactor,
+    Ranking,
     ReleaseRecord,
     Target,
     aggregate_rankings,
@@ -60,6 +64,7 @@ from .prediction import (
     DEFAULT_QUANTILES,
     NewReleaseSpec,
     Prediction,
+    Predictions,
     predict_defect_content,
     predict_defects_found,
     predict_effectiveness,

@@ -24,18 +24,20 @@ from .evaluation import (
     MODEL_DD_MEDIAN,
     MODEL_EFF_MEDIAN,
     MODEL_INFLUENCE_FACTOR,
+    AblationCurve,
+    Crossval,
     ablation_curve,
     history_simulation,
     loocv,
     wilcoxon_one_sided,
 )
 from .calibration import calibrate, descriptive_stats
-from .model import Target, aggregate_rankings, defect_content
+from .model import Ranking, Target, aggregate_rankings
 from .prediction import (
     DEFAULT_QUANTILES,
     NewReleaseSpec,
+    Predictions,
     predict_defect_content,
-    predict_defects_found,
     predict_effectiveness,
 )
 from .report import render_report
@@ -60,7 +62,6 @@ def _add_common(parser: argparse.ArgumentParser, engine: bool = True) -> None:
         parser.add_argument(
             "--exclude", default="", help="comma-separated release ids to exclude"
         )
-    parser.add_argument("--format", choices=["json", "csv", "text"], default="json")
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -209,11 +210,61 @@ def _resolve_factors(bundle, text: str | None) -> dict[Target, list]:
 def _emit(report, args) -> None:
     # stdout gets the seed line and the report together, last, so a
     # command that fails writes nothing to it.
-    text = render_report(report, args.format)
+    text = render_report(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     sys.stdout.write(f"seed: {args.seed}\n{text}")
+
+
+def _predict(bundle, args, options, active) -> Predictions:
+    spec = _load_spec(args.spec) if args.spec else NewReleaseSpec(
+        size=args.size, levels=_parse_levels(args.levels))
+    _check_known(bundle, spec.levels, "--spec" if args.spec else "--levels")
+    dc, eff = active[Target.DEFECT_CONTENT], active[Target.EFFECTIVENESS]
+    ctx = calibrate(bundle.included_releases(), dc, eff, bundle.quantifications, options)
+    shared = (bundle.quantifications, options, args.quantiles)
+    dc_pred = predict_defect_content(ctx, spec, dc, *shared)
+    try:
+        eff_pred = predict_effectiveness(ctx, spec, eff, *shared)
+    except (NoEffectivenessHistoryError, MissingLevelError) as exc:
+        print(f"warning: no effectiveness prediction: {exc}", file=sys.stderr)
+        eff_pred = None
+    return Predictions(dc_pred, eff_pred)
+
+
+def _crossval(bundle, args, options, active) -> Crossval:
+    target = _TARGETS[args.target]
+    ids = [f.id for f in active[target]]
+    model = loocv(bundle, _MODELS[args.model], target, options, ids)
+    baseline = (loocv(bundle, _MODELS[args.baseline], target, options, ids)
+                if args.baseline else None)
+    wilcoxon = (wilcoxon_one_sided(model.mre_pairs(baseline))
+                if args.test == "wilcoxon" else None)  # main() checks the baseline
+    return Crossval(model, baseline, wilcoxon)
+
+
+def _ablate(bundle, args, options, active) -> AblationCurve:
+    target = _TARGETS[args.target]
+    order = [rf.factor_id for rf in aggregate_rankings(bundle.rankings, target)]
+    return ablation_curve(bundle, target, order, args.ks, options)
+
+
+_COMMANDS = {  # each command's report record
+    "check": lambda bundle, args, options, active: descriptive_stats(bundle.releases),
+    "rank": lambda bundle, args, options, active: Ranking(
+        _TARGETS[args.target],
+        aggregate_rankings(bundle.rankings, _TARGETS[args.target])),
+    "calibrate": lambda bundle, args, options, active: calibrate(
+        bundle.included_releases(), active[Target.DEFECT_CONTENT],
+        active[Target.EFFECTIVENESS], bundle.quantifications, options),
+    "predict": _predict,
+    "crossval": _crossval,
+    "ablate": _ablate,
+    "historysim": lambda bundle, args, options, active: history_simulation(
+        bundle, args.start, _TARGETS[args.target], options,
+        [f.id for f in active[_TARGETS[args.target]]]),
+}
 
 
 def _run(args) -> None:
@@ -225,109 +276,8 @@ def _run(args) -> None:
         print(f"warning: {warning}", file=sys.stderr)
     if getattr(args, "exclude", ""):
         bundle = bundle.with_excluded([rid.strip() for rid in args.exclude.split(",")])
-    if "factors" in args:
-        active = _resolve_factors(bundle, args.factors)
-
-    target = _TARGETS[args.target] if getattr(args, "target", None) else None
-
-    if args.command == "check":
-        report = descriptive_stats(bundle.releases)
-    elif args.command == "rank":
-        ranked = aggregate_rankings(bundle.rankings, target)
-        report = {
-            "report": "ranking",
-            "target": target.value,
-            "order": [
-                {
-                    "factor_id": rf.factor_id,
-                    "mean_rank": rf.mean_rank,
-                    "median_rank": rf.median_rank,
-                }
-                for rf in ranked
-            ],
-        }
-    elif args.command == "calibrate":
-        report = calibrate(
-            bundle.included_releases(),
-            active[Target.DEFECT_CONTENT],
-            active[Target.EFFECTIVENESS],
-            bundle.quantifications,
-            options,
-        )
-    elif args.command == "predict":
-        if args.spec:
-            spec = _load_spec(args.spec)
-        else:
-            spec = NewReleaseSpec(size=args.size, levels=_parse_levels(args.levels))
-        _check_known(bundle, spec.levels, "--spec" if args.spec else "--levels")
-        dc_active = active[Target.DEFECT_CONTENT]
-        eff_active = active[Target.EFFECTIVENESS]
-        ctx = calibrate(
-            bundle.included_releases(), dc_active, eff_active,
-            bundle.quantifications, options,
-        )
-        dc_pred = predict_defect_content(
-            ctx, spec, dc_active, bundle.quantifications, options, args.quantiles
-        )
-        report = {
-            "report": "predictions",
-            "defect_content": dc_pred.to_payload(),
-            "seed": options.seed,
-        }
-        try:
-            eff_pred = predict_effectiveness(
-                ctx, spec, eff_active, bundle.quantifications, options, args.quantiles
-            )
-        except (NoEffectivenessHistoryError, MissingLevelError) as exc:
-            print(f"warning: no effectiveness prediction: {exc}", file=sys.stderr)
-        else:
-            report["effectiveness"] = eff_pred.to_payload()
-            report["expected_defects_found"] = predict_defects_found(dc_pred, eff_pred)
-    elif args.command == "crossval":
-        ids = [f.id for f in active[target]]
-        model = loocv(bundle, _MODELS[args.model], target, options, ids)
-        report = {"report": "crossval", "model": model.to_payload()}
-        if args.baseline:
-            baseline = loocv(bundle, _MODELS[args.baseline], target, options, ids)
-            report["baseline"] = baseline.to_payload()
-            if args.test == "wilcoxon":
-                model_mres = model.mres()
-                base_mres = baseline.mres()
-                pairs = [
-                    (model_mres[rid], base_mres[rid]) for rid in sorted(model_mres)
-                ]
-                report["wilcoxon"] = wilcoxon_one_sided(pairs).to_payload()
-    elif args.command == "ablate":
-        ranked = aggregate_rankings(bundle.rankings, target)
-        order = [rf.factor_id for rf in ranked]
-        curve = ablation_curve(bundle, target, order, args.ks, options)
-        report = {
-            "report": "ablation",
-            "target": target.value,
-            "ranking_order": order,
-            "mmre_by_k": {str(k): curve[k].mmre for k in sorted(curve)},
-        }
-    else:  # historysim
-        history = history_simulation(
-            bundle, args.start, target, options, [f.id for f in active[target]]
-        )
-        report = {
-            "report": "history_simulation",
-            "target": target.value,
-            "start": args.start,
-            "steps": [
-                {
-                    "history_size": args.start + j,
-                    "release": c.release_id,
-                    "predicted": c.predicted,
-                    "actual": c.actual,
-                    "mre": c.mre,
-                }
-                for j, c in enumerate(history.cases)
-            ],
-        }
-
-    _emit(report, args)
+    active = _resolve_factors(bundle, args.factors) if "factors" in args else None
+    _emit(_COMMANDS[args.command](bundle, args, options, active), args)
 
 
 def main(argv=None) -> int:

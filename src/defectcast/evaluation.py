@@ -68,12 +68,16 @@ class AccuracyReport(_Record):
     mmre: float
     pred: Mapping[float, float]
 
-    # bench/spans.py counts history_simulation's folds with len() (ROADMAP 1d).
-    def __len__(self) -> int:
-        return len(self.cases)
-
     def mres(self) -> dict[str, float]:
         return {c.release_id: c.mre for c in self.cases}
+
+    def mre_pairs(self, other: AccuracyReport) -> list[tuple[float, float]]:
+        """(this MRE, ``other``'s) of each release in release-id order, as
+        ``wilcoxon_one_sided`` takes them; other releases are a ValueError."""
+        mine, theirs = self.mres(), other.mres()
+        if diff := sorted(mine.keys() ^ theirs.keys()):
+            raise ValueError(f"the reports differ in the releases {diff}")
+        return [(mine[rid], theirs[rid]) for rid in sorted(mine)]
 
     def to_payload(self) -> dict:
         return {
@@ -259,6 +263,21 @@ class WilcoxonResult(_Record):
         }
 
 
+class Crossval(_Record):
+    """``loocv`` of a model and of a baseline, and their Wilcoxon test, or None."""
+
+    model: AccuracyReport
+    baseline: AccuracyReport | None
+    wilcoxon: WilcoxonResult | None
+
+    def to_payload(self) -> dict:
+        payload = {"report": "crossval"}
+        for name, part in zip(self._fields, self._values()):
+            if part is not None:
+                payload[name] = part.to_payload()
+        return payload
+
+
 def _exact_count_le(doubled_ranks: Sequence[int], doubled_w: int) -> int:
     # Subset-sum distribution of the negative-rank sum over all 2^n
     # equally likely sign assignments, on the doubled-rank integer grid.
@@ -333,18 +352,29 @@ def wilcoxon_one_sided(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
     )
 
 
+class AblationCurve(_Record):
+    target: Target
+    ranking_order: tuple[str, ...]
+    reports: Mapping[int, AccuracyReport]
+
+    def to_payload(self) -> dict:
+        return {"report": "ablation", "target": self.target.value,
+                "ranking_order": list(self.ranking_order),
+                "mmre_by_k": {str(k): r.mmre for k, r in sorted(self.reports.items())}}
+
+
 def ablation_curve(
     bundle: ContextBundle,
     target: Target,
     ranked_ids: Sequence[str],
     ks: Sequence[int],
     options: EngineOptions = EngineOptions(),
-) -> dict[int, AccuracyReport]:
+) -> AblationCurve:
     """Cross-validation accuracy using only the top-k ranked factors.
 
     k = 0 means no factor is active, which reduces exactly to the data-only
-    median-density (or median-effectiveness) model.  A str ranking, or a k
-    that is no int (a bool too), is a ValueError.
+    median-density (or median-effectiveness) model.  A repeated k runs once.
+    A str ranking, or a k that is no int (a bool too), is a ValueError.
     """
     ranked_ids, ks = _ids(ranked_ids, "factor"), tuple(ks)
     for k in ks:  # every k is checked before the first fold runs
@@ -352,9 +382,26 @@ def ablation_curve(
             raise ValueError(f"k must be an integer, got {k!r}")
         if not 0 <= k <= len(ranked_ids):
             raise ValueError(f"k={k} outside [0, {len(ranked_ids)}]")
-    return {k: loocv(bundle, MODEL_INFLUENCE_FACTOR, target, options,
-                     active_ids=ranked_ids[:k])
-            for k in ks}
+    return AblationCurve(target, ranked_ids, {
+        k: loocv(bundle, MODEL_INFLUENCE_FACTOR, target, options, active_ids=ranked_ids[:k])
+        for k in dict.fromkeys(ks)})
+
+
+class HistorySimulation(_Record):
+    target: Target
+    start_m: int
+    accuracy: AccuracyReport
+
+    # bench/spans.py counts history_simulation's folds with len() (ROADMAP 1d).
+    def __len__(self) -> int:
+        return len(self.accuracy.cases)
+
+    def to_payload(self) -> dict:
+        steps = [{"history_size": self.start_m + j, "release": c.release_id,
+                  "predicted": c.predicted, "actual": c.actual, "mre": c.mre}
+                 for j, c in enumerate(self.accuracy.cases)]
+        return {"report": "history_simulation", "target": self.target.value,
+                "start": self.start_m, "steps": steps}
 
 
 def history_simulation(
@@ -363,13 +410,13 @@ def history_simulation(
     target: Target = Target.DEFECT_CONTENT,
     options: EngineOptions = EngineOptions(),
     active_ids: Sequence[str] | None = None,
-) -> AccuracyReport:
+) -> HistorySimulation:
     """Simulate model building with a growing release history.
 
     Starting from the first ``start_m`` included releases (in
     chronological = input order), each next release is predicted and
-    then folded into the history, so case j was predicted from
-    ``start_m + j`` releases.  Excluded releases are skipped both as
+    then folded into the history, so case j of the accuracy was predicted
+    from ``start_m + j`` releases.  Excluded releases are skipped both as
     history and as prediction targets.
     """
     if start_m < 2:
@@ -383,4 +430,5 @@ def history_simulation(
     points, bases = _fitted(bundle, releases, target, active, options)
     sizes = [r.size for r in releases]
     folds = ((m, bases[:m]) for m in range(start_m, len(releases)))
-    return _fold_loop(releases, target, sizes, points, folds, MODEL_INFLUENCE_FACTOR)
+    return HistorySimulation(target, start_m, _fold_loop(
+        releases, target, sizes, points, folds, MODEL_INFLUENCE_FACTOR))

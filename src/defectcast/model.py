@@ -156,11 +156,13 @@ def _rule(annotation: str):
         return lambda value, field, where: (
             value if type(value) is kind else _typed(value, kind, field, where))
     name, _, args = annotation.removesuffix("]").partition("[")
-    if name not in ("Mapping", "tuple") or not args:
-        raise TypeError(f"no field rule reads the annotation {annotation!r}")
     fixed = not args.endswith(", ...")
     parts = args.split(", ", 1) if name == "Mapping" else (
         args.split(", ") if fixed else [args.removesuffix(", ...")])
+    names = parts[:1] if name == "Mapping" else parts * fixed  # K, A, B
+    if (name not in ("Mapping", "tuple") or not args or "[" in "".join(names)
+            or name == "Mapping" and len(parts) != 2):
+        raise TypeError(f"no field rule reads the annotation {annotation!r}")
     rules = [_rule(part) for part in parts]
     if name == "tuple":
         return _sequence(rules, fixed)
@@ -366,6 +368,16 @@ class RankedFactor(_Record):
     factor_id: str
     mean_rank: float
     median_rank: float
+
+
+class Ranking(_Record):
+    target: Target
+    order: tuple[RankedFactor, ...]
+
+    def to_payload(self) -> dict:
+        order = [{"factor_id": rf.factor_id, "mean_rank": rf.mean_rank,
+                  "median_rank": rf.median_rank} for rf in self.order]
+        return {"report": "ranking", "target": self.target.value, "order": order}
 
 
 def _ranking_problems(rankings: Sequence[FactorRanking], target: Target):

@@ -143,3 +143,19 @@ def predict_effectiveness(
 def predict_defects_found(dc: Prediction, eff: Prediction) -> float:
     """Expected defects found by the activity: Eff * DC."""
     return dc.point * eff.point
+
+
+class Predictions(_Record):
+    """A release's predictions; ``effectiveness`` is None where none was made."""
+
+    defect_content: Prediction
+    effectiveness: Prediction | None
+
+    def to_payload(self) -> dict:
+        dc, eff = self.defect_content, self.effectiveness
+        payload = {"report": "predictions", "defect_content": dc.to_payload(),
+                   "seed": dc.seed}
+        if eff is not None:
+            payload["effectiveness"] = eff.to_payload()
+            payload["expected_defects_found"] = predict_defects_found(dc, eff)
+        return payload

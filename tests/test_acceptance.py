@@ -185,11 +185,7 @@ def test_criterion_6_synthetic_h12():
         assert len(bundle.included_releases()) >= 8
         hybrid = loocv(bundle, MODEL_INFLUENCE_FACTOR)
         baseline = loocv(bundle, MODEL_DD_MEDIAN)
-        pairs = [
-            (hybrid.mres()[rid], baseline.mres()[rid])
-            for rid in sorted(hybrid.mres())
-        ]
-        p = wilcoxon_one_sided(pairs).p_one_sided
+        p = wilcoxon_one_sided(hybrid.mre_pairs(baseline)).p_one_sided
         if hybrid.mmre < baseline.mmre and p <= 0.05:
             successes += 1
     assert successes >= 9
@@ -206,7 +202,7 @@ def test_criterion_7_rq2_rq3():
     ]
     from defectcast import ablation_curve
 
-    k0 = ablation_curve(bundle, Target.DEFECT_CONTENT, ranked, [0])[0]
+    k0 = ablation_curve(bundle, Target.DEFECT_CONTENT, ranked, [0]).reports[0]
     baseline = loocv(bundle, MODEL_DD_MEDIAN)
     assert [c.predicted for c in k0.cases] == [c.predicted for c in baseline.cases]
     assert k0.mmre == baseline.mmre
@@ -218,7 +214,7 @@ def test_criterion_7_rq2_rq3():
                                      Target.DEFECT_CONTENT)
     ]
     curve = ablation_curve(dominant, Target.DEFECT_CONTENT, order, [0, 1])
-    assert curve[1].mmre < curve[0].mmre
+    assert curve.reports[1].mmre < curve.reports[0].mmre
 
     constant = make_synthetic_bundle(seed=0, constant=True)
     import inspect
@@ -226,8 +222,8 @@ def test_criterion_7_rq2_rq3():
     assert inspect.signature(history_simulation).parameters["start_m"].default == 4
     history = history_simulation(constant)
     # The first case is predicted from the first 4 releases.
-    assert history.cases[0].release_id == constant.included_releases()[4].id
-    assert all(c.mre == pytest.approx(0, abs=1e-12) for c in history.cases)
+    assert history.accuracy.cases[0].release_id == constant.included_releases()[4].id
+    assert all(c.mre == pytest.approx(0, abs=1e-12) for c in history.accuracy.cases)
 
 
 @criterion("8. every CLI command is byte-deterministic at a fixed seed")

@@ -1,5 +1,4 @@
 import contextlib
-import csv
 from collections import Counter
 import io
 import json
@@ -826,22 +825,12 @@ class TestWriteReport:
     def test_byte_identical_serialization(self):
         report = summarize_mres([0.1, 0.2, 0.3], ids=["A", "B", "C"],
                                 model_name="demo")
-        for fmt in ("json", "csv", "text"):
-            assert render_report(report, fmt) == render_report(report, fmt)
+        assert render_report(report) == render_report(report)
 
     def test_unknown_format_rejected(self):
         report = summarize_mres([0.1], ids=["A"], model_name="demo")
         with pytest.raises(ValueError, match="^unknown format 'xml'$"):
             render_report(report, "xml")
-
-    def test_csv_accuracy_layout(self):
-        # Every report is one key,value row per payload key, JSON values.
-        report = summarize_mres([0.1], ids=["A"], model_name="demo")
-        rows = list(csv.reader(io.StringIO(render_report(report, "csv"))))
-        payload = json.loads(render_report(report, "json"))
-        assert rows[0] == ["key", "value"]
-        assert [key for key, _ in rows[1:]] == list(report.to_payload())
-        assert {key: json.loads(value) for key, value in rows[1:]} == payload
 
     def test_json_prediction_keys(self):
         from defectcast import (
@@ -867,12 +856,11 @@ class TestWriteReport:
         payload = json.loads(render_report(report, "json"))
         assert payload["mmre"] == 0.333333
 
-    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-    def test_nan_is_never_written(self, fmt):
+    def test_nan_is_never_written(self):
         # tests/test_cli.py checks -inf end to end.
         report = {"report": "demo", "nested": {"values": [1.0, float("nan")]}}
         with pytest.raises(ValueError, match="not finite"):
-            render_report(report, fmt)
+            render_report(report)
 
 
 JSON_VALUES = st.recursive(

@@ -14,9 +14,25 @@ from hypothesis import strategies as st
 import defectcast
 
 from defectcast import (
+    MODEL_DD_MEDIAN,
+    MODEL_INFLUENCE_FACTOR,
+    Crossval,
+    EngineOptions,
+    NewReleaseSpec,
+    Predictions,
+    Ranking,
     Target,
+    ablation_curve,
+    aggregate_rankings,
     calibrate,
+    descriptive_stats,
+    history_simulation,
+    load_bundle,
+    loocv,
+    predict_defect_content,
+    predict_effectiveness,
     render_report,
+    wilcoxon_one_sided,
 )
 from defectcast.cli import main
 
@@ -31,8 +47,7 @@ def run(capsys, *argv):
 
 class TestCheck:
     def test_check_succeeds_and_warns(self, capsys):
-        code, out, err = run(capsys, "check", "--bundle", EXAMPLE_BUNDLE,
-                             "--format", "text")
+        code, out, err = run(capsys, "check", "--bundle", EXAMPLE_BUNDLE)
         assert code == 0
         assert "seed: 0" in out
         assert "outlier" in err
@@ -350,8 +365,7 @@ class TestPredict:
             "error: n_samples must be an integer in [1, 100000000], got 100000001")
         assert rss_kb < 100 * 1024
 
-    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-    def test_non_finite_report_exits_one(self, capsys, tmp_path, fmt):
+    def test_non_finite_report_exits_one(self, capsys, tmp_path):
         # A 1e160 triangle used to overflow (b - a)**2 in the kernel, and the
         # quantiles would print as -Infinity.  No triangle holds one any more:
         first = defectcast.load_bundle(EXAMPLE_BUNDLE).quantifications[0]
@@ -364,10 +378,10 @@ class TestPredict:
             release["size"] *= 1e-10
         path = tmp_path / "dense_bundle.json"
         path.write_text(json.dumps(doc))
-        report = tmp_path / f"report.{fmt}"
+        report = tmp_path / "report.json"
         code, out, err = run(capsys, "predict", "--bundle", path,
                              "--size", "1e300", "--levels", self.LEVELS,
-                             "--format", fmt, "--out", report)
+                             "--out", report)
         assert (code, out) == (1, "")
         assert err.splitlines()[-1] == "error: report value inf is not finite"
         assert not report.exists()
@@ -573,22 +587,20 @@ class TestDeterminism:
 
         for module in (defectcast.cli, defectcast.report):
             monkeypatch.setattr(module, "render_report", counted)
-        for fmt in ("json", "csv", "text"):
-            outputs = []
-            for name in ("first", "second"):
-                out_path = tmp_path / f"{name}.{fmt}"
-                renders.clear()
-                code, out, _ = run(
-                    capsys, command[0], "--bundle", EXAMPLE_BUNDLE,
-                    *command[1:], "--seed", "7", "--format", fmt,
-                    "--out", out_path,
-                )
-                assert code == 0
-                # --out gets stdout's one rendering, without the seed line.
-                assert len(renders) == 1
-                assert out_path.read_bytes() == out.removeprefix("seed: 7\n").encode()
-                outputs.append(out_path.read_bytes())
-            assert outputs[0] == outputs[1]
+        outputs = []
+        for name in ("first", "second"):
+            out_path = tmp_path / f"{name}.json"
+            renders.clear()
+            code, out, _ = run(
+                capsys, command[0], "--bundle", EXAMPLE_BUNDLE,
+                *command[1:], "--seed", "7", "--out", out_path,
+            )
+            assert code == 0
+            # --out gets stdout's one rendering, without the seed line.
+            assert len(renders) == 1
+            assert out_path.read_bytes() == out.removeprefix("seed: 7\n").encode()
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("argv", [
         ("calibrate", "--exclude", "A,B,C,D,E,F,G,H,I,J"),
@@ -607,6 +619,61 @@ class TestDeterminism:
         )
         assert (code, out) == (1, "")
         assert "seed must be >= 0" in err
+
+
+def _predictions(bundle):
+    options = EngineOptions(point="mc-median")
+    dc, eff = (bundle.resolve_active(t) for t in Target)
+    ctx = calibrate(bundle.included_releases(), dc, eff, bundle.quantifications, options)
+    levels = dict(item.split("=") for item in TestPredict.LEVELS.split(","))
+    spec = NewReleaseSpec(130, {fid: int(level) for fid, level in levels.items()})
+    return Predictions(
+        predict_defect_content(ctx, spec, dc, bundle.quantifications, options),
+        predict_effectiveness(ctx, spec, eff, bundle.quantifications, options))
+
+
+def _crossval(bundle):
+    model = loocv(bundle, MODEL_INFLUENCE_FACTOR)
+    baseline = loocv(bundle, MODEL_DD_MEDIAN)
+    return Crossval(model, baseline, wilcoxon_one_sided(model.mre_pairs(baseline)))
+
+
+def _ablation(bundle):
+    ranked = aggregate_rankings(bundle.rankings, Target.DEFECT_CONTENT)
+    order = [rf.factor_id for rf in ranked]
+    return ablation_curve(bundle, Target.DEFECT_CONTENT, order, [0, 1, 3])
+
+
+class TestReportRecords:
+    # Each of TestDeterminism.COMMANDS' reports at seed 0, built by the library.
+    LIBRARY = {
+        "check": lambda b: descriptive_stats(b.releases),
+        "rank": lambda b: Ranking(
+            Target.EFFECTIVENESS, aggregate_rankings(b.rankings, Target.EFFECTIVENESS)),
+        "calibrate": lambda b: calibrate(
+            b.included_releases(), *(b.resolve_active(t) for t in Target),
+            b.quantifications),
+        "predict": _predictions,
+        "crossval": _crossval,
+        "ablate": _ablation,
+        "historysim": lambda b: history_simulation(b, 4),
+    }
+
+    @pytest.mark.parametrize("command", TestDeterminism.COMMANDS, ids=lambda c: c[0])
+    def test_library_record_renders_the_printed_report(self, capsys, command):
+        record = self.LIBRARY[command[0]](load_bundle(EXAMPLE_BUNDLE))
+        code, out, _ = run(capsys, command[0], "--bundle", EXAMPLE_BUNDLE, *command[1:])
+        assert code == 0
+        assert out.startswith("seed: 0\n")
+        assert render_report(record) == out.removeprefix("seed: 0\n")
+
+    @pytest.mark.parametrize("command", TestDeterminism.COMMANDS, ids=lambda c: c[0])
+    def test_format_option_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--bundle", str(EXAMPLE_BUNDLE), *command[1:],
+                  "--format", "json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestGoldenReports:
@@ -633,33 +700,11 @@ class TestGoldenReports:
             "140c8f8050b8821899b8965e6c90dabf091f2018b204223b971ede4254282d69",
     }
 
-    # The csv and text writers, on the same example bundle.
-    FORMAT_GOLDEN = {
-        ("calibrate", "--format", "csv"):
-            "9c072d635b062d804ceff62448f3b2d1945115ed1e8d52b2148c6dfda7e40290",
-        ("calibrate", "--format", "text"):
-            "5d32d61f9c03d4ce30c8c1e68ef7deac9f5cbbdc3d3f1050c16f54186c8cfdf9",
-        ("crossval", "--baseline", "dd-median", "--test", "wilcoxon",
-         "--format", "csv"):
-            "d20832bc9d13de2cd47280d6c0dfd9c126c11d01826efab0d3232fafb4d0c115",
-        ("crossval", "--baseline", "dd-median", "--test", "wilcoxon",
-         "--format", "text"):
-            "12c4ce8899fc36b655c0e5b71882a3144bdeea56eb7f59e291e357c723ca2362",
-    }
-
     @pytest.mark.parametrize("command", sorted(GOLDEN), ids=lambda c: c[0])
     def test_stdout_digest(self, capsys, command):
         code, out, _ = run(capsys, *command, "--bundle", EXAMPLE_BUNDLE)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command]
-
-    @pytest.mark.parametrize(
-        "command", sorted(FORMAT_GOLDEN), ids=lambda c: f"{c[0]}-{c[-1]}"
-    )
-    def test_format_digest(self, capsys, command):
-        code, out, _ = run(capsys, *command, "--bundle", EXAMPLE_BUNDLE)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.FORMAT_GOLDEN[command]
 
 
 FACTOR_IDS = [f"{t}{i}" for t in "DE" for i in range(1, 6)]
@@ -683,7 +728,6 @@ _LEVEL = st.builds(
 )
 _COMMON = {
     "--seed": st.integers(-1, 2**64).map(str),
-    "--format": st.sampled_from(["json", "csv", "text"]),
 }
 _ENGINE = {  # every command but check and rank
     "--samples": _valid_or("2000", "1", "0", "-1"),

@@ -192,6 +192,21 @@ def test_repeated_release_id_rejected_by_every_model(model):
         loocv(bundle, model)
 
 
+class TestMrePairs:
+    def test_pairs_follow_release_id_order(self):
+        a = accuracy_metrics([(2.0, 1.0), (1.0, 2.0)], ids=["B", "A"])
+        b = accuracy_metrics([(1.0, 1.0), (3.0, 2.0)], ids=["A", "B"])
+        assert a.mre_pairs(b) == [(0.5, 0.0), (1.0, 0.5)]
+
+    def test_reports_of_other_releases_rejected(self):
+        # Pairing by the first report's ids used to end in a bare KeyError.
+        a = accuracy_metrics([(1.0, 1.0), (1.0, 2.0)], ids=["A", "B"])
+        b = accuracy_metrics([(1.0, 1.0), (1.0, 2.0)], ids=["A", "C"])
+        with pytest.raises(ValueError) as exc:
+            a.mre_pairs(b)
+        assert str(exc.value) == "the reports differ in the releases ['B', 'C']"
+
+
 class TestLoocv:
     def test_identical_releases_give_zero_error(self):
         factor = make_factor("D1")
@@ -335,11 +350,11 @@ class TestAblation:
                                      Target.DEFECT_CONTENT)]
         curve = ablation_curve(bundle, Target.DEFECT_CONTENT, ranked, [0])
         baseline = loocv(bundle, MODEL_DD_MEDIAN)
-        assert [c.predicted for c in curve[0].cases] == [
+        assert [c.predicted for c in curve.reports[0].cases] == [
             c.predicted for c in baseline.cases
         ]
-        assert curve[0].mmre == baseline.mmre
-        assert curve[0].pred == baseline.pred
+        assert curve.reports[0].mmre == baseline.mmre
+        assert curve.reports[0].pred == baseline.pred
 
     def test_dominant_factor_improves_over_no_factor(self):
         bundle = make_dominant_factor_bundle(seed=1)
@@ -348,10 +363,10 @@ class TestAblation:
                                      Target.DEFECT_CONTENT)]
         assert ranked[0] == "D1"
         curve = ablation_curve(bundle, Target.DEFECT_CONTENT, ranked, [0, 1, 2, 3])
-        assert curve[1].mmre < curve[0].mmre
+        assert curve.reports[1].mmre < curve.reports[0].mmre
         # the remaining factors are inert: accuracy stays put
-        assert curve[2].mmre == pytest.approx(curve[1].mmre, abs=1e-9)
-        assert curve[3].mmre == pytest.approx(curve[1].mmre, abs=1e-9)
+        assert curve.reports[2].mmre == pytest.approx(curve.reports[1].mmre, abs=1e-9)
+        assert curve.reports[3].mmre == pytest.approx(curve.reports[1].mmre, abs=1e-9)
 
     @pytest.mark.parametrize("ranked", ["D1", ""])
     def test_string_ranking_rejected(self, example_bundle, ranked):
@@ -372,6 +387,16 @@ class TestAblation:
             ablation_curve(example_bundle, Target.DEFECT_CONTENT, ["D1", "D2"], [0, k])
         assert str(exc.value) == f"k must be an integer, got {k!r}"
 
+    def test_each_distinct_k_runs_once(self, example_bundle, monkeypatch):
+        # Each entry of ks used to run its own leave-one-out pass.
+        runs, real = [], evaluation.loocv
+        monkeypatch.setattr(evaluation, "loocv",
+                            lambda *a, **kw: runs.append(a) or real(*a, **kw))
+        curve = ablation_curve(example_bundle, Target.DEFECT_CONTENT, ["D1", "D2"],
+                               [1, 1, 0, 1])
+        assert len(runs) == 2
+        assert list(curve.reports) == [1, 0]
+
     def test_k_out_of_range_rejected(self):
         bundle = make_synthetic_bundle(seed=0)
         with pytest.raises(ValueError):
@@ -383,21 +408,21 @@ class TestHistorySimulation:
         bundle = make_synthetic_bundle(seed=0, constant=True)
         report = history_simulation(bundle, start_m=4)
         # Case j is predicted from the first 4 + j releases.
-        assert [c.release_id for c in report.cases] == [
+        assert [c.release_id for c in report.accuracy.cases] == [
             r.id for r in bundle.releases[4:]
         ]
         assert len(report) == 6
-        assert all(c.mre == pytest.approx(0, abs=1e-12) for c in report.cases)
-        assert report.mmre == pytest.approx(0, abs=1e-12)
-        assert report.model_name == MODEL_INFLUENCE_FACTOR
+        assert all(c.mre == pytest.approx(0, abs=1e-12) for c in report.accuracy.cases)
+        assert report.accuracy.mmre == pytest.approx(0, abs=1e-12)
+        assert report.accuracy.model_name == MODEL_INFLUENCE_FACTOR
 
     def test_excluded_releases_skipped(self):
         base = make_synthetic_bundle(seed=4)
         excluded_id = base.releases[5].id
         bundle = base.with_excluded([excluded_id])
         report = history_simulation(bundle, start_m=4)
-        assert excluded_id not in [c.release_id for c in report.cases]
-        assert len(report.cases) == 5
+        assert excluded_id not in [c.release_id for c in report.accuracy.cases]
+        assert len(report.accuracy.cases) == 5
 
     def test_too_short_history_rejected(self):
         bundle = make_synthetic_bundle(seed=0, n_releases=4)
@@ -407,7 +432,7 @@ class TestHistorySimulation:
     def test_synthetic_exact_data_recovers_every_step(self):
         bundle = make_synthetic_bundle(seed=9)
         report = history_simulation(bundle, start_m=4)
-        assert all(c.mre < 1e-9 for c in report.cases)
+        assert all(c.mre < 1e-9 for c in report.accuracy.cases)
 
 
 DC, EFF = Target.DEFECT_CONTENT, Target.EFFECTIVENESS

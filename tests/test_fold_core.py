@@ -206,7 +206,8 @@ class TestAgainstPerFoldReference:
     def test_history_simulation(self, case, start_m):
         bundle, target, options, active_ids = case
         fast = outcome(
-            history_simulation, bundle, start_m, target, options, active_ids
+            lambda *a: history_simulation(*a).accuracy,
+            bundle, start_m, target, options, active_ids
         )
         ref = outcome(reference_history, bundle, start_m, target, options, active_ids)
         assert fast == ref
@@ -237,7 +238,7 @@ def rendered(kind, target, options):
         ranked = aggregate_rankings(list(bundle.rankings), target)
         order = [rf.factor_id for rf in ranked]
         curve = ablation_curve(bundle, target, order, [0, 1, 2, 3], options)
-        return "".join(render_report(curve[k]) for k in sorted(curve))
+        return "".join(render_report(curve.reports[k]) for k in sorted(curve.reports))
     if kind == "history":
         # The dict the digests were recorded from: one step per case, the
         # j-th predicted from 4 + j releases.
@@ -250,7 +251,7 @@ def rendered(kind, target, options):
                 "actual": c.actual,
                 "mre": c.mre,
             }
-            for j, c in enumerate(history.cases)
+            for j, c in enumerate(history.accuracy.cases)
         ]})
     model = MODEL_INFLUENCE_FACTOR if kind == "loocv" else kind
     return render_report(loocv(bundle, model, target, options))

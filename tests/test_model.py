@@ -10,32 +10,39 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from defectcast import (
+    AblationCurve,
     AccuracyCase,
     AccuracyReport,
     CalibratedContext,
     ContextBundle,
+    Crossval,
     DescriptiveStats,
     EngineOptions,
     ExpertTriangle,
     FactorRanking,
+    HistorySimulation,
     InfluenceFactor,
     MODEL_INFLUENCE_FACTOR,
     MissingFactorError,
     NewReleaseSpec,
     Prediction,
+    Predictions,
     RankedFactor,
+    Ranking,
     ReleaseCalibration,
     ReleaseRecord,
     Target,
     UndefinedEffectivenessError,
     ValidationIssue,
     WilcoxonResult,
+    ablation_curve,
     aggregate_rankings,
     calibrate,
     defect_content,
     defect_density,
     descriptive_stats,
     effectiveness,
+    history_simulation,
     loocv,
     predict_defect_content,
     render_report,
@@ -261,6 +268,10 @@ def _mapping_records():
         ContextBundle: st.builds(
             lambda act: ContextBundle(**two_targets, active_factors=act), active),
         AccuracyReport: st.builds(lambda q: AccuracyReport("m", [], 0.0, q), quantiles),
+        AblationCurve: st.builds(
+            lambda ks: AblationCurve("defect_content", ["D1"], {
+                k: AccuracyReport("m", [], 0.0, {}) for k in ks}),
+            st.lists(st.integers(0, 5), max_size=4)),
     }
 
 
@@ -295,16 +306,20 @@ def test_every_record_hashes(example_bundle):
     ctx = calibrate(bundle.releases, dc, eff, bundle.quantifications)
     spec = NewReleaseSpec(size=100, levels=bundle.releases[0].levels)
     report = loocv(bundle, MODEL_INFLUENCE_FACTOR)
+    prediction = predict_defect_content(ctx, spec, dc, bundle.quantifications)
+    ranking = aggregate_rankings(bundle.rankings, Target.EFFECTIVENESS)
     records = [
         bundle, bundle.releases[0], bundle.factors[0], bundle.quantifications[0],
         bundle.rankings[0], ctx, next(iter(ctx.per_release.values())), spec,
-        predict_defect_content(ctx, spec, dc, bundle.quantifications),
-        report, report.cases[0], EngineOptions(),
-        descriptive_stats(bundle.releases),
-        aggregate_rankings(bundle.rankings, Target.EFFECTIVENESS)[0],
+        prediction, report, report.cases[0], EngineOptions(),
+        descriptive_stats(bundle.releases), ranking[0],
         wilcoxon_one_sided([(1.0, 2.0), (3.0, 1.0)]),
         ValidationIssue("document", "json", "bad"),
         bundle._replace(active_factors={"defect_content": ["D1"]}),
+        Ranking(Target.EFFECTIVENESS, ranking), Predictions(prediction, None),
+        Crossval(report, None, None),
+        ablation_curve(bundle, Target.DEFECT_CONTENT, ["D1"], [0, 1]),
+        history_simulation(bundle),
     ]
     assert {type(r) for r in records} == set(FIELD_RULES)
     for record in records:
@@ -364,6 +379,14 @@ FIELD_RULES = {
                      "mmre": "float", "pred": "Mapping[float, float]"},
     WilcoxonResult: {"w_plus": "float", "w_minus": "float", "n_effective": "int",
                      "p_one_sided": "float", "method": "str"},
+    Ranking: {"target": "Target", "order": "tuple[RankedFactor, ...]"},
+    Predictions: {"defect_content": "Prediction", "effectiveness": "Prediction | None"},
+    Crossval: {"model": "AccuracyReport", "baseline": "AccuracyReport | None",
+               "wilcoxon": "WilcoxonResult | None"},
+    AblationCurve: {"target": "Target", "ranking_order": "tuple[str, ...]",
+                    "reports": "Mapping[int, AccuracyReport]"},
+    HistorySimulation: {"target": "Target", "start_m": "int",
+                        "accuracy": "AccuracyReport"},
 }
 
 
@@ -392,6 +415,9 @@ def test_every_record_has_pinned_field_rules():
     ("tuple[int, set]", "set"),
     ("tuple", "tuple"),
     ("object | None", "object"),
+    # Each used to fail on a fragment: an unpacking ValueError, or 'str]'.
+    ("Mapping[str]", "Mapping[str]"),
+    ("tuple[tuple[str, str], int]", "tuple[tuple[str, str], int]"),
 ])
 def test_an_annotation_without_a_rule_fails_when_defined(annotation, named):
     with pytest.raises(TypeError) as exc:
@@ -426,6 +452,7 @@ def _valid_records():
     """One valid record of each class, each mapping and tuple non-empty."""
     case = AccuracyCase("A", 1.0, 1.0, 0.0, 0.0)
     calibration = ReleaseCalibration("A", 0.0, 0.0, 1.0, None)
+    report = AccuracyReport("m", [case], 0.0, {0.25: 1.0})
     return {
         ReleaseRecord: make_release(levels={"D1": 1}),
         ExpertTriangle: make_triangle(),
@@ -447,8 +474,11 @@ def _valid_records():
             releases=[make_release(levels={"D1": 1})],
             active_factors={"defect_content": ["D1"]}),
         AccuracyCase: case,
-        AccuracyReport: AccuracyReport("m", [case], 0.0, {0.25: 1.0}),
+        AccuracyReport: report,
         WilcoxonResult: WilcoxonResult(1.0, 2.0, 2, 0.3, "exact_enumeration"),
+        Ranking: Ranking(Target.DEFECT_CONTENT, [RankedFactor("D1", 1.0, 1.0)]),
+        AblationCurve: AblationCurve(Target.DEFECT_CONTENT, ["D1"], {1: report}),
+        HistorySimulation: HistorySimulation(Target.DEFECT_CONTENT, 4, report),
     }
 
 
