@@ -26,14 +26,7 @@ from .model import (
     defect_density,
     effectiveness,
 )
-from .sampling import (
-    EngineOptions,
-    POINT_ANALYTIC_MEAN,
-    _median_sample,
-    analytic_mean_increase,
-    empirical_quantile,
-    increase_distribution,
-)
+from .sampling import EngineOptions, _increase_summary, empirical_quantile
 
 
 class ReleaseCalibration(_Record):
@@ -116,10 +109,7 @@ def calibrate(
             return 0.0
         key = (target, tuple(levels.get(f.id) for f in factors))
         if key not in points:
-            points[key] = (
-                analytic_mean_increase(factors, triangles, levels, target)
-                if options.point == POINT_ANALYTIC_MEAN else _median_sample(
-                    increase_distribution(factors, triangles, levels, target, options)))
+            points[key] = _increase_summary(factors, triangles, levels, target, options)[0]
         return points[key]
 
     per_release: dict[str, ReleaseCalibration] = {}

@@ -417,8 +417,11 @@ def history_simulation(
     chronological = input order), each next release is predicted and
     then folded into the history, so case j of the accuracy was predicted
     from ``start_m + j`` releases.  Excluded releases are skipped both as
-    history and as prediction targets.
+    history and as prediction targets.  A ``start_m`` that is no int
+    (a bool too) is a ValueError.
     """
+    if type(start_m) is not int:
+        raise ValueError(f"start_m must be an integer, got {start_m!r}")
     if start_m < 2:
         raise ValueError("start_m must be >= 2")
     releases = _usable(bundle, target)

@@ -13,13 +13,7 @@ from typing import Mapping, Sequence
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
 from .model import ExpertTriangle, InfluenceFactor, Target, _check_levels, _Record
-from .sampling import (
-    POINT_ANALYTIC_MEAN,
-    EngineOptions,
-    analytic_mean_increase,
-    empirical_quantile,
-    increase_distribution,
-)
+from .sampling import EngineOptions, _increase_summary
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -79,20 +73,13 @@ def _predict(
     # The model equation is nondecreasing in the increase, rounding
     # included, so each quantile of the predictions is, bit for bit, the
     # prediction of that quantile of the increase.
-    factors, triangles = tuple(factors), tuple(triangles)
-    samples = increase_distribution(factors, triangles, spec.levels, target, options)
-    samples.sort()
-    if options.point == POINT_ANALYTIC_MEAN:
-        increase = analytic_mean_increase(factors, triangles, spec.levels, target)
-    else:
-        increase = empirical_quantile(samples, 0.5)
+    point, quantiles = _increase_summary(factors, triangles, spec.levels, target,
+                                         options, probs)
     return Prediction(
         target=target,
-        point=_model_equation(target, spec.size, base, increase),
-        quantiles={
-            p: _model_equation(target, spec.size, base, empirical_quantile(samples, p))
-            for p in probs
-        },
+        point=_model_equation(target, spec.size, base, point),
+        quantiles={p: _model_equation(target, spec.size, base, q)
+                   for p, q in quantiles.items()},
         n_samples=options.n_samples,
         seed=options.seed,
     )

@@ -71,9 +71,11 @@ the range's first sample.  Each element is still summed over the
 factors in the same order, so every sample keeps its bits, whatever the
 block size and the number of ranges.
 
-numpy is imported inside the functions that draw or hold samples, so
-the analytic-mean path, and every command built on it alone, starts
-without loading numpy.
+``_increase_summary`` is the one point function, and the only reader of
+``options.point``: calibration reads each point through it, and a
+prediction its point and quantiles.  numpy is imported inside the
+functions that draw or hold samples, so the analytic-mean path, and
+every command built on it alone, starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from numbers import Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
@@ -434,17 +437,6 @@ def _nearest_rank(p: float, n: int) -> int:
     return max(math.ceil(p * n) - 1, 0)
 
 
-def _median_sample(samples: np.ndarray) -> float:
-    """The nearest-rank median of ``empirical_quantile``, by selection.
-
-    ``samples`` need not be sorted and is left as it is.
-    """
-    import numpy as np
-
-    k = _nearest_rank(0.5, samples.size)
-    return float(np.partition(samples, k)[k])
-
-
 def increase_distribution(
     factors: Sequence[InfluenceFactor],
     triangles: Sequence[ExpertTriangle],
@@ -469,11 +461,37 @@ def increase_distribution(
     return samples
 
 
+def _check_p(p) -> None:
+    if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:  # NaN too
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
+
+
 def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
     """Nearest-rank ``p``-quantile, ``p`` in [0, 1], of ascending-sorted samples."""
-    if not 0 <= p <= 1:  # NaN too
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
+    _check_p(p)
     n = len(sorted_samples)
     if n == 0:
         raise EmptyDistributionError("no samples")
     return float(sorted_samples[_nearest_rank(p, n)])
+
+
+def _increase_summary(factors, triangles, levels: Mapping[str, int], target: Target,
+                      options: EngineOptions, probs=()) -> tuple[float, dict]:
+    """One characterization's increase point and its ``probs`` quantiles,
+    each ``p`` checked before the draw.  Without ``probs`` an mc-median is
+    selected in place; with them the draw is sorted once, in place, and
+    each value read from it: a selection would reorder a sorted array."""
+    factors, triangles, probs = tuple(factors), tuple(triangles), tuple(probs)
+    for p in probs:
+        _check_p(p)
+    if options.point == POINT_ANALYTIC_MEAN and not probs:  # no draw
+        return analytic_mean_increase(factors, triangles, levels, target), {}
+    samples = increase_distribution(factors, triangles, levels, target, options)
+    if not probs:
+        k = _nearest_rank(0.5, samples.size)
+        samples.partition(k)
+        return float(samples[k]), {}
+    samples.sort()
+    point = (empirical_quantile(samples, 0.5) if options.point == POINT_MC_MEDIAN
+             else analytic_mean_increase(factors, triangles, levels, target))
+    return point, {p: empirical_quantile(samples, p) for p in probs}

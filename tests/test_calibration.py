@@ -178,7 +178,7 @@ class TestCalibrate:
         assert ctx.per_release["R"].ddif_point == expected
 
     def test_mc_median_draws_once_per_level_vector(self, monkeypatch):
-        import defectcast.calibration as calibration
+        import defectcast.sampling as sampling
         from defectcast import empirical_quantile, increase_distribution
 
         bundle = make_synthetic_bundle(seed=0, n_releases=60)
@@ -191,7 +191,7 @@ class TestCalibrate:
             calls.append(args[3])
             return increase_distribution(*args)
 
-        monkeypatch.setattr(calibration, "increase_distribution", counting)
+        monkeypatch.setattr(sampling, "increase_distribution", counting)
         ctx = calibrate(bundle.releases, dc, eff, bundle.quantifications, opts)
         for target, factors in ((Target.DEFECT_CONTENT, dc),
                                 (Target.EFFECTIVENESS, eff)):
@@ -206,7 +206,7 @@ class TestCalibrate:
             assert ctx.per_release[r.id].ddif_point == expected
 
     def test_analytic_mean_computed_once_per_level_vector(self, monkeypatch):
-        import defectcast.calibration as calibration
+        import defectcast.sampling as sampling
         from defectcast import analytic_mean_increase
 
         bundle = make_synthetic_bundle(seed=0, n_releases=60)
@@ -218,7 +218,7 @@ class TestCalibrate:
             calls.append(args[3])
             return analytic_mean_increase(*args)
 
-        monkeypatch.setattr(calibration, "analytic_mean_increase", counting)
+        monkeypatch.setattr(sampling, "analytic_mean_increase", counting)
         calibrate(bundle.releases, dc, eff, bundle.quantifications)
         for target, factors in ((Target.DEFECT_CONTENT, dc),
                                 (Target.EFFECTIVENESS, eff)):

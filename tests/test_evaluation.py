@@ -434,6 +434,17 @@ class TestHistorySimulation:
         report = history_simulation(bundle, start_m=4)
         assert all(c.mre < 1e-9 for c in report.accuracy.cases)
 
+    @pytest.mark.parametrize("start_m", [True, 4.0, "4", None],
+                             ids=["true", "float", "string", "none"])
+    def test_start_m_must_be_an_int(self, example_bundle, monkeypatch, start_m):
+        # 4.0 and "4" used to end in a bare TypeError from the fold loop or
+        # the range check.  start_m is checked before any fold work runs.
+        monkeypatch.setattr(evaluation, "_fitted", None)
+        monkeypatch.setattr(evaluation, "_fold_loop", None)
+        with pytest.raises(ValueError) as exc:
+            history_simulation(example_bundle, start_m)
+        assert str(exc.value) == f"start_m must be an integer, got {start_m!r}"
+
 
 DC, EFF = Target.DEFECT_CONTENT, Target.EFFECTIVENESS
 

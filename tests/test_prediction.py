@@ -27,7 +27,7 @@ from defectcast import (
     predict_effectiveness,
 )
 
-from defectcast import prediction
+from defectcast import sampling
 from defectcast.sampling import _BLOCK
 
 from conftest import EXAMPLE_BUNDLE, cut_into, make_factor, make_release, make_triangle
@@ -389,8 +389,8 @@ class TestFloatModelEquation:
         predict = (predict_defect_content if target == Target.DEFECT_CONTENT
                    else predict_effectiveness)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prediction, "increase_distribution", lambda *a: increase.copy())
-            mp.setattr(prediction, "analytic_mean_increase", lambda *a: mean)
+            mp.setattr(sampling, "increase_distribution", lambda *a: increase.copy())
+            mp.setattr(sampling, "analytic_mean_increase", lambda *a: mean)
             got = predict(ctx, spec, [], [], options, probs)
         value, quantiles = in_place_reference(target, size, base, increase, mean,
                                               point, probs)
@@ -418,6 +418,25 @@ class TestMemory:
             try:
                 predict_defect_content(ctx, spec, factors,
                                        bundle.quantifications, options)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * n + n + ranges * 32 * _BLOCK
+
+    def test_one_sample_array_per_calibrated_median(self):
+        # Calibration's mc-median point is selected in the draw itself; a
+        # selection in a copy of the draw held a second 8 bytes per sample.
+        n, ranges = 10**6, 2
+        bundle = load_bundle(EXAMPLE_BUNDLE)
+        factors = bundle.factors_for(Target.DEFECT_CONTENT)
+        release = make_release(levels={f.id: 3 for f in factors})
+        options = EngineOptions(n_samples=n, point="mc-median")
+        with cut_into(ranges):
+            calibrate([release], factors, [], bundle.quantifications,
+                      options)  # warm-up: imports
+            tracemalloc.start()
+            try:
+                calibrate([release], factors, [], bundle.quantifications, options)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -596,9 +596,11 @@ class TestQuantiles:
         ordered = np.arange(1, 101, dtype=float)
         assert [empirical_quantile(ordered, p) for p in (0.0, 1.0)] == [1, 100]
 
-    @pytest.mark.parametrize("p", [1.5, -2.0, math.nan, math.inf, 1 + 2**-52])
+    @pytest.mark.parametrize("p", [1.5, -2.0, math.nan, math.inf, 1 + 2**-52,
+                                   True, "0.5", None])
     def test_p_outside_the_unit_interval_rejected(self, p):
-        # 1.5 used to give the maximum sample and -2 the minimum.
+        # 1.5 used to give the maximum sample and -2 the minimum; True gave
+        # the maximum too, and "0.5" and None a bare TypeError.
         with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
             empirical_quantile(np.arange(1, 101, dtype=float), p)
 
@@ -619,17 +621,60 @@ class TestQuantiles:
         out = [empirical_quantile(ordered, p) for p in sorted(probs)]
         assert out == sorted(out)
 
+    @pytest.mark.parametrize("p", [np.float64(0.25), np.float32(0.5), np.int64(1)],
+                             ids=["float64", "float32", "int64"])
+    def test_numpy_real_p_accepted(self, p):
+        ordered = np.arange(1, 101, dtype=float)
+        assert empirical_quantile(ordered, p) == empirical_quantile(ordered, float(p))
+
+
+class TestIncreaseSummary:
+    """``sampling._increase_summary``: the one point of a characterization."""
+
+    ARGS = ([], [], {}, Target.DEFECT_CONTENT)
+
     # Few distinct values, so the median sits inside long runs of ties.
     # "+ 0.0" turns -0.0, which ties with 0.0 but has other bits, into
     # 0.0; the engine's samples are never -0.0.
-    @given(values=st.lists(
-        st.sampled_from([0.0, 0.25, 1.0, 3.5]) | st.floats(-1e6, 1e6).map(
-            lambda x: x + 0.0),
-        min_size=1, max_size=300,
-    ))
-    def test_median_sample_is_the_sorted_nearest_rank_median(self, values):
-        samples = np.array(values)
-        before = samples.copy()
-        median = sampling._median_sample(samples)
-        assert median.hex() == empirical_quantile(np.sort(samples), 0.5).hex()
-        assert np.array_equal(samples, before)
+    @settings(deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, 0.25, 1.0, 3.5]) | st.floats(-1e6, 1e6).map(
+                lambda x: x + 0.0),
+            min_size=1, max_size=300,
+        ),
+        point=st.sampled_from(["analytic-mean", "mc-median"]),
+        probs=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+                       max_size=7),
+    )
+    def test_values_are_the_sorted_nearest_rank_quantiles(self, values, point, probs):
+        ordered = np.sort(np.array(values))
+        options = EngineOptions(n_samples=len(values), point=point)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "increase_distribution", lambda *a: np.array(values))
+            mp.setattr(sampling, "analytic_mean_increase", lambda *a: -0.5)
+            got, quantiles = sampling._increase_summary(*self.ARGS, options, probs)
+        expected = -0.5 if point == "analytic-mean" else empirical_quantile(ordered, 0.5)
+        assert got.hex() == expected.hex()
+        assert {p: q.hex() for p, q in quantiles.items()} == {
+            p: empirical_quantile(ordered, p).hex() for p in probs}
+
+    @pytest.mark.parametrize("point, probs, draws", [
+        ("analytic-mean", (), 0), ("analytic-mean", (0.5,), 1),
+        ("mc-median", (), 1), ("mc-median", (0.5,), 1),
+    ])
+    def test_draws_only_what_it_reads(self, monkeypatch, point, probs, draws):
+        calls = []
+        real = sampling.increase_distribution
+        monkeypatch.setattr(sampling, "increase_distribution",
+                            lambda *a: calls.append(a) or real(*a))
+        sampling._increase_summary([FACTOR], [TRI], {"D1": 2}, Target.DEFECT_CONTENT,
+                                   EngineOptions(n_samples=100, point=point), probs)
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize("p", [1.5, math.nan, True, "0.5", None])
+    def test_every_p_is_checked_before_the_draw(self, monkeypatch, p):
+        # A bad p used to be found only after the whole draw.
+        monkeypatch.setattr(sampling, "increase_distribution", None)
+        with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
+            sampling._increase_summary(*self.ARGS, EngineOptions(), iter([0.5, p]))
