@@ -136,6 +136,8 @@ class ContextBundle(_Record):
                                for rid, measure, reason in flagged])
 
     def factors_for(self, target: Target) -> list[InfluenceFactor]:
+        """The factors of ``target``, a Target or its value."""
+        target = _typed(target, Target, "target")
         return [f for f in self.factors if f.target == target]
 
     def included_releases(self) -> list[ReleaseRecord]:
@@ -150,9 +152,11 @@ class ContextBundle(_Record):
         entry, then (for effectiveness) the two top-ranked factors when
         rankings exist, then all factors of the target.  The top-2
         effectiveness default exists because extra effectiveness factors
-        did not improve accuracy in practice.  A str override, or one
-        that names no factor of the target or repeats one, is a ``ValueError``.
+        did not improve accuracy in practice.  ``target`` is a Target or
+        its value.  A str override, or one that names no factor of the
+        target or repeats one, is a ``ValueError``.
         """
+        target = _typed(target, Target, "target")
         by_id = {f.id: f for f in self.factors_for(target)}
         if override_ids is not None:
             override_ids = _ids(override_ids, "factor")

@@ -24,8 +24,10 @@ from .model import (
     _ids,
     _mean,
     _median,
+    _real,
     _Record,
     _repeated,
+    _typed,
     defect_content,
     effectiveness,
 )
@@ -45,6 +47,8 @@ _BASELINE_TARGETS = {
     MODEL_DD_MEDIAN: Target.DEFECT_CONTENT,
     MODEL_EFF_MEDIAN: Target.EFFECTIVENESS,
 }
+# A tuple, so an unhashable model is compared, never hashed.
+_MODELS = (MODEL_INFLUENCE_FACTOR, *_BASELINE_TARGETS)
 
 # Mid-rank grouping of |differences| rounds to 12 decimals so that values
 # equal up to float noise (e.g. 0.30 - 0.20 vs 0.10) tie properly.
@@ -109,15 +113,18 @@ def accuracy_metrics(
     RE = (predicted - actual) / actual, MRE = |RE|, MMRE is the mean
     MRE, and Pred(q) counts MREs at or below q (boundary inclusive,
     with a relative float guard so an MRE of exactly q counts).  Each q
-    must be finite and > 0.  ``ids`` name the cases, one distinct id each;
+    is a real number, no bool, read as a float, and must be finite and
+    > 0.  ``ids`` name the cases, one distinct id each;
     a str is a ValueError.
     """
-    cases, thresholds = tuple(cases), tuple(thresholds)
+    cases = tuple(cases)
     if not cases:
         raise ValueError("no cases")
+    floats = []
     for q in thresholds:
-        if not (math.isfinite(q) and q > 0):  # NaN too
+        if not (math.isfinite(x := _real(q)) and x > 0):  # NaN too
             raise ValueError(f"Pred threshold must be finite and > 0, got {q!r}")
+        floats.append(x)
     if ids is None:
         ids = [str(i) for i in range(len(cases))]
     ids = _ids(ids, "case")
@@ -143,7 +150,7 @@ def accuracy_metrics(
     mres = [c.mre for c in out]
     pred = {
         q: sum(m <= q * (1 + 1e-9) + 1e-12 for m in mres) / len(out)
-        for q in thresholds
+        for q in floats
     }
     return AccuracyReport(
         model_name=model_name,
@@ -220,8 +227,11 @@ def loocv(
     fold loop: ``dd_median`` and ``eff_median`` are the influence-factor
     model with no active factor, and ``dc_median`` takes each release's
     defect content as its base value and predicts at unit size.
+
+    ``target`` is a Target or its value, read before the model is checked.
     """
-    if model != MODEL_INFLUENCE_FACTOR and model not in _BASELINE_TARGETS:
+    target = _typed(target, Target, "target")
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     if _BASELINE_TARGETS.get(model, target) != target:
         raise ValueError(f"baseline {model!r} does not predict {target.value}")
@@ -374,8 +384,10 @@ def ablation_curve(
 
     k = 0 means no factor is active, which reduces exactly to the data-only
     median-density (or median-effectiveness) model.  A repeated k runs once.
-    A str ranking, or a k that is no int (a bool too), is a ValueError.
+    A str ranking, or a k that is no int (a bool too), is a ValueError;
+    ``target`` is a Target or its value.
     """
+    target = _typed(target, Target, "target")
     ranked_ids, ks = _ids(ranked_ids, "factor"), tuple(ks)
     for k in ks:  # every k is checked before the first fold runs
         if type(k) is not int:  # a bool would key the report True
@@ -418,8 +430,9 @@ def history_simulation(
     then folded into the history, so case j of the accuracy was predicted
     from ``start_m + j`` releases.  Excluded releases are skipped both as
     history and as prediction targets.  A ``start_m`` that is no int
-    (a bool too) is a ValueError.
+    (a bool too) is a ValueError; ``target`` is a Target or its value.
     """
+    target = _typed(target, Target, "target")
     if type(start_m) is not int:
         raise ValueError(f"start_m must be an integer, got {start_m!r}")
     if start_m < 2:

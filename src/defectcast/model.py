@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
+from numbers import Real
 from typing import Mapping, Sequence
 
 from .errors import MissingFactorError, UndefinedEffectivenessError
@@ -27,6 +28,17 @@ def _check_levels(levels: Mapping[str, int], context: str = "") -> None:
         if not 0 <= lvl <= 3:
             raise ValueError(f"{context}level for factor {fid!r} must be an "
                              f"integer in [0, 3], got {lvl!r}")
+
+
+def _real(value) -> float:
+    """``value`` as a float where it is a real number and no bool, else NaN,
+    which fails every range check; past the float range it is an infinity."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _repeated(values) -> list:
@@ -183,6 +195,17 @@ def _sequence(rules: list, fixed: bool):
         return tuple(rule(v, field, (where, "{}[{!r}]", i))
                      for i, (rule, v) in enumerate(zip(each, value)))
     return check
+
+
+_LEVELS = _rule("Mapping[str, int]")
+
+
+def _levels(value) -> Mapping[str, int]:
+    """A ``levels`` argument read as ``ReleaseRecord.levels`` reads it:
+    string keys and integer levels, each in [0, 3]."""
+    levels = _LEVELS(value, "levels", "levels")
+    _check_levels(levels)
+    return levels
 
 
 class _Record:
@@ -415,7 +438,9 @@ def aggregate_rankings(
     invariant under permutation of the input rankings.  The rules are
     ``_ranking_problems``' (one ranking per expert, one factor set, ranks
     in [1, k]); this raises the first problem, where a bundle lists them all.
+    ``target`` is a Target or its value, as a record's field reads it.
     """
+    target = _typed(target, Target, "target")
     relevant = [r for r in rankings if r.target == target]
     for problem in _ranking_problems(relevant, target):
         raise problem

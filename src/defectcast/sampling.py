@@ -83,7 +83,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from numbers import Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
@@ -91,7 +90,16 @@ from .errors import (
     MissingLevelError,
     MissingQuantificationError,
 )
-from .model import ExpertTriangle, InfluenceFactor, Target, _Record, _repeated
+from .model import (
+    ExpertTriangle,
+    InfluenceFactor,
+    Target,
+    _levels,
+    _real,
+    _Record,
+    _repeated,
+    _typed,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,8 +108,9 @@ POINT_ANALYTIC_MEAN = "analytic-mean"
 POINT_MC_MEDIAN = "mc-median"
 
 
-# The most samples one draw takes: a draw holds about 17 bytes a sample, so
-# 10**8 needs about 1.7 GB.  A constant, so one input fails alike on every host.
+# The most samples one draw takes: a draw holds about 9 bytes a sample, its
+# float64 samples and one-byte expert indices, so 10**8 needs about 0.9 GB.
+# A constant, so one input fails alike on every host.
 MAX_SAMPLES = 10**8
 
 
@@ -424,8 +433,10 @@ def analytic_mean_increase(
     """Deterministic companion of the Monte Carlo path.
 
     Sum over active factors of (level/3) times the mean triangle mean
-    (a+m+b)/3, averaged uniformly over the factor's experts.
+    (a+m+b)/3, averaged uniformly over the factor's experts.  ``target``
+    and ``levels`` are read as a record's fields, before any other check.
     """
+    target, levels = _typed(target, Target, "target"), _levels(levels)
     total = 0.0
     for _, weight, tris in _terms(factors, triangles, levels, target):
         total += weight * (sum(t.mean for t in tris) / len(tris))
@@ -449,10 +460,12 @@ def increase_distribution(
     Returns a fresh, writable float64 array of ``options.n_samples``
     samples in draw order.  Each sample is the sum over active factors of
     (level/3) times an independent expert-mixture draw.  Identical
-    (inputs, seed, n) yield bit-identical samples.
+    (inputs, seed, n) yield bit-identical samples.  ``target`` and
+    ``levels`` are read as a record's fields, before any other check.
     """
     import numpy as np
 
+    target, levels = _typed(target, Target, "target"), _levels(levels)
     samples = np.zeros(options.n_samples)
     for fid, weight, tris in _terms(factors, triangles, levels, target):
         if weight == 0.0:
@@ -461,14 +474,17 @@ def increase_distribution(
     return samples
 
 
-def _check_p(p) -> None:
-    if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:  # NaN too
+def _check_p(p) -> float:
+    """``p`` as a float, where it is a real number in [0, 1] and no bool."""
+    x = _real(p)
+    if not 0 <= x <= 1:  # NaN too
         raise ValueError(f"p must be in [0, 1], got {p!r}")
+    return x
 
 
 def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
     """Nearest-rank ``p``-quantile, ``p`` in [0, 1], of ascending-sorted samples."""
-    _check_p(p)
+    p = _check_p(p)
     n = len(sorted_samples)
     if n == 0:
         raise EmptyDistributionError("no samples")
@@ -478,12 +494,12 @@ def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
 def _increase_summary(factors, triangles, levels: Mapping[str, int], target: Target,
                       options: EngineOptions, probs=()) -> tuple[float, dict]:
     """One characterization's increase point and its ``probs`` quantiles,
-    each ``p`` checked before the draw.  Without ``probs`` an mc-median is
-    selected in place; with them the draw is sorted once, in place, and
-    each value read from it: a selection would reorder a sorted array."""
-    factors, triangles, probs = tuple(factors), tuple(triangles), tuple(probs)
-    for p in probs:
-        _check_p(p)
+    each ``p`` read as a float before the draw.  Without ``probs`` an
+    mc-median is selected in place; with them the draw is sorted once, in
+    place, and each value read from it: a selection would reorder a sorted
+    array."""
+    factors, triangles = tuple(factors), tuple(triangles)
+    probs = tuple(map(_check_p, probs))
     if options.point == POINT_ANALYTIC_MEAN and not probs:  # no draw
         return analytic_mean_increase(factors, triangles, levels, target), {}
     samples = increase_distribution(factors, triangles, levels, target, options)

@@ -31,6 +31,7 @@ from defectcast import (
     loocv,
     predict_defect_content,
     predict_effectiveness,
+    render_report,
     wilcoxon_one_sided,
 )
 from defectcast import evaluation
@@ -148,9 +149,13 @@ class TestAccuracyMetrics:
         with pytest.raises(ValueError, match=message):
             accuracy_metrics([(1.0, 2.0), (3.0, 1.0)], ids=ids)
 
-    @pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, 1e400, -math.inf])
+    @pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, 1e400, -math.inf,
+                                   "a", None, True,
+                                   pytest.param(10**400, id="10**400")])
     def test_pred_threshold_must_be_finite_and_positive(self, q):
-        # NaN, -1 and 1e400 used to give pred {'nan': 0.0, '-1': 0.0, 'inf': 1.0}.
+        # NaN, -1 and 1e400 used to give pred {'nan': 0.0, '-1': 0.0, 'inf': 1.0};
+        # True failed on the report's pred key after every case was computed,
+        # "a" and None in a bare TypeError, 10**400 in an OverflowError.
         with pytest.raises(ValueError) as exc:
             accuracy_metrics([(1.0, 2.0)], thresholds=[0.25, q])
         assert str(exc.value) == f"Pred threshold must be finite and > 0, got {q!r}"
@@ -164,6 +169,15 @@ class TestAccuracyMetrics:
         values = [a.pred[q] for q in sorted(a.pred)]
         assert values == sorted(values)
         assert a.pred[10.0] == 1.0
+
+    @pytest.mark.parametrize("q", [Fraction(1, 4), np.float32(0.25), np.int64(1),
+                                   np.float32(0.1)], ids=repr)
+    def test_real_threshold_reads_as_its_float(self, q):
+        # Each used to fail on the report's pred key after every case was computed.
+        cases = [(1.0, 2.0), (1.2, 1.0), (0.95, 1.0)]
+        got = accuracy_metrics(cases, thresholds=[q])
+        assert render_report(got) == render_report(accuracy_metrics(cases, [float(q)]))
+        assert list(got.pred) == [float(q)]
 
 
 def bundle_of(*releases):
@@ -256,6 +270,12 @@ class TestLoocv:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             loocv(make_synthetic_bundle(seed=0), "bogus")
+
+    def test_unhashable_model_rejected(self):
+        # It used to end in TypeError: unhashable type: 'list'.
+        with pytest.raises(ValueError) as exc:
+            loocv(make_synthetic_bundle(seed=0), ["x"])
+        assert str(exc.value) == "unknown model ['x']"
 
     def test_insufficient_history(self):
         bundle = ContextBundle(

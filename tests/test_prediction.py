@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestPredictDefectContent:
         spec = NewReleaseSpec(size=200, levels={"D1": 0})
         with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
             predict_defect_content(ctx, spec, [DC_F], TRIS, probs=probs)
+
+    @pytest.mark.parametrize("p", [np.float32(0.5), np.int64(1), Fraction(1, 2),
+                                   np.float32(0.1)], ids=repr)
+    def test_real_quantile_reads_as_its_float(self, example_bundle, p):
+        # Each used to draw every sample, then fail on the Prediction's key.
+        dc = example_bundle.resolve_active(Target.DEFECT_CONTENT)
+        ctx = calibrate(example_bundle.releases, dc, [], example_bundle.quantifications)
+        spec = NewReleaseSpec(130, example_bundle.releases[0].levels)
+        runs = [predict_defect_content(ctx, spec, dc, example_bundle.quantifications,
+                                       EngineOptions(n_samples=1000), probs)
+                for probs in ([p], [float(p)])]
+        assert runs[0] == runs[1]
+        assert list(runs[0].quantiles) == [float(p)]
 
     def test_analytic_mean_composition(self):
         # dd_base_median 0.4 needs ddif 0.25 on the history: use a
