@@ -10,8 +10,6 @@ from .calibration import (
     CalibratedContext,
     DescriptiveStats,
     ReleaseCalibration,
-    base_defect_density,
-    base_effectiveness,
     calibrate,
     descriptive_stats,
 )

@@ -5,26 +5,28 @@ Inverting the two model equations
     DC  = size * DD_base * (1 + DDIF)
     Eff = Eff_base * (1 + EIF)
 
-on each historical release yields per-release base values; the context
-values are the medians over the included releases.
+(``model._base``) on each historical release yields per-release base
+values, one target's column at a time (``_columns``, which validation
+reads too); the context values are the medians over the included releases.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import NoUsableHistoryError, UndefinedEffectivenessError
+from .errors import NoUsableHistoryError
 from .model import (
     ExpertTriangle,
     InfluenceFactor,
     ReleaseRecord,
     Target,
+    _base,
+    _measured,
     _median,
     _Record,
     _repeated,
-    defect_content,
+    _typed,
     defect_density,
-    effectiveness,
 )
 from .sampling import EngineOptions, _increase_summary, empirical_quantile
 
@@ -61,21 +63,34 @@ class CalibratedContext(_Record):
         }
 
 
-def base_defect_density(release: ReleaseRecord, ddif_point: float) -> float:
-    """DD_base implied by the release once its DDIF is factored out."""
-    return defect_content(release) / (release.size * (1.0 + ddif_point))
-
-
-def base_effectiveness(release: ReleaseRecord, eif_point: float) -> float:
-    """Eff_base implied by the release once its EIF is factored out."""
-    return effectiveness(release) / (1.0 + eif_point)
-
-
 def _check_unique_ids(releases: Sequence[ReleaseRecord]) -> None:
     """Results are keyed by release id, so a repeated id would drop a release."""
     repeated = _repeated(r.id for r in releases)
     if repeated:
         raise ValueError(f"repeated release ids {repeated}")
+
+
+def _columns(releases: Sequence[ReleaseRecord], factors: Sequence[InfluenceFactor],
+             target: Target, triangles: Sequence[ExpertTriangle],
+             options: EngineOptions) -> tuple[list[float], list[float | None]]:
+    """Each release's ``target`` increase point and base value, in release
+    order; the base value is None where the release has no measured value.
+
+    A point depends only on the active factors' levels, so releases
+    sharing a level vector share one point; with no active factor it is
+    0.0, drawn from nothing.  A missing level keys as None and still
+    raises from the point.
+    """
+    factors = tuple(factors)
+    memo: dict[tuple, float] = {}
+    points = []
+    for release in releases:
+        key = tuple(release.levels.get(f.id) for f in factors)
+        if key not in memo:
+            memo[key] = _increase_summary(factors, triangles, release.levels, target,
+                                          options)[0] if factors else 0.0
+        points.append(memo[key])
+    return points, [_base(target, r, x) for r, x in zip(releases, points)]
 
 
 def calibrate(
@@ -92,40 +107,18 @@ def calibrate(
     effectiveness.  The median of an even-count list is the mean of the
     two central order statistics.
     """
+    options = _typed(options, EngineOptions, "options")
     releases, triangles = tuple(releases), tuple(triangles)
-    dc_factors, eff_factors = tuple(dc_factors), tuple(eff_factors)
     _check_unique_ids(releases)
     included = [r for r in releases if not r.excluded]
     if not included:
         raise NoUsableHistoryError("all releases are excluded")
-
-    # A point depends only on the target and the active factors' levels,
-    # so releases sharing a level vector share one point.  A missing level
-    # keys as None and still raises from the point.
-    points: dict[tuple, float] = {}
-
-    def increase_point(factors, levels, target):
-        if not factors:
-            return 0.0
-        key = (target, tuple(levels.get(f.id) for f in factors))
-        if key not in points:
-            points[key] = _increase_summary(factors, triangles, levels, target, options)[0]
-        return points[key]
-
-    per_release: dict[str, ReleaseCalibration] = {}
-    for release in included:
-        ddif = increase_point(dc_factors, release.levels, Target.DEFECT_CONTENT)
-        eif = increase_point(eff_factors, release.levels, Target.EFFECTIVENESS)
-        eff_base = None
-        if defect_content(release) > 0:
-            eff_base = base_effectiveness(release, eif)
-        per_release[release.id] = ReleaseCalibration(
-            release_id=release.id,
-            ddif_point=ddif,
-            eif_point=eif,
-            dd_base=base_defect_density(release, ddif),
-            eff_base=eff_base,
-        )
+    ddif, dd_base = _columns(included, dc_factors, Target.DEFECT_CONTENT,
+                             triangles, options)
+    eif, eff_base = _columns(included, eff_factors, Target.EFFECTIVENESS,
+                             triangles, options)
+    per_release = {r.id: ReleaseCalibration(r.id, *row)
+                   for r, *row in zip(included, ddif, eif, dd_base, eff_base)}
     ordered = sorted(per_release.values(), key=lambda c: c.release_id)
     dd_median = float(_median([c.dd_base for c in ordered]))
     eff_values = [c.eff_base for c in ordered if c.eff_base is not None]
@@ -182,11 +175,7 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
     dd_values: dict[str, float] = {}
     eff_values: dict[str, float] = {}
     for r in releases:
-        dd = defect_density(r)
-        try:
-            eff = effectiveness(r)
-        except UndefinedEffectivenessError:
-            eff = None
+        dd, eff = defect_density(r), _measured(Target.EFFECTIVENESS, r)
         per_release[r.id] = dict(defect_density=dd, effectiveness=eff)
         dd_values[r.id] = dd
         if eff is not None:

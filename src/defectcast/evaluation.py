@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 from .bundle import ContextBundle
-from .calibration import calibrate
+from .calibration import _columns
 from .errors import (
     AllZeroDifferencesError,
     EstimationError,
@@ -18,20 +19,19 @@ from .errors import (
     ZeroActualError,
 )
 from .model import (
-    InfluenceFactor,
     ReleaseRecord,
     Target,
     _ids,
     _mean,
+    _measured,
     _median,
+    _model_equation,
     _real,
     _Record,
     _repeated,
     _typed,
     defect_content,
-    effectiveness,
 )
-from .prediction import _model_equation
 from .sampling import EngineOptions
 
 MODEL_INFLUENCE_FACTOR = "influence_factor"
@@ -102,6 +102,16 @@ class AccuracyReport(_Record):
         }
 
 
+def _real_pair(pair, where: str, names: tuple[str, str]) -> tuple[float, float]:
+    """``pair`` as two floats, each read by ``_real``; a value that is no
+    real number, or a bool, is a ValueError naming ``where`` and its name."""
+    first, second = pair
+    for name, value in zip(names, (first, second)):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{where}: {name} must be a real number, got {value!r}")
+    return _real(first), _real(second)
+
+
 def accuracy_metrics(
     cases: Sequence[tuple[float, float]],
     thresholds: Sequence[float] = DEFAULT_PRED_THRESHOLDS,
@@ -115,7 +125,8 @@ def accuracy_metrics(
     with a relative float guard so an MRE of exactly q counts).  Each q
     is a real number, no bool, read as a float, and must be finite and
     > 0.  ``ids`` name the cases, one distinct id each;
-    a str is a ValueError.
+    a str is a ValueError.  Each predicted and actual value is a real
+    number, no bool, read as a float before any case is computed.
     """
     cases = tuple(cases)
     if not cases:
@@ -131,8 +142,10 @@ def accuracy_metrics(
     repeated = _repeated(ids)
     if repeated:
         raise ValueError(f"repeated case ids {repeated}")
+    cases = [_real_pair(case, f"case {rid!r}", ("predicted", "actual"))
+             for rid, case in zip(ids, cases, strict=True)]
     out = []
-    for rid, (predicted, actual) in zip(ids, cases, strict=True):
+    for rid, (predicted, actual) in zip(ids, cases):
         if actual == 0:
             raise ZeroActualError(f"case {rid!r} has actual value 0")
         re = (predicted - actual) / actual
@@ -162,11 +175,8 @@ def accuracy_metrics(
 
 def _usable(bundle: ContextBundle, target: Target) -> list[ReleaseRecord]:
     """The releases a validation loop predicts and learns from: the included
-    ones, and for effectiveness only those with defects (0/0 otherwise)."""
-    releases = bundle.included_releases()
-    if target == Target.EFFECTIVENESS:
-        releases = [r for r in releases if defect_content(r) > 0]
-    return releases
+    ones with a measured ``target`` (for effectiveness, those with defects)."""
+    return [r for r in bundle.included_releases() if _measured(target, r) is not None]
 
 
 def _fold_loop(
@@ -175,37 +185,12 @@ def _fold_loop(
 ) -> AccuracyReport:
     """Accuracy of predicting ``releases[i]`` for each ``(i, window)`` of
     ``folds``, from the median of the base values in ``window``."""
-    actual = defect_content if target == Target.DEFECT_CONTENT else effectiveness
     cases, ids = [], []
     for i, window in folds:
         predicted = _model_equation(target, sizes[i], _median(window), points[i])
-        cases.append((predicted, actual(releases[i])))
+        cases.append((predicted, _measured(target, releases[i])))
         ids.append(releases[i].id)
     return accuracy_metrics(cases, ids=ids, model_name=model_name)
-
-
-def _fitted(
-    bundle: ContextBundle,
-    releases: list[ReleaseRecord],
-    target: Target,
-    active: list[InfluenceFactor],
-    options: EngineOptions,
-) -> tuple[list[float], list[float]]:
-    """Each release's increase point and base value, in release order.
-
-    A release's point depends only on the active factors, its own levels
-    and the options, never on the fold, so one calibration serves every
-    fold: the held-out release's point, the other releases' base values.
-    """
-    dc = target == Target.DEFECT_CONTENT
-    ctx = calibrate(
-        releases, active if dc else [], [] if dc else active,
-        bundle.quantifications, options,
-    )
-    fits = [ctx.per_release[r.id] for r in releases]
-    if dc:
-        return [c.ddif_point for c in fits], [c.dd_base for c in fits]
-    return [c.eif_point for c in fits], [c.eff_base for c in fits]
 
 
 def loocv(
@@ -228,9 +213,13 @@ def loocv(
     model with no active factor, and ``dc_median`` takes each release's
     defect content as its base value and predicts at unit size.
 
-    ``target`` is a Target or its value, read before the model is checked.
+    Every fold reuses one ``_columns`` read: a release's point depends
+    only on the active factors, its own levels and the options.
+
+    ``target`` and ``options`` are read before the model is checked.
     """
     target = _typed(target, Target, "target")
+    options = _typed(options, EngineOptions, "options")
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     if _BASELINE_TARGETS.get(model, target) != target:
@@ -248,7 +237,7 @@ def loocv(
         sizes = [r.size for r in releases]
         if model != MODEL_INFLUENCE_FACTOR:
             active = []
-        points, bases = _fitted(bundle, releases, target, active, options)
+        points, bases = _columns(releases, active, target, bundle.quantifications, options)
     folds = ((i, bases[:i] + bases[i + 1:]) for i in range(len(releases)))
     return _fold_loop(releases, target, sizes, points, folds, model)
 
@@ -325,8 +314,11 @@ def wilcoxon_one_sided(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
     one.  Zero differences are dropped, tied magnitudes get mid-ranks.
     Exact enumeration of all 2^n sign assignments up to n = _EXACT_LIMIT,
     normal approximation with continuity and tie correction beyond.
+    Each MRE is a real number, no bool, read as a float at entry.
     """
-    d = [float(b - a) for a, b in pairs]
+    pairs = [_real_pair(pair, f"pair {i}", ("mre_a", "mre_b"))
+             for i, pair in enumerate(pairs)]
+    d = [b - a for a, b in pairs]
     d = [x for x in d if x != 0.0]
     n = len(d)
     if n == 0:
@@ -385,9 +377,10 @@ def ablation_curve(
     k = 0 means no factor is active, which reduces exactly to the data-only
     median-density (or median-effectiveness) model.  A repeated k runs once.
     A str ranking, or a k that is no int (a bool too), is a ValueError;
-    ``target`` is a Target or its value.
+    ``target`` is a Target or its value, and ``options`` EngineOptions.
     """
     target = _typed(target, Target, "target")
+    options = _typed(options, EngineOptions, "options")
     ranked_ids, ks = _ids(ranked_ids, "factor"), tuple(ks)
     for k in ks:  # every k is checked before the first fold runs
         if type(k) is not int:  # a bool would key the report True
@@ -430,9 +423,11 @@ def history_simulation(
     then folded into the history, so case j of the accuracy was predicted
     from ``start_m + j`` releases.  Excluded releases are skipped both as
     history and as prediction targets.  A ``start_m`` that is no int
-    (a bool too) is a ValueError; ``target`` is a Target or its value.
+    (a bool too) is a ValueError; ``target`` is a Target or its value,
+    and ``options`` EngineOptions.
     """
     target = _typed(target, Target, "target")
+    options = _typed(options, EngineOptions, "options")
     if type(start_m) is not int:
         raise ValueError(f"start_m must be an integer, got {start_m!r}")
     if start_m < 2:
@@ -443,7 +438,7 @@ def history_simulation(
             f"history simulation needs more than {start_m} usable releases"
         )
     active = bundle.resolve_active(target, active_ids)
-    points, bases = _fitted(bundle, releases, target, active, options)
+    points, bases = _columns(releases, active, target, bundle.quantifications, options)
     sizes = [r.size for r in releases]
     folds = ((m, bases[:m]) for m in range(start_m, len(releases)))
     return HistorySimulation(target, start_m, _fold_loop(

@@ -379,12 +379,41 @@ def effectiveness(release: ReleaseRecord) -> float:
     Raises UndefinedEffectivenessError for a defect-free release (0/0);
     such releases cannot contribute to effectiveness calibration.
     """
+    if (value := _measured(Target.EFFECTIVENESS, release)) is None:
+        raise UndefinedEffectivenessError(f"release {release.id!r} has defect content 0")
+    return value
+
+
+# A target's measured value, its model equation and the inverse: the only
+# code that tells the two targets apart.
+def _measured(target: Target, release: ReleaseRecord) -> float | None:
+    """The release's measured ``target``: its defect content, or its
+    effectiveness, which a defect-free release (0/0) has none of."""
     dc = defect_content(release)
-    if dc == 0:
-        raise UndefinedEffectivenessError(
-            f"release {release.id!r} has defect content 0"
-        )
-    return release.defects_found / dc
+    if target == Target.DEFECT_CONTENT:
+        return dc
+    return release.defects_found / dc if dc > 0 else None
+
+
+def _model_equation(target: Target, size: float, base: float, increase: float) -> float:
+    """The model equation for one target.
+
+    Defect content is (size * DD_base) * (1 + DDIF); effectiveness is
+    Eff_base * (1 + EIF), clipped to at most 1.
+    """
+    if target == Target.DEFECT_CONTENT:
+        return (increase + 1.0) * (size * base)
+    return min((increase + 1.0) * base, 1.0)
+
+
+def _base(target: Target, release: ReleaseRecord, increase: float) -> float | None:
+    """The base value (DD_base or Eff_base) that ``release`` implies once
+    its increase is factored out; None where it has no measured value."""
+    measured = _measured(target, release)
+    if measured is None:
+        return None
+    size = release.size if target == Target.DEFECT_CONTENT else 1.0
+    return measured / (size * (1.0 + increase))
 
 
 class RankedFactor(_Record):

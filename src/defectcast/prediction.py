@@ -1,7 +1,8 @@
 """Prediction of defect content and QA effectiveness for a new release.
 
 Applies the calibrated context medians together with the new release's
-factor characterization.  Uncertainty quantiles reflect the expert
+factor characterization through the model equation
+(``model._model_equation``).  Uncertainty quantiles reflect the expert
 estimate sampling only; the base-value medians are held fixed.
 """
 
@@ -12,7 +13,10 @@ from typing import Mapping, Sequence
 
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
-from .model import ExpertTriangle, InfluenceFactor, Target, _check_levels, _Record
+from .model import (
+    ExpertTriangle, InfluenceFactor, Target, _check_levels, _model_equation, _Record,
+    _typed,
+)
 from .sampling import EngineOptions, _increase_summary
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -48,19 +52,6 @@ class Prediction(_Record):
         }
 
 
-def _model_equation(target: Target, size: float, base: float, increase: float) -> float:
-    """The model equation for one target.
-
-    Defect content is (size * DD_base) * (1 + DDIF); effectiveness is
-    Eff_base * (1 + EIF), clipped to at most 1.
-    """
-    scale = size * base if target == Target.DEFECT_CONTENT else base
-    value = (increase + 1.0) * scale
-    if target == Target.EFFECTIVENESS:
-        value = min(value, 1.0)
-    return value
-
-
 def _predict(
     target: Target,
     base: float,
@@ -94,6 +85,7 @@ def predict_defect_content(
     probs: Sequence[float] = DEFAULT_QUANTILES,
 ) -> Prediction:
     """DC = size * median(DD_base) * (1 + DDIF)."""
+    options = _typed(options, EngineOptions, "options")
     if not ctx.included_ids:
         raise NoUsableHistoryError("calibrated context is empty")
     return _predict(
@@ -117,6 +109,7 @@ def predict_effectiveness(
     effective activity gets a positive probability of finding all
     defects, never of finding more than are there.
     """
+    options = _typed(options, EngineOptions, "options")
     if ctx.eff_base_median is None:
         raise NoEffectivenessHistoryError(
             "no included release has a defined effectiveness"

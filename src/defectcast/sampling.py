@@ -460,12 +460,14 @@ def increase_distribution(
     Returns a fresh, writable float64 array of ``options.n_samples``
     samples in draw order.  Each sample is the sum over active factors of
     (level/3) times an independent expert-mixture draw.  Identical
-    (inputs, seed, n) yield bit-identical samples.  ``target`` and
-    ``levels`` are read as a record's fields, before any other check.
+    (inputs, seed, n) yield bit-identical samples.  ``target``,
+    ``levels`` and ``options`` are read as a record's fields, before any
+    other check.
     """
     import numpy as np
 
     target, levels = _typed(target, Target, "target"), _levels(levels)
+    options = _typed(options, EngineOptions, "options")
     samples = np.zeros(options.n_samples)
     for fid, weight, tris in _terms(factors, triangles, levels, target):
         if weight == 0.0:

@@ -20,8 +20,6 @@ from defectcast import (
     NewReleaseSpec,
     Target,
     aggregate_rankings,
-    base_defect_density,
-    base_effectiveness,
     calibrate,
     defect_content,
     effectiveness,
@@ -34,6 +32,7 @@ from defectcast import (
     wilcoxon_one_sided,
 )
 from defectcast.cli import main as cli_main
+from defectcast.model import _base
 
 from conftest import (
     EXAMPLE_BUNDLE,
@@ -130,15 +129,17 @@ def test_criterion_4_round_trips():
             slipped=float(rng.integers(0, 200)),
         )
         increase = float(rng.uniform(0, 3))
-        dd_base = base_defect_density(r, increase)
+        dd_base = _base(Target.DEFECT_CONTENT, r, increase)
         assert dd_base * r.size * (1 + increase) == pytest.approx(
             defect_content(r), rel=1e-12, abs=1e-12
         )
+        eff_base = _base(Target.EFFECTIVENESS, r, increase)
         if defect_content(r) > 0:
-            eff_base = base_effectiveness(r, increase)
             assert eff_base * (1 + increase) == pytest.approx(
                 effectiveness(r), rel=1e-12
             )
+        else:
+            assert eff_base is None
 
     dc_f, eff_f = make_factor("D1"), make_factor("E1", Target.EFFECTIVENESS)
     tris = [

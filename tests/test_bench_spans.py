@@ -6,7 +6,10 @@ run fail, or leave its per-layer rows blank.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import defectcast
 from defectcast import Target, load_bundle
@@ -81,3 +84,37 @@ def test_mc_median_calibration_draws_once_per_level_vector(capsys):
     assert _children(tracer.spans, "calibration.calibrate",
                      "sampling.increase_distribution") == [len(vectors)]
     assert len(vectors) < 2 * len(bundle.included_releases())
+
+
+def _ancestors(spans, i):
+    """The names of the spans that span ``i`` ran under, innermost first."""
+    names, parent = [], spans[i][3]
+    while parent >= 0:
+        names.append(spans[parent][0])
+        parent = spans[parent][3]
+    return names
+
+
+@pytest.mark.parametrize("argv,cases", [
+    (["crossval", "--baseline", "dd-median"],
+     lambda report: len(report["model"]["cases"]) + len(report["baseline"]["cases"])),
+    (["historysim"], lambda report: len(report["steps"])),
+], ids=["crossval", "historysim"])
+def test_validation_draws_inside_its_span(argv, cases, capsys):
+    # A validation loop's draws used to run under calibration.calibrate; the
+    # loop reads one target's columns itself now, and they must stay traced.
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        assert main([*argv, "--bundle", str(EXAMPLE_BUNDLE), "--point", "mc-median",
+                     "--samples", "2000"]) == 0
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])  # after the "seed: N" line
+    draws = [i for i, span in enumerate(tracer.spans)
+             if span[0] == "sampling.increase_distribution"]
+    assert draws and tracer.factor_draws > 0
+    for i in draws:
+        assert any(name.startswith("evaluation.") for name in _ancestors(tracer.spans, i))
+    assert tracer.folds == cases(report) > 0

@@ -8,9 +8,6 @@ from defectcast import (
     MissingLevelError,
     NoUsableHistoryError,
     Target,
-    UndefinedEffectivenessError,
-    base_defect_density,
-    base_effectiveness,
     calibrate,
     defect_content,
     defect_density,
@@ -18,38 +15,44 @@ from defectcast import (
     effectiveness,
 )
 
+from defectcast.calibration import _columns
+from defectcast.model import _base
+
 from conftest import make_factor, make_release, make_triangle
 from synth import make_synthetic_bundle
+
+
+DC, EFF = Target.DEFECT_CONTENT, Target.EFFECTIVENESS
 
 
 class TestBaseValues:
     def test_base_defect_density_direct(self):
         r = make_release(size=100, found=40, slipped=10)
-        assert base_defect_density(r, 0.25) == pytest.approx(0.4)
+        assert _base(DC, r, 0.25) == pytest.approx(0.4)
 
     def test_zero_increase_is_raw_density(self):
         r = make_release(size=80, found=30, slipped=6)
-        assert base_defect_density(r, 0.0) == defect_density(r)
+        assert _base(DC, r, 0.0) == defect_density(r)
 
     def test_defect_free_release(self):
         r = make_release(found=0, slipped=0)
-        assert base_defect_density(r, 0.7) == 0
+        assert _base(DC, r, 0.7) == 0
 
     def test_base_effectiveness_direct(self):
         r = make_release(found=40, slipped=10)
-        assert base_effectiveness(r, 0.6) == pytest.approx(0.5)
+        assert _base(EFF, r, 0.6) == pytest.approx(0.5)
 
     def test_zero_increase_is_raw_effectiveness(self):
         r = make_release(found=40, slipped=10)
-        assert base_effectiveness(r, 0.0) == effectiveness(r)
+        assert _base(EFF, r, 0.0) == effectiveness(r)
 
     def test_no_defects_found(self):
         r = make_release(found=0, slipped=5)
-        assert base_effectiveness(r, 0.3) == 0
+        assert _base(EFF, r, 0.3) == 0
 
     def test_undefined_for_defect_free_release(self):
-        with pytest.raises(UndefinedEffectivenessError):
-            base_effectiveness(make_release(found=0, slipped=0), 0.2)
+        # None is what calibrate stores as such a release's eff_base.
+        assert _base(EFF, make_release(found=0, slipped=0), 0.2) is None
 
     @given(
         size=st.integers(1, 5_000),
@@ -59,12 +62,12 @@ class TestBaseValues:
     )
     def test_round_trip_inverts_the_equations(self, size, found, slipped, increase):
         r = make_release(size=size, found=found, slipped=slipped)
-        dd_base = base_defect_density(r, increase)
+        dd_base = _base(DC, r, increase)
         assert dd_base * size * (1 + increase) == pytest.approx(
             defect_content(r), rel=1e-12, abs=1e-12
         )
         if defect_content(r) > 0:
-            eff_base = base_effectiveness(r, increase)
+            eff_base = _base(EFF, r, increase)
             assert eff_base * (1 + increase) == pytest.approx(
                 effectiveness(r), rel=1e-12
             )
@@ -72,7 +75,7 @@ class TestBaseValues:
     @given(increase=st.floats(0.01, 5))
     def test_dd_base_strictly_decreases_in_increase(self, increase):
         r = make_release(found=40, slipped=10)
-        assert base_defect_density(r, increase) < base_defect_density(r, 0.0)
+        assert _base(DC, r, increase) < _base(DC, r, 0.0)
 
 
 FACTOR = make_factor("D1")
@@ -248,6 +251,29 @@ class TestCalibrate:
         with pytest.raises(MissingLevelError):
             calibrate(releases, [FACTOR], [], [TRI], opts)
 
+
+def _hexed(value):
+    return None if value is None else value.hex()
+
+
+@pytest.mark.parametrize("point", ["analytic-mean", "mc-median"])
+def test_columns_are_calibrates_columns(point):
+    # One target's column, as the validation loops read it, is the one
+    # calibrate reports, bit for bit; a defect-free release has no eff_base.
+    bundle = make_synthetic_bundle(seed=2, n_releases=20)
+    releases = [*bundle.included_releases(),
+                make_release("Z", found=0, slipped=0, levels=bundle.releases[0].levels)]
+    opts = EngineOptions(n_samples=500, point=point)
+    factors = {t: list(bundle.factors_for(t)) for t in Target}
+    ctx = calibrate(releases, factors[DC], factors[EFF], bundle.quantifications, opts)
+    reported = [ctx.per_release[r.id] for r in releases]
+    for target, point_field, base_field in ((DC, "ddif_point", "dd_base"),
+                                            (EFF, "eif_point", "eff_base")):
+        points, bases = _columns(releases, factors[target], target,
+                                 bundle.quantifications, opts)
+        assert [p.hex() for p in points] == [getattr(c, point_field).hex() for c in reported]
+        assert list(map(_hexed, bases)) == [_hexed(getattr(c, base_field)) for c in reported]
+    assert ctx.per_release["Z"].eff_base is None
 
 class TestDescriptiveStats:
     def test_iqr_fence_flags_outlier(self):

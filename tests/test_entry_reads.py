@@ -1,7 +1,8 @@
-"""Every public function that takes a ``target`` or a ``levels`` mapping
-reads it by the records' own field rules, once, at entry: a target is a
-``Target`` or its value string, levels are integers in 0..3 keyed by
-string.  A bad one is a ValueError before any calibration, fold or draw.
+"""Every public function that takes a ``target``, a ``levels`` mapping or
+``options`` reads it by the records' own field rules, once, at entry: a
+target is a ``Target`` or its value string, levels are integers in 0..3
+keyed by string, options are ``EngineOptions``.  A bad one is a
+ValueError before any calibration, fold or draw.
 """
 
 import inspect
@@ -16,15 +17,21 @@ from defectcast import (
     MODEL_INFLUENCE_FACTOR,
     ContextBundle,
     EngineOptions,
+    NewReleaseSpec,
     Target,
     ablation_curve,
     aggregate_rankings,
     analytic_mean_increase,
+    calibrate,
+    calibration,
     evaluation,
     history_simulation,
     increase_distribution,
     load_bundle,
     loocv,
+    predict_defect_content,
+    predict_effectiveness,
+    prediction,
     render_report,
     sampling,
 )
@@ -75,9 +82,34 @@ LEVEL_CALLS = {
         member).hex(),
 }
 
+DC, EFF = Target.DEFECT_CONTENT, Target.EFFECTIVENESS
+CONTEXT = calibrate(BUNDLE.releases, BUNDLE.resolve_active(DC), BUNDLE.resolve_active(EFF),
+                    BUNDLE.quantifications, OPTIONS)
+SPEC = NewReleaseSpec(130, LEVELS)
+
+# Each entry point that reads options, called with ``options``.
+OPTIONS_CALLS = {
+    "calibrate": lambda options: render_report(calibrate(
+        BUNDLE.releases, BUNDLE.resolve_active(DC), BUNDLE.resolve_active(EFF),
+        BUNDLE.quantifications, options)),
+    "increase_distribution": lambda options: increase_distribution(
+        BUNDLE.resolve_active(DC), BUNDLE.quantifications, LEVELS, DC, options).tobytes(),
+    "predict_defect_content": lambda options: render_report(predict_defect_content(
+        CONTEXT, SPEC, BUNDLE.resolve_active(DC), BUNDLE.quantifications, options)),
+    "predict_effectiveness": lambda options: render_report(predict_effectiveness(
+        CONTEXT, SPEC, BUNDLE.resolve_active(EFF), BUNDLE.quantifications, options)),
+    "loocv": lambda options: render_report(
+        loocv(BUNDLE, MODEL_INFLUENCE_FACTOR, DC, options)),
+    "ablation_curve": lambda options: render_report(
+        ablation_curve(BUNDLE, DC, _ranked(DC), [0, 1, 2], options)),
+    "history_simulation": lambda options: render_report(
+        history_simulation(BUNDLE, 4, DC, options)),
+}
+
 # The work a bad argument must never reach, by (module, name).
-WORK = [(evaluation, "_usable"), (evaluation, "calibrate"), (evaluation, "loocv"),
-        (evaluation, "_fold_loop"), (sampling, "increase_distribution"), (sampling, "analytic_mean_increase"),
+WORK = [(evaluation, "_usable"), (evaluation, "_columns"), (evaluation, "loocv"),
+        (evaluation, "_fold_loop"), (calibration, "_columns"), (prediction, "_predict"),
+        (sampling, "increase_distribution"), (sampling, "analytic_mean_increase"),
         (sampling, "_terms"), (sampling, "_add_mixture")]
 
 
@@ -153,6 +185,30 @@ def test_a_level_off_the_scale_is_refused_before_any_draw(call, member, fid, val
     assert calls == []
 
 
+BAD_OPTIONS = st.one_of(
+    st.none(), st.integers(), st.text(), st.booleans(),
+    st.fixed_dictionaries({"n_samples": st.integers(1, 100)}),
+    st.just((2000, 7, "mc-median")), st.just(SPEC),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(call=st.sampled_from(list(OPTIONS_CALLS)), options=BAD_OPTIONS)
+@example(call="calibrate", options=None)
+@example(call="loocv", options=None)
+@example(call="loocv", options={"n_samples": 100})
+@example(call="increase_distribution", options=None)
+@example(call="ablation_curve", options=None)
+def test_options_that_are_no_engine_options_are_refused_before_any_work(call, options):
+    # loocv used to end in an AttributeError on 'point', increase_distribution
+    # on 'n_samples', and calibrate returned a context.
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted(mp)
+        with pytest.raises(ValueError, match="^options must be EngineOptions, got "):
+            OPTIONS_CALLS[call](options)
+    assert calls == []
+
+
 def _reference_draw(factors, triangles, levels, target, options):
     """``increase_distribution``'s draw on ``levels`` as given, unread."""
     samples = np.zeros(options.n_samples)
@@ -204,3 +260,8 @@ def test_every_entry_point_with_a_target_or_levels_is_in_the_table():
     takes = {name: set(sig.parameters) for name, sig in _public_callables()}
     assert {n for n, params in takes.items() if "target" in params} == set(TARGET_CALLS)
     assert {n for n, params in takes.items() if "levels" in params} == set(LEVEL_CALLS)
+
+
+def test_every_entry_point_with_options_is_in_the_table():
+    takes = {name: set(sig.parameters) for name, sig in _public_callables()}
+    assert {n for n, params in takes.items() if "options" in params} == set(OPTIONS_CALLS)

@@ -179,6 +179,37 @@ class TestAccuracyMetrics:
         assert render_report(got) == render_report(accuracy_metrics(cases, [float(q)]))
         assert list(got.pred) == [float(q)]
 
+    @pytest.mark.parametrize("case,field,value", [
+        (("a", 1.0), "predicted", "'a'"),
+        ((1.0, None), "actual", "None"),
+        ((True, 2.0), "predicted", "True"),
+        ((1.0, np.bool_(True)), "actual", "np.True_"),
+        ((1.5, [2.0]), "actual", "[2.0]"),
+    ], ids=["string", "none", "bool", "numpy-bool", "list"])
+    def test_case_value_must_be_a_real_number(self, case, field, value):
+        # "a" and None used to end in a bare TypeError, True in a _FieldError
+        # once the case was computed.  Case A, whose actual is 0, is never
+        # computed: every value is read first.
+        with pytest.raises(ValueError) as exc:
+            accuracy_metrics([(1.0, 0.0), case], ids=["A", "B"])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"case 'B': {field} must be a real number, got {value}"
+
+    @pytest.mark.parametrize("case", [
+        (np.float32(1.5), 2.0), (Fraction(3, 2), 2.0), (1.5, np.int64(2)),
+        (np.float64(1.5), Fraction(2)),
+    ], ids=["float32", "fraction", "int64", "float64-and-fraction"])
+    def test_real_case_value_reads_as_its_float(self, case):
+        # float32 and Fraction used to fail with a _FieldError on predicted
+        # once the case was computed.
+        plain = (float(case[0]), float(case[1]))
+        got = accuracy_metrics([case, (1.0, 4.0)])
+        assert render_report(got) == render_report(accuracy_metrics([plain, (1.0, 4.0)]))
+
+    def test_a_real_nan_is_still_no_finite_relative_error(self):
+        with pytest.raises(EstimationError, match="^case '0': predicted nan "):
+            accuracy_metrics([(np.float32("nan"), 2.0)])
+
 
 def bundle_of(*releases):
     """One defect-content factor and the given releases, all at level 0."""
@@ -459,7 +490,7 @@ class TestHistorySimulation:
     def test_start_m_must_be_an_int(self, example_bundle, monkeypatch, start_m):
         # 4.0 and "4" used to end in a bare TypeError from the fold loop or
         # the range check.  start_m is checked before any fold work runs.
-        monkeypatch.setattr(evaluation, "_fitted", None)
+        monkeypatch.setattr(evaluation, "_columns", None)
         monkeypatch.setattr(evaluation, "_fold_loop", None)
         with pytest.raises(ValueError) as exc:
             history_simulation(example_bundle, start_m)

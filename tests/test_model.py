@@ -49,7 +49,9 @@ from defectcast import (
     wilcoxon_one_sided,
 )
 
-from defectcast.model import _FrozenDict, _mean, _median, _Record
+from defectcast.model import (
+    _base, _FrozenDict, _mean, _measured, _median, _model_equation, _Record,
+)
 
 from conftest import GENERIC_LEVELS, make_factor, make_release, make_triangle
 
@@ -90,6 +92,61 @@ class TestDefectMeasures:
         r = make_release(found=found, slipped=slipped)
         if defect_content(r) > 0:
             assert 0 <= effectiveness(r) <= 1
+
+
+DC, EFF = Target.DEFECT_CONTENT, Target.EFFECTIVENESS
+
+
+def _reference_equation(target, size, base, increase):
+    """The forward equation as prediction.py wrote it before model.py owned it."""
+    scale = size * base if target == DC else base
+    value = (increase + 1.0) * scale
+    if target == EFF:
+        value = min(value, 1.0)
+    return value
+
+
+def _reference_base(target, release, increase):
+    """The inverse as calibration.py wrote it before model.py owned it: the
+    base functions, and calibrate's None for a defect-free release."""
+    dc = defect_content(release)
+    if target == DC:
+        return dc / (release.size * (1.0 + increase))
+    return (release.defects_found / dc) / (1.0 + increase) if dc > 0 else None
+
+
+def _bits(fn, *args):
+    """``fn(*args)`` by ``.hex()``, None as None, or the arithmetic error's name."""
+    try:
+        value = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return None if value is None else value.hex()
+
+
+COUNTS = st.one_of(st.just(0.0), st.floats(0, 1e6))
+
+
+class TestModelEquations:
+    @given(target=st.sampled_from(list(Target)), size=st.floats(),
+           base=st.floats(), increase=st.floats())
+    def test_forward_equation_keeps_every_bit(self, target, size, base, increase):
+        assert (_bits(_model_equation, target, size, base, increase)
+                == _bits(_reference_equation, target, size, base, increase))
+
+    @given(target=st.sampled_from(list(Target)), size=st.floats(1e-3, 1e6),
+           found=COUNTS, slipped=COUNTS, increase=st.floats())
+    def test_inverse_keeps_every_bit(self, target, size, found, slipped, increase):
+        r = make_release(size=size, found=found, slipped=slipped)
+        assert (_bits(_base, target, r, increase)
+                == _bits(_reference_base, target, r, increase))
+
+    @given(found=COUNTS, slipped=COUNTS)
+    def test_measured_is_content_or_effectiveness(self, found, slipped):
+        r = make_release(found=found, slipped=slipped)
+        dc = found + slipped
+        assert _measured(DC, r) == dc
+        assert _measured(EFF, r) == (found / dc if dc > 0 else None)
 
 
 class TestTypeInvariants:

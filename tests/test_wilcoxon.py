@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +143,23 @@ class TestExamples:
     def test_non_finite_difference_rejected(self, bad):
         with pytest.raises(ValueError, match="not finite"):
             wilcoxon_one_sided([(0.1, 0.3), (0.2, bad)])
+
+    @pytest.mark.parametrize("pair,field,value", [
+        (("a", 1.0), "mre_a", "'a'"), ((0.2, None), "mre_b", "None"),
+        ((True, 0.5), "mre_a", "True"),
+    ], ids=["string", "none", "bool"])
+    def test_mre_must_be_a_real_number(self, pair, field, value):
+        # "a" and None used to end in a bare TypeError; True counted as 1.0.
+        with pytest.raises(ValueError) as exc:
+            wilcoxon_one_sided([(0.1, 0.3), pair])
+        assert str(exc.value) == f"pair 1: {field} must be a real number, got {value}"
+
+    def test_real_mres_read_as_their_floats(self):
+        # The float32 pair used to be differenced in float32, so its
+        # magnitude no longer tied with the first pair's: w_plus 5.0, not 4.5.
+        pairs = [(0.1, 0.3), (np.float32(0.5), 0.3), (Fraction(1, 5), np.float64(0.7))]
+        plain = [(float(a), float(b)) for a, b in pairs]
+        assert wilcoxon_one_sided(pairs) == wilcoxon_one_sided(plain)
 
 
 class TestPublishedComparisons:
