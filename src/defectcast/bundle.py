@@ -34,7 +34,7 @@ from .model import (
     ReleaseRecord,
     Target,
     _FieldError,
-    _ids,
+    _items,
     _kind,
     _ranking_problems,
     _Record,
@@ -153,13 +153,14 @@ class ContextBundle(_Record):
         rankings exist, then all factors of the target.  The top-2
         effectiveness default exists because extra effectiveness factors
         did not improve accuracy in practice.  ``target`` is a Target or
-        its value.  A str override, or one that names no factor of the
-        target or repeats one, is a ``ValueError``.
+        its value.  An override is a list of factor ids read by ``_items``;
+        one that names no factor of the target or repeats one is a
+        ``ValueError``.
         """
         target = _typed(target, Target, "target")
         by_id = {f.id: f for f in self.factors_for(target)}
         if override_ids is not None:
-            override_ids = _ids(override_ids, "factor")
+            override_ids = _items(override_ids, "factor ids", str)
             if problems := _active_set_problems(override_ids, by_id, target.value):
                 raise ValueError("; ".join(problems))
         elif self.active_factors and target.value in self.active_factors:
@@ -172,8 +173,9 @@ class ContextBundle(_Record):
         return [by_id[fid] for fid in override_ids]
 
     def with_excluded(self, ids: Sequence[str]) -> "ContextBundle":
-        """Copy excluding the listed releases; a str or unknown id is a ValueError."""
-        ids = set(_ids(ids, "release"))
+        """Copy excluding the listed releases: a list of release ids read by
+        ``_items``, each naming a release, else a ValueError."""
+        ids = set(_items(ids, "release ids", str))
         unknown = sorted(ids - {r.id for r in self.releases})
         if unknown:
             raise ValueError(f"unknown release ids {unknown}")

@@ -21,6 +21,7 @@ from .model import (
     ReleaseRecord,
     Target,
     _base,
+    _items,
     _measured,
     _median,
     _Record,
@@ -81,7 +82,6 @@ def _columns(releases: Sequence[ReleaseRecord], factors: Sequence[InfluenceFacto
     0.0, drawn from nothing.  A missing level keys as None and still
     raises from the point.
     """
-    factors = tuple(factors)
     memo: dict[tuple, float] = {}
     points = []
     for release in releases:
@@ -105,10 +105,14 @@ def calibrate(
     Excluded releases are skipped entirely.  Releases with defect
     content 0 contribute to the defect-density side but carry no base
     effectiveness.  The median of an even-count list is the mean of the
-    two central order statistics.
+    two central order statistics.  Each list is read by ``_items``, its
+    entries as records, and ``options`` as EngineOptions, before any draw.
     """
+    releases = _items(releases, "releases", ReleaseRecord)
+    dc_factors = _items(dc_factors, "dc_factors", InfluenceFactor)
+    eff_factors = _items(eff_factors, "eff_factors", InfluenceFactor)
+    triangles = _items(triangles, "triangles", ExpertTriangle)
     options = _typed(options, EngineOptions, "options")
-    releases, triangles = tuple(releases), tuple(triangles)
     _check_unique_ids(releases)
     included = [r for r in releases if not r.excluded]
     if not included:
@@ -167,9 +171,10 @@ def descriptive_stats(releases: Sequence[ReleaseRecord]) -> DescriptiveStats:
     Values outside the 1.5*IQR fences (nearest-rank quartiles) are
     flagged.  Flags are advisory only: whether to exclude a release
     stays a judgment call for whoever knows the history.  A repeated
-    release id is a ValueError.
+    release id is a ValueError, as is a list that ``_items`` does not
+    read as releases.
     """
-    releases = tuple(releases)
+    releases = _items(releases, "releases", ReleaseRecord)
     _check_unique_ids(releases)
     per_release: dict[str, dict] = {}
     dd_values: dict[str, float] = {}

@@ -21,7 +21,7 @@ from .errors import (
 from .model import (
     ReleaseRecord,
     Target,
-    _ids,
+    _items,
     _mean,
     _measured,
     _median,
@@ -39,7 +39,8 @@ MODEL_DC_MEDIAN = "dc_median"
 MODEL_DD_MEDIAN = "dd_median"
 MODEL_EFF_MEDIAN = "eff_median"
 
-DEFAULT_PRED_THRESHOLDS = (0.25,)
+# The MRE level of Pred, the share of cases predicted within it.
+_PRED_LEVEL = 0.25
 
 # The target each data-only baseline predicts.
 _BASELINE_TARGETS = {
@@ -103,47 +104,47 @@ class AccuracyReport(_Record):
 
 
 def _real_pair(pair, where: str, names: tuple[str, str]) -> tuple[float, float]:
-    """``pair`` as two floats, each read by ``_real``; a value that is no
-    real number, or a bool, is a ValueError naming ``where`` and its name."""
-    first, second = pair
-    for name, value in zip(names, (first, second)):
+    """``pair`` as two floats, each read by ``_real``; a pair that is no list
+    of two, or a value that is no real number or is a bool, is a ValueError
+    naming ``where``."""
+    values = _items(pair, f"{where} values")
+    if len(values) != 2:
+        raise ValueError(f"{where} must hold 2 values, {' and '.join(names)}, "
+                         f"got {len(values)}")
+    for name, value in zip(names, values):
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ValueError(f"{where}: {name} must be a real number, got {value!r}")
-    return _real(first), _real(second)
+    return _real(values[0]), _real(values[1])
 
 
 def accuracy_metrics(
     cases: Sequence[tuple[float, float]],
-    thresholds: Sequence[float] = DEFAULT_PRED_THRESHOLDS,
     ids: Sequence[str] | None = None,
     model_name: str = "",
 ) -> AccuracyReport:
     """Relative-error metrics for (predicted, actual) pairs.
 
     RE = (predicted - actual) / actual, MRE = |RE|, MMRE is the mean
-    MRE, and Pred(q) counts MREs at or below q (boundary inclusive,
-    with a relative float guard so an MRE of exactly q counts).  Each q
-    is a real number, no bool, read as a float, and must be finite and
-    > 0.  ``ids`` name the cases, one distinct id each;
-    a str is a ValueError.  Each predicted and actual value is a real
-    number, no bool, read as a float before any case is computed.
+    MRE, and Pred(0.25), the report's one ``pred`` entry, is the share of
+    MREs at or below 0.25 (boundary inclusive, with a relative float guard
+    so an MRE of exactly 0.25 counts).  ``cases`` and ``ids`` are lists
+    read by ``_items``; ``ids`` name the cases, one distinct string each,
+    and default to the case indices.  Each case is a pair whose predicted
+    and actual values are real numbers, no bool, read as floats before
+    any case is computed.
     """
-    cases = tuple(cases)
+    cases = _items(cases, "cases")
     if not cases:
         raise ValueError("no cases")
-    floats = []
-    for q in thresholds:
-        if not (math.isfinite(x := _real(q)) and x > 0):  # NaN too
-            raise ValueError(f"Pred threshold must be finite and > 0, got {q!r}")
-        floats.append(x)
-    if ids is None:
-        ids = [str(i) for i in range(len(cases))]
-    ids = _ids(ids, "case")
+    ids = tuple(map(str, range(len(cases)))) if ids is None else _items(ids, "case ids", str)
+    if len(ids) != len(cases):
+        raise ValueError(f"ids must hold one id for each of the {len(cases)} cases, "
+                         f"got {len(ids)}")
     repeated = _repeated(ids)
     if repeated:
         raise ValueError(f"repeated case ids {repeated}")
     cases = [_real_pair(case, f"case {rid!r}", ("predicted", "actual"))
-             for rid, case in zip(ids, cases, strict=True)]
+             for rid, case in zip(ids, cases)]
     out = []
     for rid, (predicted, actual) in zip(ids, cases):
         if actual == 0:
@@ -161,15 +162,12 @@ def accuracy_metrics(
             )
         )
     mres = [c.mre for c in out]
-    pred = {
-        q: sum(m <= q * (1 + 1e-9) + 1e-12 for m in mres) / len(out)
-        for q in floats
-    }
+    bound = _PRED_LEVEL * (1 + 1e-9) + 1e-12
     return AccuracyReport(
         model_name=model_name,
         cases=out,
         mmre=_mean(mres),
-        pred=pred,
+        pred={_PRED_LEVEL: sum(m <= bound for m in mres) / len(out)},
     )
 
 
@@ -216,19 +214,22 @@ def loocv(
     Every fold reuses one ``_columns`` read: a release's point depends
     only on the active factors, its own levels and the options.
 
-    ``target`` and ``options`` are read before the model is checked.
+    ``bundle``, ``target`` and ``options`` are read as a record's fields
+    are before the model is checked, and ``active_ids`` is resolved
+    before any fold.
     """
+    bundle = _typed(bundle, ContextBundle, "bundle")
     target = _typed(target, Target, "target")
     options = _typed(options, EngineOptions, "options")
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     if _BASELINE_TARGETS.get(model, target) != target:
         raise ValueError(f"baseline {model!r} does not predict {target.value}")
+    # Resolved for every model, so a bad override fails the same way.
+    active = bundle.resolve_active(target, active_ids)
     releases = _usable(bundle, target)
     if len(releases) < 2:
         raise InsufficientHistoryError("leave-one-out needs >= 2 usable releases")
-    # Resolved for every model, so a bad override fails the same way.
-    active = bundle.resolve_active(target, active_ids)
     if model == MODEL_DC_MEDIAN:
         n = len(releases)
         sizes, points = [1.0] * n, [0.0] * n
@@ -314,10 +315,11 @@ def wilcoxon_one_sided(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
     one.  Zero differences are dropped, tied magnitudes get mid-ranks.
     Exact enumeration of all 2^n sign assignments up to n = _EXACT_LIMIT,
     normal approximation with continuity and tie correction beyond.
-    Each MRE is a real number, no bool, read as a float at entry.
+    ``pairs`` is a list read by ``_items``; each pair holds two MREs, real
+    numbers and no bool, read as floats at entry.
     """
     pairs = [_real_pair(pair, f"pair {i}", ("mre_a", "mre_b"))
-             for i, pair in enumerate(pairs)]
+             for i, pair in enumerate(_items(pairs, "pairs"))]
     d = [b - a for a, b in pairs]
     d = [x for x in d if x != 0.0]
     n = len(d)
@@ -376,12 +378,14 @@ def ablation_curve(
 
     k = 0 means no factor is active, which reduces exactly to the data-only
     median-density (or median-effectiveness) model.  A repeated k runs once.
-    A str ranking, or a k that is no int (a bool too), is a ValueError;
-    ``target`` is a Target or its value, and ``options`` EngineOptions.
+    ``ranked_ids`` and ``ks`` are lists read by ``_items``; a k that is no
+    int (a bool too) is a ValueError.  ``bundle`` is a ContextBundle,
+    ``target`` a Target or its value, and ``options`` EngineOptions.
     """
+    bundle = _typed(bundle, ContextBundle, "bundle")
     target = _typed(target, Target, "target")
+    ranked_ids, ks = _items(ranked_ids, "factor ids", str), _items(ks, "ks")
     options = _typed(options, EngineOptions, "options")
-    ranked_ids, ks = _ids(ranked_ids, "factor"), tuple(ks)
     for k in ks:  # every k is checked before the first fold runs
         if type(k) is not int:  # a bool would key the report True
             raise ValueError(f"k must be an integer, got {k!r}")
@@ -423,21 +427,23 @@ def history_simulation(
     then folded into the history, so case j of the accuracy was predicted
     from ``start_m + j`` releases.  Excluded releases are skipped both as
     history and as prediction targets.  A ``start_m`` that is no int
-    (a bool too) is a ValueError; ``target`` is a Target or its value,
-    and ``options`` EngineOptions.
+    (a bool too) is a ValueError; ``bundle`` is a ContextBundle,
+    ``target`` a Target or its value, and ``options`` EngineOptions, and
+    ``active_ids`` is resolved before any fold.
     """
+    bundle = _typed(bundle, ContextBundle, "bundle")
     target = _typed(target, Target, "target")
     options = _typed(options, EngineOptions, "options")
     if type(start_m) is not int:
         raise ValueError(f"start_m must be an integer, got {start_m!r}")
     if start_m < 2:
         raise ValueError("start_m must be >= 2")
+    active = bundle.resolve_active(target, active_ids)
     releases = _usable(bundle, target)
     if len(releases) <= start_m:
         raise InsufficientHistoryError(
             f"history simulation needs more than {start_m} usable releases"
         )
-    active = bundle.resolve_active(target, active_ids)
     points, bases = _columns(releases, active, target, bundle.quantifications, options)
     sizes = [r.size for r in releases]
     folds = ((m, bases[:m]) for m in range(start_m, len(releases)))

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from numbers import Real
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import MissingFactorError, UndefinedEffectivenessError
 
@@ -44,14 +45,6 @@ def _real(value) -> float:
 def _repeated(values) -> list:
     """The values that occur more than once, sorted."""
     return sorted(v for v, n in Counter(values).items() if n > 1)
-
-
-def _ids(value, what: str) -> tuple:
-    """A list argument of ``what`` ids, read once into a tuple; a str is a
-    ValueError, since it would read as one-letter ids."""
-    if isinstance(value, str):
-        raise ValueError(f"expected a list of {what} ids, got the string {value!r}")
-    return tuple(value)
 
 
 def _median(values):
@@ -129,6 +122,28 @@ def _typed(value, kind: type, field: str, where=None):
     wanted = _WANTED.get(kind, kind.__name__)
     message = f"{_place(where or field)} must be {wanted}, got {_kind(value)}"
     raise _FieldError(field, message)
+
+
+def _check_list(value, what: str, abc: type = Iterable) -> None:
+    """A ValueError naming ``what`` unless ``value`` is an ``abc`` and no str
+    (it would read as one-letter ids), bytes or mapping (it would read as
+    its keys)."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, abc):
+        shown = f"the string {value!r}" if isinstance(value, str) else _kind(value)
+        raise ValueError(f"expected a list of {what}, got {shown}")
+
+
+def _items(value, what: str, kind: type | None = None) -> tuple:
+    """A list argument of ``what``, read once into a tuple, so a list, a
+    tuple and a one-shot iterator read alike; anything that is no list by
+    ``_check_list``, None included, is a ValueError naming ``what``.  With
+    ``kind``, each entry is read by ``_typed`` as a field of ``kind`` is:
+    ``factors[0] must be InfluenceFactor, got a string``."""
+    _check_list(value, what)
+    if kind is None:
+        return tuple(value)
+    return tuple(v if type(v) is kind else _typed(v, kind, what, (what, "{}[{!r}]", i))
+                 for i, v in enumerate(value))
 
 
 class _FrozenDict(dict):
@@ -365,6 +380,7 @@ class ReleaseRecord(_Record):
 
 def defect_content(release: ReleaseRecord) -> float:
     """Defects in the product when the QA activity started (DF + DS)."""
+    release = _typed(release, ReleaseRecord, "release")
     return release.defects_found + release.defects_slipped
 
 
@@ -379,6 +395,7 @@ def effectiveness(release: ReleaseRecord) -> float:
     Raises UndefinedEffectivenessError for a defect-free release (0/0);
     such releases cannot contribute to effectiveness calibration.
     """
+    release = _typed(release, ReleaseRecord, "release")
     if (value := _measured(Target.EFFECTIVENESS, release)) is None:
         raise UndefinedEffectivenessError(f"release {release.id!r} has defect content 0")
     return value
@@ -467,8 +484,10 @@ def aggregate_rankings(
     invariant under permutation of the input rankings.  The rules are
     ``_ranking_problems``' (one ranking per expert, one factor set, ranks
     in [1, k]); this raises the first problem, where a bundle lists them all.
-    ``target`` is a Target or its value, as a record's field reads it.
+    ``rankings`` is a list of FactorRanking and ``target`` a Target or its
+    value, each read as a record's field is.
     """
+    rankings = _items(rankings, "rankings", FactorRanking)
     target = _typed(target, Target, "target")
     relevant = [r for r in rankings if r.target == target]
     for problem in _ranking_problems(relevant, target):

@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 from .calibration import CalibratedContext
 from .errors import NoEffectivenessHistoryError, NoUsableHistoryError
 from .model import (
-    ExpertTriangle, InfluenceFactor, Target, _check_levels, _model_equation, _Record,
-    _typed,
+    ExpertTriangle, InfluenceFactor, Target, _check_levels, _items, _model_equation,
+    _Record, _typed,
 )
-from .sampling import EngineOptions, _increase_summary
+from .sampling import EngineOptions, _check_p, _increase_summary
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -52,14 +52,25 @@ class Prediction(_Record):
         }
 
 
+def _arguments(ctx, spec, factors, factors_name: str, triangles, options, probs) -> tuple:
+    """A prediction's arguments, each read by its rule before any draw:
+    the records by ``_typed``, the lists by ``_items`` and each ``p`` of
+    ``probs`` by ``_check_p``."""
+    return (_typed(ctx, CalibratedContext, "ctx"), _typed(spec, NewReleaseSpec, "spec"),
+            _items(factors, factors_name, InfluenceFactor),
+            _items(triangles, "triangles", ExpertTriangle),
+            _typed(options, EngineOptions, "options"),
+            tuple(map(_check_p, _items(probs, "probs"))))
+
+
 def _predict(
     target: Target,
     base: float,
     spec: NewReleaseSpec,
-    factors: Sequence[InfluenceFactor],
-    triangles: Sequence[ExpertTriangle],
+    factors: tuple[InfluenceFactor, ...],
+    triangles: tuple[ExpertTriangle, ...],
     options: EngineOptions,
-    probs: Sequence[float],
+    probs: tuple[float, ...],
 ) -> Prediction:
     # The model equation is nondecreasing in the increase, rounding
     # included, so each quantile of the predictions is, bit for bit, the
@@ -84,14 +95,15 @@ def predict_defect_content(
     options: EngineOptions = EngineOptions(),
     probs: Sequence[float] = DEFAULT_QUANTILES,
 ) -> Prediction:
-    """DC = size * median(DD_base) * (1 + DDIF)."""
-    options = _typed(options, EngineOptions, "options")
+    """DC = size * median(DD_base) * (1 + DDIF).
+
+    Every argument is read by ``_arguments`` before any draw.
+    """
+    ctx, spec, *rest = _arguments(ctx, spec, dc_factors, "dc_factors", triangles, options,
+                                  probs)
     if not ctx.included_ids:
         raise NoUsableHistoryError("calibrated context is empty")
-    return _predict(
-        Target.DEFECT_CONTENT, ctx.dd_base_median, spec, dc_factors,
-        triangles, options, probs,
-    )
+    return _predict(Target.DEFECT_CONTENT, ctx.dd_base_median, spec, *rest)
 
 
 def predict_effectiveness(
@@ -107,22 +119,21 @@ def predict_effectiveness(
     Clipping happens per sample, not just on the point estimate, so the
     clipped probability mass accumulates at exactly 1.0: a highly
     effective activity gets a positive probability of finding all
-    defects, never of finding more than are there.
+    defects, never of finding more than are there.  Every argument is
+    read by ``_arguments`` before any draw.
     """
-    options = _typed(options, EngineOptions, "options")
+    ctx, spec, *rest = _arguments(ctx, spec, eff_factors, "eff_factors", triangles, options,
+                                  probs)
     if ctx.eff_base_median is None:
         raise NoEffectivenessHistoryError(
             "no included release has a defined effectiveness"
         )
-    return _predict(
-        Target.EFFECTIVENESS, ctx.eff_base_median, spec, eff_factors,
-        triangles, options, probs,
-    )
+    return _predict(Target.EFFECTIVENESS, ctx.eff_base_median, spec, *rest)
 
 
 def predict_defects_found(dc: Prediction, eff: Prediction) -> float:
-    """Expected defects found by the activity: Eff * DC."""
-    return dc.point * eff.point
+    """Expected defects found by the activity: Eff * DC; each a Prediction."""
+    return _typed(dc, Prediction, "dc").point * _typed(eff, Prediction, "eff").point
 
 
 class Predictions(_Record):

@@ -1,14 +1,16 @@
 """Report serialization to JSON.
 
-A report renders from one payload, a dict or its ``to_payload()``, with
-floats fixed to 6 significant digits, so a fixed seed gives fixed bytes.
-A NaN or an infinity is never written: rendering it is a ``ValueError``.
+A report renders from its record's ``to_payload()``, with floats fixed
+to 6 significant digits, so a fixed seed gives fixed bytes.  A NaN or an
+infinity is never written: rendering it is a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+from .model import _kind, _Record
 
 
 def _round6(value):
@@ -24,16 +26,15 @@ def _round6(value):
     return value
 
 
-def render_report(report, format: str = "json") -> str:
+def render_report(report: _Record, format: str = "json") -> str:
     """Serialize a report deterministically as JSON, the only ``format``.
 
-    ``report`` is a dict, whose keys are written as strings, or a report
-    object with a ``to_payload()`` method.
+    ``report`` is a report record, one with a ``to_payload()`` method
+    (``CalibratedContext``, ``Prediction``, ``AccuracyReport``, ...);
+    anything else is a ValueError naming ``report``.
     """
     if format != "json":
         raise ValueError(f"unknown format {format!r}")
-    if isinstance(report, dict):
-        payload = {str(k): v for k, v in report.items()}
-    else:
-        payload = report.to_payload()
-    return json.dumps(_round6(payload), indent=2, sort_keys=True) + "\n"
+    if not (isinstance(report, _Record) and hasattr(report, "to_payload")):
+        raise ValueError(f"report must be a report record, got {_kind(report)}")
+    return json.dumps(_round6(report.to_payload()), indent=2, sort_keys=True) + "\n"

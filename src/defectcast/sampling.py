@@ -83,6 +83,8 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Sized
+from numbers import Real
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
@@ -94,6 +96,8 @@ from .model import (
     ExpertTriangle,
     InfluenceFactor,
     Target,
+    _check_list,
+    _items,
     _levels,
     _real,
     _Record,
@@ -200,10 +204,11 @@ def _inverse_cdf(table: np.ndarray, idx, u, buffers):
 def triangle_inverse_cdf(tri: ExpertTriangle, u):
     """Inverse CDF of the triangular distribution at u (scalar or array).
 
-    ``u`` is clipped to [0, 1].
+    ``u`` is clipped to [0, 1]; ``tri`` is an ExpertTriangle.
     """
     import numpy as np
 
+    tri = _typed(tri, ExpertTriangle, "tri")
     # np.array: clipping a 0-d array gives a scalar, which cannot be written.
     u = np.array(np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
     out = _inverse_cdf(_piece_table([tri]), np.zeros(u.shape, dtype=np.intp), u,
@@ -212,6 +217,8 @@ def triangle_inverse_cdf(tri: ExpertTriangle, u):
 
 
 def triangle_variance(tri: ExpertTriangle) -> float:
+    """Variance of the triangular distribution ``tri``, an ExpertTriangle."""
+    tri = _typed(tri, ExpertTriangle, "tri")
     a, m, b = tri.min, tri.most_likely, tri.max
     return (a * a + m * m + b * b - a * m - a * b - m * b) / 18.0
 
@@ -410,7 +417,6 @@ def _terms(
     target: Target,
 ) -> list[tuple[str, float, list[ExpertTriangle]]]:
     """(factor id, level / 3, triangles in expert order), in factor-id order."""
-    factors = tuple(factors)
     repeated = _repeated(f.id for f in factors)
     if repeated:  # a repeated factor would count twice
         raise ValueError(f"duplicate factor ids {repeated}")
@@ -433,9 +439,12 @@ def analytic_mean_increase(
     """Deterministic companion of the Monte Carlo path.
 
     Sum over active factors of (level/3) times the mean triangle mean
-    (a+m+b)/3, averaged uniformly over the factor's experts.  ``target``
-    and ``levels`` are read as a record's fields, before any other check.
+    (a+m+b)/3, averaged uniformly over the factor's experts.  The lists
+    are read by ``_items``, their entries as records, and ``target`` and
+    ``levels`` as a record's fields, before any other check.
     """
+    factors = _items(factors, "factors", InfluenceFactor)
+    triangles = _items(triangles, "triangles", ExpertTriangle)
     target, levels = _typed(target, Target, "target"), _levels(levels)
     total = 0.0
     for _, weight, tris in _terms(factors, triangles, levels, target):
@@ -460,12 +469,14 @@ def increase_distribution(
     Returns a fresh, writable float64 array of ``options.n_samples``
     samples in draw order.  Each sample is the sum over active factors of
     (level/3) times an independent expert-mixture draw.  Identical
-    (inputs, seed, n) yield bit-identical samples.  ``target``,
-    ``levels`` and ``options`` are read as a record's fields, before any
-    other check.
+    (inputs, seed, n) yield bit-identical samples.  The lists are read
+    by ``_items``, their entries as records, and ``target``, ``levels``
+    and ``options`` as a record's fields, before any other check.
     """
     import numpy as np
 
+    factors = _items(factors, "factors", InfluenceFactor)
+    triangles = _items(triangles, "triangles", ExpertTriangle)
     target, levels = _typed(target, Target, "target"), _levels(levels)
     options = _typed(options, EngineOptions, "options")
     samples = np.zeros(options.n_samples)
@@ -485,23 +496,29 @@ def _check_p(p) -> float:
 
 
 def empirical_quantile(sorted_samples: Sequence[float], p: float) -> float:
-    """Nearest-rank ``p``-quantile, ``p`` in [0, 1], of ascending-sorted samples."""
+    """Nearest-rank ``p``-quantile, ``p`` in [0, 1], of ascending-sorted samples.
+
+    ``sorted_samples`` is a sized list or array, read in place, never
+    copied; the sample taken must be a real number and no bool.
+    """
     p = _check_p(p)
+    _check_list(sorted_samples, "sorted_samples", Sized)
     n = len(sorted_samples)
     if n == 0:
         raise EmptyDistributionError("no samples")
-    return float(sorted_samples[_nearest_rank(p, n)])
+    i = _nearest_rank(p, n)
+    if isinstance(value := sorted_samples[i], bool) or not isinstance(value, Real):
+        raise ValueError(f"sorted_samples[{i}] must be a real number, got {value!r}")
+    return float(value)
 
 
 def _increase_summary(factors, triangles, levels: Mapping[str, int], target: Target,
                       options: EngineOptions, probs=()) -> tuple[float, dict]:
     """One characterization's increase point and its ``probs`` quantiles,
-    each ``p`` read as a float before the draw.  Without ``probs`` an
-    mc-median is selected in place; with them the draw is sorted once, in
-    place, and each value read from it: a selection would reorder a sorted
-    array."""
-    factors, triangles = tuple(factors), tuple(triangles)
-    probs = tuple(map(_check_p, probs))
+    ``factors`` and ``triangles`` being lists or tuples and each ``p`` a
+    float read by ``_check_p``.  Without ``probs`` an mc-median is selected
+    in place; with them the draw is sorted once, in place, and each value
+    read from it: a selection would reorder a sorted array."""
     if options.point == POINT_ANALYTIC_MEAN and not probs:  # no draw
         return analytic_mean_increase(factors, triangles, levels, target), {}
     samples = increase_distribution(factors, triangles, levels, target, options)

@@ -46,14 +46,12 @@ def make_triangle(fid="D1", a=0.10, m=0.15, b=0.25,
     )
 
 
-def summarize_mres(mres, thresholds=(0.25,), ids=None, model_name=""):
+def summarize_mres(mres, ids=None, model_name=""):
     """Accuracy report from already-computed MRE values.
 
     Routes through accuracy_metrics with actual = 1, so an MRE of m is
     represented exactly by the pair (1 + m, 1)."""
-    return accuracy_metrics(
-        [(1.0 + m, 1.0) for m in mres], thresholds, ids, model_name
-    )
+    return accuracy_metrics([(1.0 + m, 1.0) for m in mres], ids, model_name)
 
 
 def make_dominant_factor_bundle(seed=0, n_releases=10):

@@ -73,7 +73,7 @@ def test_criterion_1_table_fixtures():
         (MRE_IF_EFF, 0.10, 0.88),
     ]
     for mres, mmre, pred25 in expected:
-        report = summarize_mres(mres, thresholds=[0.25])
+        report = summarize_mres(mres)
         # boundary-inclusive with a float guard (0.875 - 0.87 is 0.005)
         assert abs(report.mmre - mmre) <= 0.005 + 1e-12
         assert abs(report.pred[0.25] - pred25) <= 0.005 + 1e-12

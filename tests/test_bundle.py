@@ -15,6 +15,8 @@ from defectcast import (
     ExpertTriangle,
     FactorRanking,
     InfluenceFactor,
+    Prediction,
+    Predictions,
     ReleaseRecord,
     Target,
     ValidationIssue,
@@ -857,10 +859,11 @@ class TestWriteReport:
         assert payload["mmre"] == 0.333333
 
     def test_nan_is_never_written(self):
-        # tests/test_cli.py checks -inf end to end.
-        report = {"report": "demo", "nested": {"values": [1.0, float("nan")]}}
+        # tests/test_cli.py checks -inf end to end.  The NaN is nested in
+        # the payload: a quantile of the defect-content prediction.
+        nan = Prediction(Target.DEFECT_CONTENT, 1.0, {0.5: float("nan")}, 10, 0)
         with pytest.raises(ValueError, match="not finite"):
-            render_report(report)
+            render_report(Predictions(nan, None))
 
 
 JSON_VALUES = st.recursive(

@@ -54,14 +54,11 @@ MRE_EFF = [0.05, 0.02, 0.38, 0.02, 0.10, 0.24, 0.10, 0.02]
 MRE_IF_EFF = [0.02, 0.14, 0.35, 0.00, 0.10, 0.06, 0.10, 0.00]
 
 
-def reference_accuracy_metrics(cases, thresholds):
+def reference_accuracy_metrics(cases):
     """The bit-for-bit reference: MMRE as the exact sum of the MREs,
-    rounded once, over their count, and numpy's Pred(q)."""
+    rounded once, over their count, and numpy's Pred(0.25)."""
     mres = np.array([abs((p - a) / a) for p, a in cases])
-    pred = {
-        q: float(np.count_nonzero(mres <= q * (1 + 1e-9) + 1e-12) / len(cases))
-        for q in thresholds
-    }
+    pred = {0.25: float(np.count_nonzero(mres <= 0.25 * (1 + 1e-9) + 1e-12) / len(cases))}
     return float(sum(map(Fraction, mres))) / len(mres), pred
 
 
@@ -79,9 +76,8 @@ class TestAccuracyMetrics:
     @example(cases=[(0.1 * i, 1.0) for i in range(1, 129)])
     @example(cases=[(0.1 * i, 0.7) for i in range(1, 130)])
     def test_bit_identical_to_numpy_reference(self, cases):
-        thresholds = [0.1, 0.25, 1.0]
-        report = accuracy_metrics(cases, thresholds)
-        mmre, pred = reference_accuracy_metrics(cases, thresholds)
+        report = accuracy_metrics(cases)
+        mmre, pred = reference_accuracy_metrics(cases)
         assert report.mmre.hex() == mmre.hex()
         assert report.pred == pred
 
@@ -101,20 +97,19 @@ class TestAccuracyMetrics:
         ],
     )
     def test_published_rows(self, mres, mmre, pred25):
-        report = summarize_mres(mres, thresholds=[0.25])
+        report = summarize_mres(mres)
         assert report.mmre == pytest.approx(mmre, abs=1e-9)
         assert report.pred[0.25] == pytest.approx(pred25, abs=1e-9)
 
     def test_boundary_inclusive(self):
         # an MRE of exactly 0.25 counts toward Pred(.25)
-        report = summarize_mres([0.25], thresholds=[0.25])
+        report = summarize_mres([0.25])
         assert report.pred[0.25] == 1.0
 
     def test_perfect_prediction(self):
-        report = accuracy_metrics([(10.0, 10.0), (3.0, 3.0)],
-                                  thresholds=[0.1, 0.25])
+        report = accuracy_metrics([(10.0, 10.0), (3.0, 3.0)])
         assert report.mmre == 0
-        assert all(v == 1.0 for v in report.pred.values())
+        assert report.pred == {0.25: 1.0}
 
     def test_re_sign_convention(self):
         report = accuracy_metrics([(12.0, 10.0), (8.0, 10.0)])
@@ -138,46 +133,25 @@ class TestAccuracyMetrics:
             accuracy_metrics([(1.0, 1.0), case], ids=["A", "B"])
 
     @pytest.mark.parametrize("ids,message", [
-        (["a"], "zip"),
-        (["a", "b", "c"], "zip"),
+        (["a"], r"^ids must hold one id for each of the 2 cases, got 1$"),
+        (["a", "b", "c"], r"^ids must hold one id for each of the 2 cases, got 3$"),
         (["a", "a"], r"^repeated case ids \['a'\]$"),
         ("ab", r"^expected a list of case ids, got the string 'ab'$"),
     ], ids=["fewer-ids", "more-ids", "repeated-id", "string"])
     def test_ids_name_each_case_once(self, ids, message):
         # Fewer ids used to drop the second case: 1 case, MMRE 0.5, and a
-        # string to name the cases 'a' and 'b'.
+        # string to name the cases 'a' and 'b'; then a count that differs
+        # ended in zip()'s own message.
         with pytest.raises(ValueError, match=message):
             accuracy_metrics([(1.0, 2.0), (3.0, 1.0)], ids=ids)
 
-    @pytest.mark.parametrize("q", [math.nan, -1.0, 0.0, 1e400, -math.inf,
-                                   "a", None, True,
-                                   pytest.param(10**400, id="10**400")])
-    def test_pred_threshold_must_be_finite_and_positive(self, q):
-        # NaN, -1 and 1e400 used to give pred {'nan': 0.0, '-1': 0.0, 'inf': 1.0};
-        # True failed on the report's pred key after every case was computed,
-        # "a" and None in a bare TypeError, 10**400 in an OverflowError.
-        with pytest.raises(ValueError) as exc:
-            accuracy_metrics([(1.0, 2.0)], thresholds=[0.25, q])
-        assert str(exc.value) == f"Pred threshold must be finite and > 0, got {q!r}"
-
     def test_mmre_permutation_invariant_and_pred_monotone(self):
+        # Pred has one level, 0.25, so only the permutation is left to check.
         mres = [0.1, 0.7, 0.3, 0.05]
-        a = summarize_mres(mres, thresholds=[0.1, 0.25, 0.5, 10.0])
-        b = summarize_mres(list(reversed(mres)),
-                           thresholds=[0.1, 0.25, 0.5, 10.0])
+        a = summarize_mres(mres)
+        b = summarize_mres(list(reversed(mres)))
         assert a.mmre == b.mmre
-        values = [a.pred[q] for q in sorted(a.pred)]
-        assert values == sorted(values)
-        assert a.pred[10.0] == 1.0
-
-    @pytest.mark.parametrize("q", [Fraction(1, 4), np.float32(0.25), np.int64(1),
-                                   np.float32(0.1)], ids=repr)
-    def test_real_threshold_reads_as_its_float(self, q):
-        # Each used to fail on the report's pred key after every case was computed.
-        cases = [(1.0, 2.0), (1.2, 1.0), (0.95, 1.0)]
-        got = accuracy_metrics(cases, thresholds=[q])
-        assert render_report(got) == render_report(accuracy_metrics(cases, [float(q)]))
-        assert list(got.pred) == [float(q)]
+        assert a.pred == b.pred == {0.25: 0.5}
 
     @pytest.mark.parametrize("case,field,value", [
         (("a", 1.0), "predicted", "'a'"),
@@ -205,6 +179,17 @@ class TestAccuracyMetrics:
         plain = (float(case[0]), float(case[1]))
         got = accuracy_metrics([case, (1.0, 4.0)])
         assert render_report(got) == render_report(accuracy_metrics([plain, (1.0, 4.0)]))
+
+    @pytest.mark.parametrize("case,message", [
+        ((1.0, 2.0, 3.0), "case 'B' must hold 2 values, predicted and actual, got 3"),
+        (1.0, "expected a list of case 'B' values, got a number"),
+    ], ids=["three", "number"])
+    def test_a_case_holds_two_values(self, case, message):
+        # Three values used to end in "too many values to unpack", a number
+        # in "cannot unpack non-iterable float object".
+        with pytest.raises(ValueError) as exc:
+            accuracy_metrics([(1.0, 0.0), case], ids=["A", "B"])
+        assert str(exc.value) == message
 
     def test_a_real_nan_is_still_no_finite_relative_error(self):
         with pytest.raises(EstimationError, match="^case '0': predicted nan "):
@@ -539,7 +524,7 @@ ONE_SHOT_CALLS = {
     "analytic_mean_increase": lambda b, wrap: analytic_mean_increase(
         wrap(b.resolve_active(DC)), wrap(b.quantifications), b.releases[0].levels, DC),
     "accuracy_metrics": lambda b, wrap: accuracy_metrics(
-        wrap([(1.0, 2.0), (3.0, 4.0)]), wrap([0.25, 0.5]), wrap(["A", "B"])),
+        wrap([(1.0, 2.0), (3.0, 4.0)]), wrap(["A", "B"])),
 }
 
 

@@ -9,6 +9,7 @@ history that ``loocv`` used to take for them.
 """
 
 import hashlib
+import json
 import statistics
 
 import pytest
@@ -40,6 +41,7 @@ from defectcast import (
     render_report,
 )
 from defectcast import sampling
+from defectcast.report import _round6
 
 from synth import make_synthetic_bundle
 
@@ -241,9 +243,10 @@ def rendered(kind, target, options):
         return "".join(render_report(curve.reports[k]) for k in sorted(curve.reports))
     if kind == "history":
         # The dict the digests were recorded from: one step per case, the
-        # j-th predicted from 4 + j releases.
+        # j-th predicted from 4 + j releases.  render_report takes only a
+        # report record, so the dict is rendered here as it rendered it.
         history = history_simulation(bundle, 4, target, options)
-        return render_report({"steps": [
+        return json.dumps(_round6({"steps": [
             {
                 "history_size": 4 + j,
                 "predicted_release_id": c.release_id,
@@ -252,7 +255,7 @@ def rendered(kind, target, options):
                 "mre": c.mre,
             }
             for j, c in enumerate(history.accuracy.cases)
-        ]})
+        ]}), indent=2, sort_keys=True) + "\n"
     model = MODEL_INFLUENCE_FACTOR if kind == "loocv" else kind
     return render_report(loocv(bundle, model, target, options))
 

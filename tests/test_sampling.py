@@ -16,10 +16,13 @@ from defectcast import (
     EngineOptions,
     MissingLevelError,
     MissingQuantificationError,
+    NewReleaseSpec,
     Target,
     analytic_mean_increase,
+    calibrate,
     empirical_quantile,
     increase_distribution,
+    predict_defect_content,
     triangle_inverse_cdf,
     triangle_variance,
 )
@@ -28,7 +31,7 @@ from defectcast import load_bundle, sampling
 from defectcast.sampling import _BLOCK, MAX_SAMPLES, _add_mixture
 
 from conftest import (
-    EXAMPLE_BUNDLE, cut_into, make_factor, make_triangle, triangle_cdf,
+    EXAMPLE_BUNDLE, cut_into, make_factor, make_release, make_triangle, triangle_cdf,
 )
 
 
@@ -608,6 +611,38 @@ class TestQuantiles:
         with pytest.raises(EmptyDistributionError, match="^no samples$"):
             empirical_quantile([], 0.5)
 
+    @pytest.mark.parametrize("samples,shown", [
+        ("abc", "the string 'abc'"), ((x for x in [1.0]), "generator"),
+        (None, "null"), (5, "a number"), ({0: 1.0}, "an object"), (b"ab", "bytes"),
+    ], ids=["string", "generator", "none", "number", "dict", "bytes"])
+    def test_samples_must_be_a_sized_list(self, samples, shown):
+        # A string used to end in "could not convert string to float: 'b'",
+        # a generator in "object of type 'generator' has no len()".
+        with pytest.raises(ValueError) as exc:
+            empirical_quantile(samples, 0.5)
+        assert str(exc.value) == f"expected a list of sorted_samples, got {shown}"
+
+    @pytest.mark.parametrize("sample", ["2", None, True, [2.0]], ids=repr)
+    def test_the_sample_taken_must_be_a_real_number(self, sample):
+        with pytest.raises(ValueError) as exc:
+            empirical_quantile([1.0, sample, 3.0], 0.5)
+        assert str(exc.value) == f"sorted_samples[1] must be a real number, got {sample!r}"
+
+    def test_samples_are_read_in_place(self):
+        # Only the one sample taken is read: nothing iterates, so nothing
+        # is copied.
+        class Samples:
+            def __len__(self):
+                return 100
+
+            def __getitem__(self, i):
+                return float(i + 1)
+
+            def __iter__(self):
+                raise AssertionError("the samples were iterated")
+
+        assert empirical_quantile(Samples(), 0.5) == 50.0
+
     def test_sorting_independence(self):
         ordered = np.sort(np.array([3.0, 1.0, 2.0]))
         assert empirical_quantile(ordered, 0.5) == 2
@@ -674,7 +709,10 @@ class TestIncreaseSummary:
 
     @pytest.mark.parametrize("p", [1.5, math.nan, True, "0.5", None])
     def test_every_p_is_checked_before_the_draw(self, monkeypatch, p):
-        # A bad p used to be found only after the whole draw.
+        # A bad p used to be found only after the whole draw.  A prediction
+        # reads its probs at entry, so _increase_summary takes floats.
+        ctx = calibrate([make_release(levels={"D1": 2})], [FACTOR], [], [TRI])
         monkeypatch.setattr(sampling, "increase_distribution", None)
         with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got "):
-            sampling._increase_summary(*self.ARGS, EngineOptions(), iter([0.5, p]))
+            predict_defect_content(ctx, NewReleaseSpec(100, {"D1": 2}), [FACTOR], [TRI],
+                                   EngineOptions(), iter([0.5, p]))

@@ -154,6 +154,19 @@ class TestExamples:
             wilcoxon_one_sided([(0.1, 0.3), pair])
         assert str(exc.value) == f"pair 1: {field} must be a real number, got {value}"
 
+    @pytest.mark.parametrize("pair,message", [
+        ((1.0, 2.0, 3.0), "pair 1 must hold 2 values, mre_a and mre_b, got 3"),
+        ((0.5,), "pair 1 must hold 2 values, mre_a and mre_b, got 1"),
+        (0.5, "expected a list of pair 1 values, got a number"),
+        ("ab", "expected a list of pair 1 values, got the string 'ab'"),
+    ], ids=["three", "one", "number", "string"])
+    def test_a_pair_holds_two_mres(self, pair, message):
+        # Three values used to end in "too many values to unpack", a number
+        # in "cannot unpack non-iterable float object".
+        with pytest.raises(ValueError) as exc:
+            wilcoxon_one_sided([(0.1, 0.3), pair])
+        assert str(exc.value) == message
+
     def test_real_mres_read_as_their_floats(self):
         # The float32 pair used to be differenced in float32, so its
         # magnitude no longer tied with the first pair's: w_plus 5.0, not 4.5.
